@@ -48,6 +48,7 @@ from .ratmap import (
     is_polynomial_type,
     iterate_point,
     newton_map,
+    orbit_points,
     parse_map,
     parse_polynomial,
     rational_periodic_points,

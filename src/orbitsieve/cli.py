@@ -235,7 +235,7 @@ def _cmd_decide(args) -> int:
         _parse_int_list(args.exclude_primes),
         budgets,
     )
-    cert = decide(problem, jobs=args.jobs)
+    cert = decide(problem)
     doc = certificate_to_dict(problem, cert)
     if args.output:
         with open(args.output, "w", encoding="ascii") as fh:
@@ -464,7 +464,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--day-batch", type=_positive, default=Budgets().day_batch)
     p.add_argument("--lcm-cap", type=_positive, default=Budgets().cycle_lcm_cap)
-    p.add_argument("--jobs", type=_positive, default=1)
     p.add_argument("--output", help="also write the certificate JSON here")
     add_format(p)
     p.set_defaults(func=_cmd_decide)

@@ -16,10 +16,9 @@ admit no common index), so verification does not trust the engine.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from .numtheory import (
     DEFAULT_RHO_STEPS,
@@ -40,9 +39,11 @@ from .projective import (
 )
 from .ratmap import (
     DEFAULT_HEIGHT_BITS,
+    HeightBudgetError,
     RationalMap,
     _fpoly_gcd,
     iterate_point,
+    orbit_points,
     parse_polynomial,
 )
 
@@ -88,16 +89,9 @@ class Budgets:
     cycle_lcm_cap: int = 10 ** 7
 
     def __post_init__(self):
-        for name in (
-            "day_steps",
-            "night_stages",
-            "height_bits",
-            "factor_steps",
-            "day_batch",
-            "cycle_lcm_cap",
-        ):
-            if getattr(self, name) < 1:
-                raise ValueError(f"budget {name} must be positive")
+        for f in fields(self):
+            if getattr(self, f.name) < 1:
+                raise ValueError(f"budget {f.name} must be positive")
 
 
 @dataclass(frozen=True)
@@ -226,6 +220,11 @@ class _GoodPrimeList:
         return self.primes[i - 1]
 
 
+def _stage_moduli(pool: _GoodPrimeList, s: int) -> list[PrimePowerModulus]:
+    """Stage s (1-based) introduces p_i^k for every i + k == s + 1."""
+    return [PrimePowerModulus(pool.get(i), s + 1 - i) for i in range(1, s + 1)]
+
+
 def night_schedule(
     phi: RationalMap, excluded: Iterable[int], stages: int
 ) -> list[PrimePowerModulus]:
@@ -237,39 +236,32 @@ def night_schedule(
     moduli come first and every prime power is reached eventually.
     """
     pool = _GoodPrimeList(phi, frozenset(excluded))
-    out = []
-    for s in range(1, stages + 1):
-        for i in range(1, s + 1):
-            out.append(PrimePowerModulus(pool.get(i), s + 1 - i))
-    return out
+    return [m for s in range(1, stages + 1) for m in _stage_moduli(pool, s)]
 
 
 @dataclass
 class _DayState:
+    walk: Iterator[ProjectivePoint]
     points: list[ProjectivePoint]
     seen: dict[ProjectivePoint, int]
     status: str = "running"
 
 
 def _day_advance(
-    phi: RationalMap,
-    day: _DayState,
-    targets: frozenset[ProjectivePoint],
-    steps: int,
-    budgets: Budgets,
+    day: _DayState, targets: frozenset[ProjectivePoint], budgets: Budgets
 ) -> Optional[int]:
-    """Extend the exact orbit by up to `steps` evaluations.
+    """Extend the exact orbit by up to one day batch of evaluations.
 
     Returns a witness index if a target is reached; flips day.status to
     "closed", "height", or "budget" when iteration must stop.
     """
-    for _ in range(steps):
+    for _ in range(budgets.day_batch):
         if len(day.points) - 1 >= budgets.day_steps:
             day.status = "budget"
             return None
-        nxt = phi.evaluate(day.points[-1])
-        size = max(abs(nxt.x1).bit_length(), abs(nxt.x2).bit_length())
-        if size > budgets.height_bits:
+        try:
+            nxt = next(day.walk)
+        except HeightBudgetError:
             day.status = "height"
             return None
         if nxt in targets:
@@ -293,16 +285,6 @@ def _closed_orbit_summary(day: _DayState, start: ProjectivePoint) -> OrbitSummar
     )
 
 
-def _night_one(
-    phi: RationalMap,
-    start: ProjectivePoint,
-    targets: Sequence[ProjectivePoint],
-    m: PrimePowerModulus,
-) -> ModulusEvidence:
-    orb = orbit_mod(phi, start, m)
-    return ModulusEvidence(m, orb, hit_set(orb, targets))
-
-
 def decide(problem: DecisionProblem, jobs: int = 1) -> Certificate:
     """Run the day/night search under the problem's budgets.
 
@@ -315,7 +297,9 @@ def decide(problem: DecisionProblem, jobs: int = 1) -> Certificate:
     cheapest to verify, in front.
 
     Deterministic for fixed budgets: the schedule, the orbit arithmetic, and
-    the fold order do not depend on timing or on `jobs`.
+    the fold order do not depend on timing. `jobs` is ignored: the former
+    thread pool gained nothing for pure-Python work, and the keyword stays
+    only so that existing callers (bench/passes.py) keep working.
     """
     phi = problem.phi
     budgets = problem.budgets
@@ -327,7 +311,8 @@ def decide(problem: DecisionProblem, jobs: int = 1) -> Certificate:
             "modulus even for orbits that miss the targets, so only a "
             "witness or a closed orbit can settle this problem"
         )
-    day = _DayState([problem.start], {problem.start: 0})
+    walk = orbit_points(phi, problem.start, budgets.height_bits)
+    day = _DayState(walk, [next(walk)], {problem.start: 0})
     if problem.start in targets:
         return Certificate(
             "witness",
@@ -352,31 +337,24 @@ def decide(problem: DecisionProblem, jobs: int = 1) -> Certificate:
             **kw,
         )
 
+    def advance_day() -> Optional[Certificate]:
+        """One day batch; a certificate if the exact orbit settles the problem."""
+        wit = _day_advance(day, targets, budgets)
+        if wit is not None:
+            return finish("witness", witness_index=wit)
+        if day.status == "closed":
+            return finish(
+                "empty", finite_orbit=_closed_orbit_summary(day, problem.start)
+            )
+        return None
+
     for stage in range(1, budgets.night_stages + 1):
-        if day.status == "running":
-            wit = _day_advance(phi, day, targets, budgets.day_batch, budgets)
-            if wit is not None:
-                return finish("witness", witness_index=wit)
-            if day.status == "closed":
-                return finish(
-                    "empty", finite_orbit=_closed_orbit_summary(day, problem.start)
-                )
-        moduli = [
-            PrimePowerModulus(pool.get(i), stage + 1 - i)
-            for i in range(1, stage + 1)
-        ]
-        if jobs > 1 and len(moduli) > 1:
-            with ThreadPoolExecutor(max_workers=jobs) as pxc:
-                evidence = list(
-                    pxc.map(
-                        lambda m: _night_one(phi, problem.start, problem.targets, m),
-                        moduli,
-                    )
-                )
-        else:
-            evidence = [
-                _night_one(phi, problem.start, problem.targets, m) for m in moduli
-            ]
+        if day.status == "running" and (settled := advance_day()) is not None:
+            return settled
+        evidence = []
+        for m in _stage_moduli(pool, stage):
+            orb = orbit_mod(phi, problem.start, m)
+            evidence.append(ModulusEvidence(m, orb, hit_set(orb, problem.targets)))
         stages_done = stage
         for ev in evidence:
             empty = ev.hits.is_empty()
@@ -386,13 +364,8 @@ def decide(problem: DecisionProblem, jobs: int = 1) -> Certificate:
             collected.append(ev)
     # drain whatever day budget remains
     while day.status == "running":
-        wit = _day_advance(phi, day, targets, budgets.day_batch, budgets)
-        if wit is not None:
-            return finish("witness", witness_index=wit)
-        if day.status == "closed":
-            return finish(
-                "empty", finite_orbit=_closed_orbit_summary(day, problem.start)
-            )
+        if (settled := advance_day()) is not None:
+            return settled
     # last chance: a combined intersection over everything collected
     folded: Optional[HitSet] = None
     used: list[ModulusEvidence] = []
@@ -529,14 +502,7 @@ def problem_to_dict(problem: DecisionProblem) -> dict:
         "start": _pt(problem.start),
         "targets": [_pt(t) for t in problem.targets],
         "excluded_primes": [str(q) for q in sorted(problem.excluded_primes)],
-        "budgets": {
-            "day_steps": str(b.day_steps),
-            "night_stages": str(b.night_stages),
-            "height_bits": str(b.height_bits),
-            "factor_steps": str(b.factor_steps),
-            "day_batch": str(b.day_batch),
-            "cycle_lcm_cap": str(b.cycle_lcm_cap),
-        },
+        "budgets": {f.name: str(getattr(b, f.name)) for f in fields(Budgets)},
     }
 
 
@@ -546,14 +512,7 @@ def problem_from_dict(doc: dict) -> DecisionProblem:
         [int(c) for c in m["f"]], [int(c) for c in m["g"]]
     )
     b = doc["budgets"]
-    budgets = Budgets(
-        day_steps=int(b["day_steps"]),
-        night_stages=int(b["night_stages"]),
-        height_bits=int(b["height_bits"]),
-        factor_steps=int(b["factor_steps"]),
-        day_batch=int(b["day_batch"]),
-        cycle_lcm_cap=int(b["cycle_lcm_cap"]),
-    )
+    budgets = Budgets(**{f.name: int(b[f.name]) for f in fields(Budgets)})
     return DecisionProblem.make(
         phi,
         _unpt(doc["start"]),

@@ -244,7 +244,7 @@ class ResidueClassSet:
             last = r
 
     def __contains__(self, n: int) -> bool:
-        return n % self.modulus in set(self.residues)
+        return n % self.modulus in self.residues
 
     def __len__(self) -> int:
         return len(self.residues)

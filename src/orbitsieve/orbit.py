@@ -9,11 +9,12 @@ classes modulo the cycle length. HitSet captures exactly that.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from typing import Iterable, Optional
 
 from .numtheory import ResidueClassSet
 from .projective import PointLike, PrimePowerModulus, ProjectivePoint, ResiduePoint, normalize, reduce_mod
-from .ratmap import DEFAULT_HEIGHT_BITS, RationalMap
+from .ratmap import DEFAULT_HEIGHT_BITS, HeightBudgetError, RationalMap, orbit_points
 
 __all__ = [
     "OrbitSummary",
@@ -66,24 +67,23 @@ def orbit_rational(
     """Iterate until the orbit closes or a budget is hit. Never raises
     on budget exhaustion; that outcome is the "truncated" status.
     """
-    pt = normalize(start)
+    walk = orbit_points(phi, start, height_bits)
+    pt = next(walk)
     points = [pt]
     seen = {pt: 0}
-    for _ in range(max_steps):
-        nxt = phi.evaluate(points[-1])
-        if max(abs(nxt.x1).bit_length(), abs(nxt.x2).bit_length()) > height_bits:
-            return OrbitSummary(
-                pt, tuple(points), "truncated", steps_done=len(points) - 1
-            )
-        if nxt in seen:
-            tail = seen[nxt]
-            cycle = len(points) - tail
+    try:
+        for nxt in islice(walk, max_steps):
+            if nxt in seen:
+                tail = seen[nxt]
+                cycle = len(points) - tail
+                points.append(nxt)
+                return OrbitSummary(
+                    pt, tuple(points), "preperiodic", tail, cycle, len(points) - 1
+                )
+            seen[nxt] = len(points)
             points.append(nxt)
-            return OrbitSummary(
-                pt, tuple(points), "preperiodic", tail, cycle, len(points) - 1
-            )
-        seen[nxt] = len(points)
-        points.append(nxt)
+    except HeightBudgetError:
+        pass
     return OrbitSummary(pt, tuple(points), "truncated", steps_done=len(points) - 1)
 
 
@@ -111,8 +111,8 @@ class ModOrbit:
 def orbit_mod(phi: RationalMap, start: PointLike, m: PrimePowerModulus) -> ModOrbit:
     """Reduce the start point and iterate mod p^k until the first repeat.
 
-    Raises BadPrimeError (from the reduction step) at primes dividing the
-    resultant, where reduction and iteration do not commute.
+    Raises BadPrimeError (from RationalMap.evaluate_mod) at primes dividing
+    the resultant, where reduction and iteration do not commute.
     """
     cur = reduce_mod(normalize(start), m)
     seq = [cur]

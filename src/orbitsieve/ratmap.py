@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .numtheory import (
     FactorizationBudgetError,
@@ -24,7 +24,6 @@ from .numtheory import (
 from .projective import (
     INFINITY,
     PointLike,
-    PrimePowerModulus,
     ProjectivePoint,
     ResiduePoint,
     ZERO,
@@ -43,6 +42,7 @@ __all__ = [
     "parse_map",
     "parse_polynomial",
     "newton_map",
+    "orbit_points",
     "iterate_point",
     "is_polynomial_type",
     "DynatomicForm",
@@ -108,6 +108,7 @@ def _pneg(a: Sequence) -> list:
 
 
 def _pmul(a: Sequence, b: Sequence) -> list:
+    """Full-length product, not trimmed: forms must keep their degree."""
     if not a or not b:
         return []
     out = [0] * (len(a) + len(b) - 1)
@@ -116,7 +117,7 @@ def _pmul(a: Sequence, b: Sequence) -> list:
             for j, cb in enumerate(b):
                 if cb:
                     out[i + j] += ca * cb
-    return _ptrim(out)
+    return out
 
 
 def _ppow(a: Sequence, k: int) -> list:
@@ -247,28 +248,6 @@ class BinaryForm:
                     v = [-y for y in v]
                 break
         return BinaryForm(tuple(v))
-
-
-def _form_mul(a: BinaryForm, b: BinaryForm) -> BinaryForm:
-    out = [0] * (a.degree + b.degree + 1)
-    for i, ca in enumerate(a.coefficients):
-        if ca:
-            for j, cb in enumerate(b.coefficients):
-                if cb:
-                    out[i + j] += ca * cb
-    return BinaryForm(tuple(out))
-
-
-def _form_pow(a: BinaryForm, k: int) -> BinaryForm:
-    out = BinaryForm((1,))
-    base = a
-    while k:
-        if k & 1:
-            out = _form_mul(out, base)
-        k >>= 1
-        if k:
-            base = _form_mul(base, base)
-    return out
 
 
 def resultant(f: BinaryForm, g: BinaryForm) -> int:
@@ -448,11 +427,11 @@ class RationalMap:
         top = max(cache)
         while top < n:
             fk, gk = cache[top]
-            fpow = [BinaryForm((1,))]
-            gpow = [BinaryForm((1,))]
+            fpow = [[1]]
+            gpow = [[1]]
             for _ in range(self.degree):
-                fpow.append(_form_mul(fpow[-1], fk))
-                gpow.append(_form_mul(gpow[-1], gk))
+                fpow.append(_pmul(fpow[-1], fk.coefficients))
+                gpow.append(_pmul(gpow[-1], gk.coefficients))
             d = self.degree
             deg_next = d * fk.degree
             fv = [0] * (deg_next + 1)
@@ -462,8 +441,8 @@ class RationalMap:
                 cg = self.G.coefficients[i]
                 if cf == 0 and cg == 0:
                     continue
-                mono = _form_mul(fpow[i], gpow[d - i])
-                for j, c in enumerate(mono.coefficients):
+                mono = _pmul(fpow[i], gpow[d - i])
+                for j, c in enumerate(mono):
                     if c:
                         fv[j] += cf * c
                         gv[j] += cg * c
@@ -483,23 +462,38 @@ class RationalMap:
         return f"({num})/({den})"
 
 
+def orbit_points(
+    phi: RationalMap,
+    x: PointLike,
+    height_bits: int = DEFAULT_HEIGHT_BITS,
+) -> Iterator[ProjectivePoint]:
+    """Yield x, phi(x), phi^2(x), ... in normalized form.
+
+    Instead of yielding an iterate whose coordinates exceed `height_bits`
+    bits, raises HeightBudgetError carrying the index of the last iterate
+    yielded.
+    """
+    pt = normalize(x)
+    last = 0
+    yield pt
+    while True:
+        pt = phi.evaluate(pt)
+        if max(abs(pt.x1).bit_length(), abs(pt.x2).bit_length()) > height_bits:
+            raise HeightBudgetError(last, height_bits)
+        last += 1
+        yield pt
+
+
 def iterate_point(
     phi: RationalMap,
     x: PointLike,
     n: int,
     height_bits: int = DEFAULT_HEIGHT_BITS,
 ) -> ProjectivePoint:
-    """phi^n(x) by pointwise iteration, guarding coordinate growth.
-
-    Raises HeightBudgetError (carrying the last completed index) when an
-    iterate's coordinates exceed `height_bits` bits.
-    """
-    pt = normalize(x)
-    for j in range(1, n + 1):
-        pt = phi.evaluate(pt)
-        if max(abs(pt.x1).bit_length(), abs(pt.x2).bit_length()) > height_bits:
-            raise HeightBudgetError(j - 1, height_bits)
-    return pt
+    """phi^n(x) by pointwise iteration; HeightBudgetError as in orbit_points."""
+    for j, pt in enumerate(orbit_points(phi, x, height_bits)):
+        if j >= n:
+            return pt
 
 
 # ---------------------------------------------------------------------------
@@ -761,8 +755,8 @@ def is_polynomial_type(
             for i in range(len(fk.coefficients))
         ]
         fiber_form = BinaryForm(tuple(fiber)).primitive_signed()
-        line = BinaryForm((-pt.x1, pt.x2))
-        target = _form_pow(line, phi.degree ** k).primitive_signed()
+        line = (-pt.x1, pt.x2)
+        target = BinaryForm(tuple(_ppow(line, phi.degree ** k))).primitive_signed()
         if fiber_form == target:
             return k
     return None

@@ -14,9 +14,10 @@ from typing import Iterable
 
 from .numtheory import factorize, DEFAULT_RHO_STEPS, DEFAULT_TRIAL_BOUND
 from .orbit import orbit_rational
-from .projective import PointLike, normalize
+from .projective import PointLike, ProjectivePoint, normalize
 from .ratmap import (
     DEFAULT_HEIGHT_BITS,
+    HeightBudgetError,
     RationalMap,
     is_polynomial_type,
     iterate_point,
@@ -65,9 +66,14 @@ def difference_support(
     exactly on gamma (the difference is zero and has no support), and lets
     factoring or height budget errors propagate.
     """
-    b = normalize(beta)
-    g = normalize(gamma)
-    x = iterate_point(phi, b, m, height_bits)
+    x = iterate_point(phi, beta, m, height_bits)
+    return _factored_term(x, normalize(gamma), m, trial_bound, rho_steps)
+
+
+def _factored_term(
+    x: ProjectivePoint, g: ProjectivePoint, m: int, trial_bound: int, rho_steps: int
+) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """The term of x = phi^m(beta) against g, factored as in difference_support."""
     term = abs(x.x1 * g.x2 - x.x2 * g.x1)
     if term == 0:
         raise ValueError(
@@ -96,6 +102,10 @@ def primitive_divisors(
     where the eventual-primitivity guarantee does not apply (gamma not
     preperiodic as far as a bounded scan can tell, map of polynomial type at
     gamma, or beta itself preperiodic); reports are still produced.
+
+    phi^m(beta) is read off the scan of beta's orbit. When that scan stopped
+    at the height budget before m_max, HeightBudgetError is raised at the
+    first m it did not reach, once the earlier terms are factored.
     """
     banned = frozenset(excluded)
     b = normalize(beta)
@@ -120,12 +130,18 @@ def primitive_divisors(
         warnings.append(
             "beta is preperiodic, so the terms cycle instead of growing"
         )
+    pts = beta_scan.points
     seen: set[int] = set()
     reports: list[SupportReport] = []
     for m in range(1, m_max + 1):
-        term, factors = difference_support(
-            phi, b, g, m, height_bits, trial_bound, rho_steps
-        )
+        if m < len(pts):
+            x = pts[m]
+        elif beta_scan.is_preperiodic:
+            x = pts[beta_scan.tail + (m - beta_scan.tail) % beta_scan.cycle]
+        else:
+            # the scan stopped at the height budget, just as iterating would
+            raise HeightBudgetError(beta_scan.steps_done, height_bits)
+        term, factors = _factored_term(x, g, m, trial_bound, rho_steps)
         kept = tuple((p, e) for p, e in factors if p not in banned)
         support = {p for p, _ in kept}
         primitive = frozenset(support - seen)

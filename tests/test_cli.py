@@ -4,6 +4,7 @@ Everything goes through main(argv) so the tests cover argument parsing,
 exit codes, and both output formats without spawning subprocesses.
 """
 
+import hashlib
 import io
 import json
 
@@ -97,6 +98,29 @@ def test_decide_json_output_is_byte_identical(capsys):
     _, out1, _ = _run(capsys, *argv, "--format", "json")
     _, out2, _ = _run(capsys, *argv, "--format", "json")
     assert out1 == out2
+
+
+# SHA-256 of the `--format json` output. A refactor must leave these bytes
+# alone; only a deliberate schema change may update a digest.
+PINNED_JSON_SHA256 = {
+    "decide --map z^2-1 --point 3 --targets 0":
+        "56b4b20672104fc532dbecb89c8b3fe372432892f189f5957c21c7d1c2d57edd",
+    "decide --map z^2-1 --point 3 --targets 63":
+        "30e6e8d8e49b1fbf931b4df739f5b68b4bc2ae64a8ba6692652c9afdfc845219",
+    "decide --map z^2-1 --point 0 --targets 5":
+        "5e93b16ee128aa150b6269b52a6468139f878e150ddef8a713304f9c64f511bf",
+    "orbit --map z^2 --point 2 --height-bits 64 --max-steps 100":
+        "daaa4829500b8155fc1a41c1569d808662ac93d368ebbb40dc0bfda4da38f556",
+    "zsigmondy --map z^2 --beta 2 --gamma 1 --mmax 5":
+        "482add6e956b760d7175fb42cf4fd5fe1061b3218dbe1f65955a64e561aab7a5",
+}
+
+
+@pytest.mark.parametrize("command", sorted(PINNED_JSON_SHA256))
+def test_json_output_matches_pinned_digest(capsys, command):
+    code, out, _ = _run(capsys, *command.split(), "--format", "json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == PINNED_JSON_SHA256[command]
 
 
 def test_degenerate_map_is_a_usage_error(capsys):

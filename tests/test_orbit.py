@@ -1,5 +1,7 @@
 """Tests for orbit computation over Q and over residue rings."""
 
+import random
+
 import pytest
 
 from orbitsieve.numtheory import good_primes
@@ -12,7 +14,13 @@ from orbitsieve.projective import (
     reduce_mod,
 )
 from orbitsieve.numtheory import ResidueClassSet
-from orbitsieve.ratmap import parse_map
+from orbitsieve.ratmap import (
+    DegenerateMapError,
+    HeightBudgetError,
+    RationalMap,
+    iterate_point,
+    parse_map,
+)
 
 
 def test_orbit_rational_preperiodic():
@@ -55,6 +63,54 @@ def test_orbit_rational_tail():
     summary = orbit_rational(parse_map("z^2-1"), 1, 10)
     assert summary.is_preperiodic
     assert (summary.tail, summary.cycle) == (1, 2)
+
+
+def _random_map(rng):
+    while True:
+        d = rng.randint(1, 3)
+        try:
+            return RationalMap.make(
+                [rng.randint(-3, 3) for _ in range(d + 1)],
+                [rng.randint(-3, 3) for _ in range(d + 1)],
+            )
+        except DegenerateMapError:
+            pass
+
+
+def _brute_orbit(phi, x, steps, height_bits):
+    """Iterates 0..steps, stopping before the first one wider than height_bits."""
+    points = [normalize(x)]
+    for _ in range(steps):
+        nxt = phi.evaluate(points[-1])
+        if max(abs(nxt.x1).bit_length(), abs(nxt.x2).bit_length()) > height_bits:
+            break
+        points.append(nxt)
+    return points
+
+
+def test_orbit_walks_match_a_brute_force_loop():
+    rng = random.Random(2008)
+    outcomes = set()
+    for _ in range(80):
+        phi = _random_map(rng)
+        x = rng.choice([(1, 0), (rng.randint(-4, 4), rng.randint(1, 3))])
+        bits = rng.choice((16, 64, 300))
+        ref = _brute_orbit(phi, x, 24, bits)
+        summary = orbit_rational(phi, x, 24, bits)
+        assert summary.points == tuple(ref[: len(summary.points)])
+        for n, pt in enumerate(ref):
+            assert iterate_point(phi, x, n, bits) == pt
+        if summary.is_preperiodic:
+            outcomes.add("preperiodic")
+        elif len(ref) <= 24:
+            outcomes.add("height")
+            assert summary.steps_done == len(ref) - 1
+            with pytest.raises(HeightBudgetError) as info:
+                iterate_point(phi, x, len(ref), bits)
+            assert info.value.last_index == summary.steps_done
+        else:
+            outcomes.add("steps")
+    assert outcomes == {"preperiodic", "height", "steps"}
 
 
 def test_orbit_mod_known_values():

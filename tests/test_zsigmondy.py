@@ -1,10 +1,20 @@
 """Tests for support factorization and primitive prime divisors of the
 terms phi^m(beta) - gamma."""
 
+import random
+
 import pytest
 
+from orbitsieve import zsigmondy
+from orbitsieve.numtheory import FactorizationBudgetError
 from orbitsieve.projective import PrimePowerModulus, congruent_mod, normalize
-from orbitsieve.ratmap import iterate_point, parse_map
+from orbitsieve.ratmap import (
+    DegenerateMapError,
+    HeightBudgetError,
+    RationalMap,
+    iterate_point,
+    parse_map,
+)
 from orbitsieve.zsigmondy import difference_support, primitive_divisors
 
 
@@ -112,3 +122,73 @@ def test_support_agrees_with_modular_orbit_hits():
         hs = hit_set(orbit_mod(phi, 3, PrimePowerModulus(q, 1)), [normalize(0)])
         for m in range(1, 6):
             assert hs.contains(m) == (q in support_by_m[m]), (q, m)
+
+
+def _reference_rows(phi, beta, gamma, m_max, bits, trial, rho):
+    """Per-m path: re-iterate from beta for every m and factor its term."""
+    seen, rows = set(), []
+    for m in range(1, m_max + 1):
+        term, factors = difference_support(phi, beta, gamma, m, bits, trial, rho)
+        support = {p for p, _ in factors}
+        rows.append((m, term.bit_length(), factors, frozenset(support - seen)))
+        seen |= support
+    return rows
+
+
+def test_primitive_divisors_match_the_per_m_reference(monkeypatch):
+    factored = []
+    factorize = zsigmondy.factorize
+
+    def counting_factorize(n, *args):
+        factored.append(n)
+        return factorize(n, *args)
+
+    monkeypatch.setattr(zsigmondy, "factorize", counting_factorize)
+
+    def outcome(fn):
+        factored.clear()
+        try:
+            rows = fn()
+            error = None
+        except (HeightBudgetError, FactorizationBudgetError, ValueError) as exc:
+            rows, error = None, (type(exc), str(exc))
+        return rows, error, list(factored)
+
+    rng = random.Random(2580)
+    cases = [
+        (parse_map("z^2-1"), 0, 1, 6, 64),  # preperiodic beta, m past its cycle
+        (parse_map("z^2-1"), 1, 2, 7, 64),  # preperiodic beta with a tail
+        (parse_map("z^2"), 2, 1, 8, 16),  # height budget at m = 4
+        (parse_map("z^2-1"), 3, 63, 3, 64),  # phi^2(beta) == gamma
+    ]
+    while len(cases) < 40:
+        d = rng.randint(1, 3)
+        try:
+            phi = RationalMap.make(
+                [rng.randint(-3, 3) for _ in range(d + 1)],
+                [rng.randint(-3, 3) for _ in range(d + 1)],
+            )
+        except DegenerateMapError:
+            continue
+        beta, gamma = ((rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(2))
+        cases.append((phi, beta, gamma, rng.randint(1, 6), rng.choice((16, 64, 300))))
+    errors = set()
+    for phi, beta, gamma, m_max, bits in cases:
+        got = outcome(
+            lambda: [
+                (r.m, r.term_bits, r.term_valuations, r.primitive)
+                for r in primitive_divisors(
+                    phi, beta, gamma, m_max, (), bits, 1000, 2000
+                ).reports
+            ]
+        )
+        want = outcome(
+            lambda: _reference_rows(phi, beta, gamma, m_max, bits, 1000, 2000)
+        )
+        assert got == want, (str(phi), beta, gamma, m_max, bits)
+        if got[1] is not None:
+            errors.add(got[1][0])
+    assert errors == {HeightBudgetError, FactorizationBudgetError, ValueError}
+    with pytest.raises(HeightBudgetError) as info:
+        primitive_divisors(parse_map("z^2"), 2, 1, 8, height_bits=16)
+    assert info.value.last_index == 3
