@@ -224,8 +224,6 @@ def _cmd_decide(args) -> int:
         day_steps=args.day_steps,
         night_stages=args.night_stages,
         height_bits=args.height_bits,
-        factor_steps=args.factor_steps,
-        day_batch=args.day_batch,
         cycle_lcm_cap=args.lcm_cap,
     )
     problem = DecisionProblem.make(
@@ -459,10 +457,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--height-bits", type=_positive, default=Budgets().height_bits
     )
-    p.add_argument(
-        "--factor-steps", type=_positive, default=Budgets().factor_steps
-    )
-    p.add_argument("--day-batch", type=_positive, default=Budgets().day_batch)
     p.add_argument("--lcm-cap", type=_positive, default=Budgets().cycle_lcm_cap)
     p.add_argument("--output", help="also write the certificate JSON here")
     add_format(p)

@@ -1,8 +1,8 @@
 """Semidecision engine for "does the orbit of P ever meet Z?".
 
-Two interleaved searches run under explicit budgets. The day side extends
-the exact orbit and can only answer yes (a witness index) or, when the
-orbit closes into a finite set, a definitive no. The night side reduces the
+Two searches run in turn under explicit budgets. The day side walks the
+exact orbit and can only answer yes (a witness index) or, when the orbit
+closes into a finite set, a definitive no. The night side reduces the
 problem modulo prime powers of good reduction: each modulus yields an
 eventually periodic hit set of candidate indices, and an empty hit set, or
 an empty intersection of several, rules the meeting out. Both kinds of
@@ -18,13 +18,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 from fractions import Fraction
+from itertools import islice
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from .numtheory import (
-    DEFAULT_RHO_STEPS,
     ResidueClassSet,
     crt_pair,
     factorial_valuation,
+    good_primes,
     is_prime,
     next_prime,
     valuation,
@@ -39,11 +40,9 @@ from .projective import (
 )
 from .ratmap import (
     DEFAULT_HEIGHT_BITS,
-    HeightBudgetError,
     RationalMap,
     _fpoly_gcd,
     iterate_point,
-    orbit_points,
     parse_polynomial,
 )
 
@@ -79,13 +78,18 @@ class CycleBlowupError(RuntimeError):
 
 @dataclass(frozen=True)
 class Budgets:
-    """Resource limits for one decide() run. All independently settable."""
+    """Resource limits for one decide() run, all positive.
+
+    day_steps caps the evaluations of the exact walk and height_bits the
+    size of its coordinates; night_stages is the number of stages of the
+    night schedule; cycle_lcm_cap bounds the cycle length of a combined
+    hit set. verify_certificate re-walks the exact orbit under the same
+    day_steps and height_bits, and folds under the same cycle_lcm_cap.
+    """
 
     day_steps: int = 256
     night_stages: int = 12
     height_bits: int = DEFAULT_HEIGHT_BITS
-    factor_steps: int = DEFAULT_RHO_STEPS
-    day_batch: int = 32
     cycle_lcm_cap: int = 10 ** 7
 
     def __post_init__(self):
@@ -196,33 +200,24 @@ def _intersect_pair(a: HitSet, b: HitSet, cap: int) -> HitSet:
     return HitSet(t, exceptional, c, ResidueClassSet(c, tuple(sorted(combined))))
 
 
-class _GoodPrimeList:
-    """Lazy 1-based list of primes usable for reduction, recording skips."""
+def _stages(
+    phi: RationalMap, excluded: frozenset[int], skips: list[tuple[int, int, str]]
+) -> Iterator[list[PrimePowerModulus]]:
+    """Yield the moduli of each stage of night_schedule in turn.
 
-    def __init__(self, phi: RationalMap, excluded: frozenset[int]):
-        self.phi = phi
-        self.excluded = excluded
-        self.primes: list[int] = []
-        self.skips: list[tuple[int, int, str]] = []
-        self._cursor = 1
-
-    def get(self, i: int) -> int:
-        while len(self.primes) < i:
-            q = next_prime(self._cursor)
-            self._cursor = q
-            if q in self.excluded:
-                self.skips.append((q, 0, "excluded"))
-                continue
-            if not self.phi.is_good_prime(q):
-                self.skips.append((q, 0, "bad reduction"))
-                continue
-            self.primes.append(q)
-        return self.primes[i - 1]
-
-
-def _stage_moduli(pool: _GoodPrimeList, s: int) -> list[PrimePowerModulus]:
-    """Stage s (1-based) introduces p_i^k for every i + k == s + 1."""
-    return [PrimePowerModulus(pool.get(i), s + 1 - i) for i in range(1, s + 1)]
+    Each prime passed over is appended to `skips` as (q, 0, reason) before
+    the stage that needed the next good prime is yielded.
+    """
+    primes: list[int] = []
+    for q in good_primes():
+        if q in excluded:
+            skips.append((q, 0, "excluded"))
+        elif not phi.is_good_prime(q):
+            skips.append((q, 0, "bad reduction"))
+        else:
+            primes.append(q)
+            s = len(primes)
+            yield [PrimePowerModulus(p, s + 1 - i) for i, p in enumerate(primes, 1)]
 
 
 def night_schedule(
@@ -235,66 +230,22 @@ def night_schedule(
     prime climbs one power per stage while one new prime joins. Cheap small
     moduli come first and every prime power is reached eventually.
     """
-    pool = _GoodPrimeList(phi, frozenset(excluded))
-    return [m for s in range(1, stages + 1) for m in _stage_moduli(pool, s)]
-
-
-@dataclass
-class _DayState:
-    walk: Iterator[ProjectivePoint]
-    points: list[ProjectivePoint]
-    seen: dict[ProjectivePoint, int]
-    status: str = "running"
-
-
-def _day_advance(
-    day: _DayState, targets: frozenset[ProjectivePoint], budgets: Budgets
-) -> Optional[int]:
-    """Extend the exact orbit by up to one day batch of evaluations.
-
-    Returns a witness index if a target is reached; flips day.status to
-    "closed", "height", or "budget" when iteration must stop.
-    """
-    for _ in range(budgets.day_batch):
-        if len(day.points) - 1 >= budgets.day_steps:
-            day.status = "budget"
-            return None
-        try:
-            nxt = next(day.walk)
-        except HeightBudgetError:
-            day.status = "height"
-            return None
-        if nxt in targets:
-            day.points.append(nxt)
-            return len(day.points) - 1
-        if nxt in day.seen:
-            day.points.append(nxt)
-            day.status = "closed"
-            return None
-        day.seen[nxt] = len(day.points)
-        day.points.append(nxt)
-    return None
-
-
-def _closed_orbit_summary(day: _DayState, start: ProjectivePoint) -> OrbitSummary:
-    closing = day.points[-1]
-    tail = day.seen[closing]
-    cycle = len(day.points) - 1 - tail
-    return OrbitSummary(
-        start, tuple(day.points), "preperiodic", tail, cycle, len(day.points) - 1
-    )
+    gen = _stages(phi, frozenset(excluded), [])
+    return [m for stage in islice(gen, stages) for m in stage]
 
 
 def decide(problem: DecisionProblem, jobs: int = 1) -> Certificate:
-    """Run the day/night search under the problem's budgets.
+    """Run the exact walk, then the night stages, under the problem's budgets.
 
-    Interleaving: each stage first extends the exact orbit by one day batch,
-    then examines the stage's new moduli. A modulus whose own hit set is
-    empty settles the problem by itself and is emitted as a singleton
-    certificate. Moduli with nonempty hit sets are collected, and only after
-    the last stage is their combined intersection attempted (then greedily
-    minimized); this keeps single-modulus certificates, the strongest and
-    cheapest to verify, in front.
+    First the exact orbit is walked once, up to `day_steps` evaluations or
+    the height budget. Reaching a target gives a witness, and closing into a
+    finite orbit that misses the targets gives an "empty" certificate.
+    Otherwise the night stages run in order, one modulus at a time. A
+    modulus whose own hit set is empty settles the problem by itself and is
+    emitted as a singleton certificate. Moduli with nonempty hit sets are
+    collected, and only after the last stage is their combined intersection
+    attempted (then greedily minimized); this keeps single-modulus
+    certificates, the strongest and cheapest to verify, in front.
 
     Deterministic for fixed budgets: the schedule, the orbit arithmetic, and
     the fold order do not depend on timing. `jobs` is ignored: the former
@@ -311,8 +262,6 @@ def decide(problem: DecisionProblem, jobs: int = 1) -> Certificate:
             "modulus even for orbits that miss the targets, so only a "
             "witness or a closed orbit can settle this problem"
         )
-    walk = orbit_points(phi, problem.start, budgets.height_bits)
-    day = _DayState(walk, [next(walk)], {problem.start: 0})
     if problem.start in targets:
         return Certificate(
             "witness",
@@ -320,56 +269,51 @@ def decide(problem: DecisionProblem, jobs: int = 1) -> Certificate:
             day_status="closed",
             warnings=tuple(warnings),
         )
-    pool = _GoodPrimeList(phi, problem.excluded_primes)
-    collected: list[ModulusEvidence] = []
+    walk = orbit_rational(
+        phi, problem.start, budgets.day_steps, budgets.height_bits, stop_at=targets
+    )
+    skips: list[tuple[int, int, str]] = []
     examined: list[tuple[int, int, bool]] = []
     stages_done = 0
+    if walk.is_preperiodic:
+        day_status = "closed"
+    elif walk.points[-1] in targets:
+        day_status = "running"
+    elif walk.steps_done == budgets.day_steps:
+        day_status = "budget"
+    else:
+        day_status = "height"
 
     def finish(kind: str, **kw) -> Certificate:
         return Certificate(
             kind,
-            day_steps_done=len(day.points) - 1,
+            day_steps_done=walk.steps_done,
             night_stages_done=stages_done,
-            day_status=day.status,
+            day_status=day_status,
             examined=tuple(examined),
-            skipped=tuple(pool.skips),
+            skipped=tuple(skips),
             warnings=tuple(warnings),
             **kw,
         )
 
-    def advance_day() -> Optional[Certificate]:
-        """One day batch; a certificate if the exact orbit settles the problem."""
-        wit = _day_advance(day, targets, budgets)
-        if wit is not None:
-            return finish("witness", witness_index=wit)
-        if day.status == "closed":
-            return finish(
-                "empty", finite_orbit=_closed_orbit_summary(day, problem.start)
-            )
-        return None
-
-    for stage in range(1, budgets.night_stages + 1):
-        if day.status == "running" and (settled := advance_day()) is not None:
-            return settled
-        evidence = []
-        for m in _stage_moduli(pool, stage):
+    if day_status == "closed":
+        return finish("empty", finite_orbit=walk)
+    if day_status == "running":
+        return finish("witness", witness_index=walk.steps_done)
+    collected: list[ModulusEvidence] = []
+    stages = _stages(phi, problem.excluded_primes, skips)
+    for stages_done, moduli in enumerate(islice(stages, budgets.night_stages), 1):
+        for m in moduli:
             orb = orbit_mod(phi, problem.start, m)
-            evidence.append(ModulusEvidence(m, orb, hit_set(orb, problem.targets)))
-        stages_done = stage
-        for ev in evidence:
+            ev = ModulusEvidence(m, orb, hit_set(orb, problem.targets))
             empty = ev.hits.is_empty()
-            examined.append((ev.modulus.p, ev.modulus.k, empty))
+            examined.append((m.p, m.k, empty))
             if empty:
                 return finish("empty", evidence=(ev,))
             collected.append(ev)
-    # drain whatever day budget remains
-    while day.status == "running":
-        if (settled := advance_day()) is not None:
-            return settled
     # last chance: a combined intersection over everything collected
     folded: Optional[HitSet] = None
     used: list[ModulusEvidence] = []
-    skipped_fold: list[tuple[int, int, str]] = []
     for ev in collected:
         try:
             cand = (
@@ -378,15 +322,12 @@ def decide(problem: DecisionProblem, jobs: int = 1) -> Certificate:
                 else _intersect_pair(folded, ev.hits, budgets.cycle_lcm_cap)
             )
         except CycleBlowupError:
-            skipped_fold.append(
-                (ev.modulus.p, ev.modulus.k, "cycle lcm past the cap")
-            )
+            skips.append((ev.modulus.p, ev.modulus.k, "cycle lcm past the cap"))
             continue
         folded = cand
         used.append(ev)
         if folded.is_empty():
             break
-    pool.skips.extend(skipped_fold)
     if folded is not None and folded.is_empty():
         family = _minimize_family(used, budgets.cycle_lcm_cap)
         return finish("empty", evidence=tuple(family))
@@ -576,7 +517,7 @@ def _evidence_from_dict(doc: dict) -> ModulusEvidence:
 
 def certificate_to_dict(problem: DecisionProblem, cert: Certificate) -> dict:
     doc: dict = {
-        "schema_version": "1",
+        "schema_version": "2",
         "kind": cert.kind,
         "problem": problem_to_dict(problem),
         "engine": {
@@ -605,7 +546,9 @@ def certificate_to_dict(problem: DecisionProblem, cert: Certificate) -> dict:
 
 
 def certificate_from_dict(doc: dict) -> tuple[DecisionProblem, Certificate]:
-    if doc.get("schema_version") != "1":
+    # Version 1 differs only by two budget keys (day_batch, factor_steps)
+    # that verification never read; problem_from_dict ignores them.
+    if doc.get("schema_version") not in ("1", "2"):
         raise ValueError("unsupported certificate schema version")
     problem = problem_from_dict(doc["problem"])
     eng = doc.get("engine", {})

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import islice
-from typing import Iterable, Optional
+from typing import Collection, Iterable, Optional
 
 from .numtheory import ResidueClassSet
 from .projective import PointLike, PrimePowerModulus, ProjectivePoint, ResiduePoint, normalize, reduce_mod
@@ -63,9 +63,13 @@ def orbit_rational(
     start: PointLike,
     max_steps: int,
     height_bits: int = DEFAULT_HEIGHT_BITS,
+    stop_at: Collection[ProjectivePoint] = (),
 ) -> OrbitSummary:
     """Iterate until the orbit closes or a budget is hit. Never raises
     on budget exhaustion; that outcome is the "truncated" status.
+
+    The walk also ends, "truncated", at the first iterate after the start
+    that lies in `stop_at` (normalized points); it is the last point kept.
     """
     walk = orbit_points(phi, start, height_bits)
     pt = next(walk)
@@ -73,6 +77,9 @@ def orbit_rational(
     seen = {pt: 0}
     try:
         for nxt in islice(walk, max_steps):
+            if nxt in stop_at:
+                points.append(nxt)
+                break
             if nxt in seen:
                 tail = seen[nxt]
                 cycle = len(points) - tail
@@ -103,6 +110,8 @@ class ModOrbit:
 
     def point_at(self, n: int) -> ResiduePoint:
         """phi^n(start) mod p^k for any n >= 0."""
+        if n < 0:
+            raise ValueError("orbit indices are nonnegative")
         if n < len(self.sequence):
             return self.sequence[n]
         return self.sequence[self.tail + (n - self.tail) % self.cycle]

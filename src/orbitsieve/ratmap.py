@@ -222,20 +222,6 @@ class BinaryForm:
                 apow *= a
         return total
 
-    def evaluate_mod(self, a: int, b: int, m: int) -> int:
-        d = self.degree
-        bpow = [1] * (d + 1)
-        for i in range(1, d + 1):
-            bpow[i] = bpow[i - 1] * b % m
-        total = 0
-        apow = 1
-        for i, c in enumerate(self.coefficients):
-            if c:
-                total = (total + c * apow * bpow[d - i]) % m
-            if i < d:
-                apow = apow * a % m
-        return total
-
     def primitive_signed(self) -> "BinaryForm":
         """Divide by the content and make the highest nonzero coefficient positive."""
         c = self.content()
@@ -401,10 +387,9 @@ class RationalMap:
         """Apply the reduced map to a residue point (good primes only)."""
         if not self.is_good_prime(r.modulus.p):
             raise BadPrimeError(r.modulus.p)
-        m = r.modulus.modulus
-        a = self.F.evaluate_mod(r.c1, r.c2, m)
-        b = self.G.evaluate_mod(r.c1, r.c2, m)
-        return ResiduePoint.make(r.modulus, a, b)
+        return ResiduePoint.make(
+            r.modulus, self.F.evaluate(r.c1, r.c2), self.G.evaluate(r.c1, r.c2)
+        )
 
     @cached_property
     def _iterates(self) -> dict[int, tuple[BinaryForm, BinaryForm]]:
@@ -491,6 +476,8 @@ def iterate_point(
     height_bits: int = DEFAULT_HEIGHT_BITS,
 ) -> ProjectivePoint:
     """phi^n(x) by pointwise iteration; HeightBudgetError as in orbit_points."""
+    if n < 0:
+        raise ValueError("orbit indices are nonnegative")
     for j, pt in enumerate(orbit_points(phi, x, height_bits)):
         if j >= n:
             return pt

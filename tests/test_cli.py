@@ -104,11 +104,11 @@ def test_decide_json_output_is_byte_identical(capsys):
 # alone; only a deliberate schema change may update a digest.
 PINNED_JSON_SHA256 = {
     "decide --map z^2-1 --point 3 --targets 0":
-        "56b4b20672104fc532dbecb89c8b3fe372432892f189f5957c21c7d1c2d57edd",
+        "b4c306fa75223486489f9ede93ab4635347176d482bf63ace4faee1b26594c5f",
     "decide --map z^2-1 --point 3 --targets 63":
-        "30e6e8d8e49b1fbf931b4df739f5b68b4bc2ae64a8ba6692652c9afdfc845219",
+        "717c0db72c355d7060e0b9ce3f1b748b16b592cb9e47007f953188380aaeb90c",
     "decide --map z^2-1 --point 0 --targets 5":
-        "5e93b16ee128aa150b6269b52a6468139f878e150ddef8a713304f9c64f511bf",
+        "260337b6b86a23de08924923dc131615c7f32edb0b232cae821e84cdfbbcd1f7",
     "orbit --map z^2 --point 2 --height-bits 64 --max-steps 100":
         "daaa4829500b8155fc1a41c1569d808662ac93d368ebbb40dc0bfda4da38f556",
     "zsigmondy --map z^2 --beta 2 --gamma 1 --mmax 5":

@@ -167,6 +167,41 @@ def test_decide_witness_at_index_zero():
     assert verify_certificate(problem, cert)
 
 
+def test_decide_walks_the_whole_exact_orbit_before_the_night():
+    # 1, 3, 5, ... never closes and never meets 0; the exact walk runs to
+    # its step budget, then the first modulus (2, where the orbit is fixed
+    # at 1) settles the problem
+    problem = _problem("z+2", 1, [0])
+    cert = decide(problem)
+    assert cert.kind == "empty"
+    assert [str(ev.modulus) for ev in cert.evidence] == ["2"]
+    assert (cert.day_status, cert.day_steps_done) == ("budget", 256)
+    assert cert.night_stages_done == 1
+    assert verify_certificate(problem, cert)
+    # a witness deep in a slow orbit is found before any night stage
+    cert = decide(_problem("z+1", 1, [50]))
+    assert (cert.kind, cert.witness_index) == ("witness", 49)
+    assert (cert.night_stages_done, cert.examined) == (0, ())
+
+
+def test_decide_records_skipped_primes_of_the_stages_run_only():
+    # 2 is bad for the Newton map of z^2 - 1 and 5 is excluded; one stage
+    # needs only p_1 = 3, so 5 is not passed over until stage 2
+    def run(stages):
+        problem = _problem(
+            "(z^2+1)/(2z)", 2, [-1], excluded=(5,), day_steps=5, night_stages=stages
+        )
+        return decide(problem)
+
+    one, two = run(1), run(2)
+    assert one.kind == "exhausted"
+    assert one.skipped == ((2, 0, "bad reduction"),)
+    assert one.examined == ((3, 1, False),)
+    assert two.kind == "empty"
+    assert two.skipped == ((2, 0, "bad reduction"), (5, 0, "excluded"))
+    assert two.examined == ((3, 1, False), (3, 2, False), (7, 1, True))
+
+
 def test_decide_respects_excluded_primes():
     # with 5 excluded, the engine must find a different family; mod 11 the
     # orbit of 3 is fixed at 8, so 11 works alone
@@ -226,6 +261,25 @@ def test_certificate_serialization_round_trip():
         assert verify_certificate(problem2, cert2)
 
 
+def test_schema_1_certificates_still_decode_and_verify():
+    for start, targets in ((3, [0]), (3, [63]), (0, [5])):
+        problem = _problem("z^2-1", start, targets)
+        cert = decide(problem)
+        doc = certificate_to_dict(problem, cert)
+        assert doc["schema_version"] == "2"
+        # version 1 carried two more budgets, which verification never read
+        old = json.loads(json.dumps(doc))
+        old["schema_version"] = "1"
+        old["problem"]["budgets"].update(day_batch="32", factor_steps="500000")
+        problem1, cert1 = certificate_from_dict(old)
+        assert problem1 == problem
+        assert cert1 == cert
+        assert verify_certificate(problem1, cert1)
+    doc["schema_version"] = "3"
+    with pytest.raises(ValueError):
+        certificate_from_dict(doc)
+
+
 def test_verify_rejects_shifted_witness_index():
     problem = _problem("z^2-1", 3, [63])
     cert = decide(problem)
@@ -244,7 +298,7 @@ def test_verify_rejects_finite_orbit_cert_for_other_targets():
 
 def test_budgets_validate():
     with pytest.raises(ValueError):
-        Budgets(day_batch=0)
+        Budgets(day_steps=0)
     with pytest.raises(ValueError):
         Budgets(night_stages=-1)
 

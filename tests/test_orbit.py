@@ -90,6 +90,7 @@ def _brute_orbit(phi, x, steps, height_bits):
 
 def test_orbit_walks_match_a_brute_force_loop():
     rng = random.Random(2008)
+    stop_rng = random.Random(2026)
     outcomes = set()
     for _ in range(80):
         phi = _random_map(rng)
@@ -98,6 +99,19 @@ def test_orbit_walks_match_a_brute_force_loop():
         ref = _brute_orbit(phi, x, 24, bits)
         summary = orbit_rational(phi, x, 24, bits)
         assert summary.points == tuple(ref[: len(summary.points)])
+        # a stop set drawn from the orbit (the start included) and off it
+        stop = {pt for pt in ref if stop_rng.random() < 0.1}
+        stop |= {normalize(stop_rng.randint(-9, 9)), ref[0]}
+        stopped = orbit_rational(phi, x, 24, bits, stop_at=stop)
+        end = len(summary.points) - 1
+        hit = next((n for n in range(1, end + 1) if ref[n] in stop), None)
+        if hit is None:
+            assert stopped == summary
+        else:
+            outcomes.add("stop")
+            assert stopped.status == "truncated"
+            assert stopped.steps_done == hit
+            assert stopped.points == tuple(ref[: hit + 1])
         for n, pt in enumerate(ref):
             assert iterate_point(phi, x, n, bits) == pt
         if summary.is_preperiodic:
@@ -110,7 +124,7 @@ def test_orbit_walks_match_a_brute_force_loop():
             assert info.value.last_index == summary.steps_done
         else:
             outcomes.add("steps")
-    assert outcomes == {"preperiodic", "height", "steps"}
+    assert outcomes == {"preperiodic", "height", "steps", "stop"}
 
 
 def test_orbit_mod_known_values():
@@ -144,6 +158,8 @@ def test_mod_orbit_point_at_extends_periodically():
     assert orb.point_at(4) == orb.sequence[2]
     assert orb.point_at(5) == orb.sequence[3]
     assert orb.point_at(100) == orb.sequence[2]
+    with pytest.raises(ValueError):
+        orb.point_at(-1)
 
 
 def _naive_mod_orbit(phi, start, m):

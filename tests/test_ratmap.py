@@ -40,7 +40,6 @@ def test_binary_form_basics():
     f = BinaryForm((-1, 0, 1))  # X^2 - Y^2
     assert f.degree == 2
     assert f.evaluate(3, 1) == 8
-    assert f.evaluate_mod(3, 1, 5) == 3
     assert BinaryForm((2, 4, 6)).content() == 2
     assert BinaryForm((2, 4, 6)).primitive_signed() == BinaryForm((1, 2, 3))
     assert BinaryForm((1, 0, -2)).primitive_signed() == BinaryForm((-1, 0, 2))
@@ -148,6 +147,8 @@ def test_iterate_point_known_values():
     phi = parse_map("z^2-1")
     assert iterate_point(phi, normalize(3), 2) == normalize(63)
     assert iterate_point(phi, normalize(3), 0) == normalize(3)
+    with pytest.raises(ValueError):
+        iterate_point(phi, normalize(3), -3)
     sq = parse_map("z^2")
     assert iterate_point(sq, normalize(2), 3) == normalize(256)
 
