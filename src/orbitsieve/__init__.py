@@ -9,7 +9,6 @@ divisors along orbits, and a certified day/night semidecision procedure for
 from .numtheory import (
     Factorization,
     FactorizationBudgetError,
-    ResidueClassSet,
     crt_pair,
     factorial_valuation,
     factorize,
@@ -25,7 +24,7 @@ from .projective import (
     ChordalValue,
     PrimePowerModulus,
     ProjectivePoint,
-    ResiduePoint,
+    canonical_residue,
     chordal,
     congruent_mod,
     format_point,

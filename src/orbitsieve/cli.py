@@ -83,10 +83,10 @@ def _cmd_orbit(args) -> int:
             "modulus": {"p": str(m.p), "k": str(m.k)},
             "tail": str(orb.tail),
             "cycle": str(orb.cycle),
-            "sequence": [[str(r.c1), str(r.c2)] for r in orb.sequence],
+            "sequence": [[str(a), str(b)] for a, b in orb.sequence],
         }
         lines = [f"orbit of {format_point(start)} mod {m}: tail={orb.tail} cycle={orb.cycle}"]
-        lines += [f"  n={n}: ({r.c1} : {r.c2})" for n, r in enumerate(orb.sequence)]
+        lines += [f"  n={n}: ({a} : {b})" for n, (a, b) in enumerate(orb.sequence)]
         _emit(doc, args.format, lines)
         return 0
     summary = orbit_rational(phi, start, args.max_steps, args.height_bits)
@@ -254,7 +254,7 @@ def _cmd_decide(args) -> int:
             shape = (
                 "empty hit set"
                 if ev.hits.is_empty()
-                else f"hits {tuple(ev.hits.residues.residues)} mod {ev.hits.cycle_length}"
+                else f"hits {ev.hits.residues} mod {ev.hits.cycle_length}"
             )
             lines.append(
                 f"  {ev.modulus}: orbit tail={ev.orbit.tail} "

@@ -22,7 +22,6 @@ from itertools import islice
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from .numtheory import (
-    ResidueClassSet,
     crt_pair,
     factorial_valuation,
     good_primes,
@@ -35,7 +34,6 @@ from .projective import (
     PointLike,
     PrimePowerModulus,
     ProjectivePoint,
-    ResiduePoint,
     normalize,
 )
 from .ratmap import (
@@ -131,9 +129,12 @@ class DecisionProblem:
 class ModulusEvidence:
     """One modulus worth of night-side computation, self-contained."""
 
-    modulus: PrimePowerModulus
     orbit: ModOrbit
     hits: HitSet
+
+    @property
+    def modulus(self) -> PrimePowerModulus:
+        return self.orbit.modulus
 
 
 @dataclass(frozen=True)
@@ -189,15 +190,15 @@ def _intersect_pair(a: HitSet, b: HitSet, cap: int) -> HitSet:
         raise CycleBlowupError(c, cap)
     t = max(a.threshold, b.threshold)
     combined: set[int] = set()
-    for ra in a.residues.residues:
-        for rb in b.residues.residues:
+    for ra in a.residues:
+        for rb in b.residues:
             got = crt_pair(ra, a.cycle_length, rb, b.cycle_length)
             if got is not None:
                 combined.add(got[0])
     exceptional = frozenset(
         n for n in range(t) if a.contains(n) and b.contains(n)
     )
-    return HitSet(t, exceptional, c, ResidueClassSet(c, tuple(sorted(combined))))
+    return HitSet(t, exceptional, c, tuple(sorted(combined)))
 
 
 def _stages(
@@ -305,7 +306,7 @@ def decide(problem: DecisionProblem, jobs: int = 1) -> Certificate:
     for stages_done, moduli in enumerate(islice(stages, budgets.night_stages), 1):
         for m in moduli:
             orb = orbit_mod(phi, problem.start, m)
-            ev = ModulusEvidence(m, orb, hit_set(orb, problem.targets))
+            ev = ModulusEvidence(orb, hit_set(orb, problem.targets))
             empty = ev.hits.is_empty()
             examined.append((m.p, m.k, empty))
             if empty:
@@ -355,8 +356,9 @@ def verify_certificate(problem: DecisionProblem, cert: Certificate) -> bool:
     """Re-check a certificate from scratch; True only for a sound one.
 
     Witness: re-iterate to the claimed index and compare against the
-    targets. Empty with a finite orbit: re-run the orbit, require closure,
-    equality with the stored points, and disjointness from the targets.
+    targets. Empty with a finite orbit: re-run the orbit, require it to
+    equal the stored closed orbit, and require disjointness from the
+    targets.
     Empty with moduli: require each modulus to be an allowed good prime
     power, recompute its orbit and hit set, compare both, and re-intersect.
     Exhausted certificates assert nothing and never verify.
@@ -382,13 +384,7 @@ def verify_certificate(problem: DecisionProblem, cert: Certificate) -> bool:
             problem.budgets.day_steps,
             problem.budgets.height_bits,
         )
-        if not redone.is_preperiodic:
-            return False
-        if redone.points != cert.finite_orbit.points:
-            return False
-        if redone.tail != cert.finite_orbit.tail:
-            return False
-        if redone.cycle != cert.finite_orbit.cycle:
+        if redone != cert.finite_orbit:
             return False
         return not (set(redone.points) & targets)
     if not cert.evidence:
@@ -485,34 +481,29 @@ def _evidence_to_dict(ev: ModulusEvidence) -> dict:
         "orbit": {
             "tail": str(ev.orbit.tail),
             "cycle": str(ev.orbit.cycle),
-            "sequence": [[str(r.c1), str(r.c2)] for r in ev.orbit.sequence],
+            "sequence": [[str(a), str(b)] for a, b in ev.orbit.sequence],
         },
         "hit_set": {
             "threshold": str(ev.hits.threshold),
             "exceptional": [str(n) for n in sorted(ev.hits.exceptional)],
             "cycle_length": str(ev.hits.cycle_length),
-            "residues": [str(r) for r in ev.hits.residues.residues],
+            "residues": [str(r) for r in ev.hits.residues],
         },
     }
 
 
 def _evidence_from_dict(doc: dict) -> ModulusEvidence:
     mod = PrimePowerModulus(int(doc["p"]), int(doc["k"]))
-    seq = tuple(
-        ResiduePoint(mod, int(a), int(b)) for a, b in doc["orbit"]["sequence"]
-    )
+    seq = tuple((int(a), int(b)) for a, b in doc["orbit"]["sequence"])
     orb = ModOrbit(mod, int(doc["orbit"]["tail"]), int(doc["orbit"]["cycle"]), seq)
     hs_doc = doc["hit_set"]
     hs = HitSet(
         threshold=int(hs_doc["threshold"]),
         exceptional=frozenset(int(n) for n in hs_doc["exceptional"]),
         cycle_length=int(hs_doc["cycle_length"]),
-        residues=ResidueClassSet(
-            int(hs_doc["cycle_length"]),
-            tuple(int(r) for r in hs_doc["residues"]),
-        ),
+        residues=tuple(int(r) for r in hs_doc["residues"]),
     )
-    return ModulusEvidence(mod, orb, hs)
+    return ModulusEvidence(orb, hs)
 
 
 def certificate_to_dict(problem: DecisionProblem, cert: Certificate) -> dict:
@@ -546,6 +537,19 @@ def certificate_to_dict(problem: DecisionProblem, cert: Certificate) -> dict:
 
 
 def certificate_from_dict(doc: dict) -> tuple[DecisionProblem, Certificate]:
+    """Decode a certificate document. Anything malformed (a non-object, a
+    missing key, a value of the wrong type) raises ValueError."""
+    if not isinstance(doc, dict):
+        raise ValueError("malformed certificate: not a JSON object")
+    try:
+        return _certificate_from_dict(doc)
+    except KeyError as exc:
+        raise ValueError(f"malformed certificate: missing key {exc}") from exc
+    except (TypeError, AttributeError, IndexError) as exc:
+        raise ValueError(f"malformed certificate: {exc}") from exc
+
+
+def _certificate_from_dict(doc: dict) -> tuple[DecisionProblem, Certificate]:
     # Version 1 differs only by two budget keys (day_batch, factor_steps)
     # that verification never read; problem_from_dict ignores them.
     if doc.get("schema_version") not in ("1", "2"):

@@ -15,7 +15,6 @@ from typing import Iterable, Iterator, Optional
 __all__ = [
     "FactorizationBudgetError",
     "Factorization",
-    "ResidueClassSet",
     "is_prime",
     "primality_confidence",
     "next_prime",
@@ -223,34 +222,6 @@ class Factorization:
         for p, e in self.factors:
             divs = [d * p ** i for d in divs for i in range(e + 1)]
         return sorted(divs)
-
-
-@dataclass(frozen=True)
-class ResidueClassSet:
-    """A set of residue classes modulo a fixed positive modulus."""
-
-    modulus: int
-    residues: tuple[int, ...]
-
-    def __post_init__(self):
-        if self.modulus < 1:
-            raise ValueError("modulus must be positive")
-        last = -1
-        for r in self.residues:
-            if not 0 <= r < self.modulus:
-                raise ValueError(f"residue {r} out of range mod {self.modulus}")
-            if r <= last:
-                raise ValueError("residues must be strictly increasing")
-            last = r
-
-    def __contains__(self, n: int) -> bool:
-        return n % self.modulus in self.residues
-
-    def __len__(self) -> int:
-        return len(self.residues)
-
-    def is_empty(self) -> bool:
-        return not self.residues
 
 
 def _iroot(n: int, k: int) -> int:

@@ -3,7 +3,8 @@
 A modular orbit is always eventually periodic (the ring is finite), so the
 set of indices n with phi^n(start) == target mod p^k decomposes into a
 finite exceptional set below the tail length plus a union of residue
-classes modulo the cycle length. HitSet captures exactly that.
+classes modulo the cycle length. HitSet captures exactly that. Points mod
+p^k are canonical (c1, c2) int pairs (projective.canonical_residue).
 """
 
 from __future__ import annotations
@@ -12,8 +13,7 @@ from dataclasses import dataclass
 from itertools import islice
 from typing import Collection, Iterable, Optional
 
-from .numtheory import ResidueClassSet
-from .projective import PointLike, PrimePowerModulus, ProjectivePoint, ResiduePoint, normalize, reduce_mod
+from .projective import PointLike, PrimePowerModulus, ProjectivePoint, reduce_mod
 from .ratmap import DEFAULT_HEIGHT_BITS, HeightBudgetError, RationalMap, orbit_points
 
 __all__ = [
@@ -98,18 +98,18 @@ def orbit_rational(
 class ModOrbit:
     """The full eventual-period decomposition of an orbit mod p^k.
 
-    sequence lists the distinct residue points phi^0, ..., phi^(tail+cycle-1);
-    every later iterate repeats with period `cycle`. The length is bounded by
-    |P^1(Z/p^k)| = p^k + p^(k-1).
+    sequence lists the canonical pairs of the distinct points phi^0, ...,
+    phi^(tail+cycle-1) mod `modulus`; every later iterate repeats with
+    period `cycle`. The length is bounded by |P^1(Z/p^k)| = p^k + p^(k-1).
     """
 
     modulus: PrimePowerModulus
     tail: int
     cycle: int
-    sequence: tuple[ResiduePoint, ...]
+    sequence: tuple[tuple[int, int], ...]
 
-    def point_at(self, n: int) -> ResiduePoint:
-        """phi^n(start) mod p^k for any n >= 0."""
+    def point_at(self, n: int) -> tuple[int, int]:
+        """The canonical pair of phi^n(start) mod p^k, for any n >= 0."""
         if n < 0:
             raise ValueError("orbit indices are nonnegative")
         if n < len(self.sequence):
@@ -118,16 +118,17 @@ class ModOrbit:
 
 
 def orbit_mod(phi: RationalMap, start: PointLike, m: PrimePowerModulus) -> ModOrbit:
-    """Reduce the start point and iterate mod p^k until the first repeat.
+    """Reduce the start point to its canonical pair and iterate mod p^k,
+    one RationalMap.evaluate_mod per step, until the first repeat.
 
     Raises BadPrimeError (from RationalMap.evaluate_mod) at primes dividing
     the resultant, where reduction and iteration do not commute.
     """
-    cur = reduce_mod(normalize(start), m)
+    cur = reduce_mod(start, m)
     seq = [cur]
     seen = {cur: 0}
     while True:
-        cur = phi.evaluate_mod(cur)
+        cur = phi.evaluate_mod(cur, m)
         if cur in seen:
             tail = seen[cur]
             cycle = len(seq) - tail
@@ -141,17 +142,25 @@ class HitSet:
     """Indices n with phi^n(start) in the reduced target set, mod p^k.
 
     Exact description: n is a hit iff (n < threshold and n in exceptional)
-    or (n >= threshold and n mod cycle_length in residues).
+    or (n >= threshold and n mod cycle_length in residues). residues is
+    strictly increasing inside [0, cycle_length), and cycle_length >= 1.
     """
 
     threshold: int
     exceptional: frozenset[int]
     cycle_length: int
-    residues: ResidueClassSet
+    residues: tuple[int, ...]
 
     def __post_init__(self):
-        if self.residues.modulus != self.cycle_length:
-            raise ValueError("residue classes must live modulo the cycle length")
+        if self.cycle_length < 1:
+            raise ValueError("cycle length must be positive")
+        last = -1
+        for r in self.residues:
+            if not 0 <= r < self.cycle_length:
+                raise ValueError(f"residue {r} out of range mod {self.cycle_length}")
+            if r <= last:
+                raise ValueError("residues must be strictly increasing")
+            last = r
         for n in self.exceptional:
             if not 0 <= n < self.threshold:
                 raise ValueError("exceptional indices must lie below the threshold")
@@ -161,15 +170,15 @@ class HitSet:
             raise ValueError("orbit indices are nonnegative")
         if n < self.threshold:
             return n in self.exceptional
-        return n in self.residues
+        return n % self.cycle_length in self.residues
 
     def is_empty(self) -> bool:
-        return not self.exceptional and self.residues.is_empty()
+        return not self.exceptional and not self.residues
 
 
 def hit_set(orb: ModOrbit, targets: Iterable[PointLike]) -> HitSet:
     """Compute the hit set of a modular orbit against a set of targets."""
-    reduced = {reduce_mod(normalize(t), orb.modulus) for t in targets}
+    reduced = {reduce_mod(t, orb.modulus) for t in targets}
     hits = [n for n, rp in enumerate(orb.sequence) if rp in reduced]
     exceptional = frozenset(n for n in hits if n < orb.tail)
     in_cycle = sorted({n % orb.cycle for n in hits if n >= orb.tail})
@@ -177,5 +186,5 @@ def hit_set(orb: ModOrbit, targets: Iterable[PointLike]) -> HitSet:
         threshold=orb.tail,
         exceptional=exceptional,
         cycle_length=orb.cycle,
-        residues=ResidueClassSet(orb.cycle, tuple(in_cycle)),
+        residues=tuple(in_cycle),
     )

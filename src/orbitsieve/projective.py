@@ -2,8 +2,9 @@
 
 Rational points are stored in normalized integer coordinates [x1 : x2] with
 gcd(x1, x2) = 1 and the last nonzero coordinate positive, so equality is
-plain tuple equality. Distances at a finite prime are kept exact as
-valuation exponents rather than floats.
+plain tuple equality. A point of P^1(Z/p^k) is its canonical (c1, c2)
+int pair (see canonical_residue); the modulus travels separately. Distances
+at a finite prime are kept exact as valuation exponents rather than floats.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ __all__ = [
     "congruent_mod",
     "PrimePowerModulus",
     "parse_modulus",
-    "ResiduePoint",
+    "canonical_residue",
     "reduce_mod",
 ]
 
@@ -204,52 +205,29 @@ def parse_modulus(text: str) -> PrimePowerModulus:
     return PrimePowerModulus(int(s), 1)
 
 
-@dataclass(frozen=True)
-class ResiduePoint:
-    """A point of P^1(Z/p^k) in canonical coordinates.
+def canonical_residue(a: int, b: int, m: PrimePowerModulus) -> tuple[int, int]:
+    """Canonical coordinates (c1, c2) of the point (a : b) of P^1(Z/p^k).
 
-    Canonical form: c2 == 1 when the second coordinate is a unit mod p,
-    otherwise c1 == 1 and p divides c2. Every point of P^1(Z/p^k) has exactly
-    one such representative, so equality is field equality.
+    c2 == 1 when b is a unit mod p, otherwise c1 == 1 and p divides c2.
+    Every point of P^1(Z/p^k) has exactly one such pair, so points are
+    equal exactly when their pairs are. Raises ValueError when p divides
+    both a and b.
     """
-
-    modulus: PrimePowerModulus
-    c1: int
-    c2: int
-
-    def __post_init__(self):
-        m = self.modulus.modulus
-        if not (0 <= self.c1 < m and 0 <= self.c2 < m):
-            raise ValueError("coordinates out of range")
-        if self.c2 == 1:
-            return
-        if self.c1 == 1 and self.c2 % self.modulus.p == 0:
-            return
-        raise ValueError("residue point not in canonical form")
-
-    @classmethod
-    def make(cls, modulus: PrimePowerModulus, a: int, b: int) -> "ResiduePoint":
-        """Canonicalize arbitrary coordinates (a, b), not both divisible by p."""
-        m = modulus.modulus
-        a %= m
-        b %= m
-        if b % modulus.p != 0:
-            inv = pow(b, -1, m)
-            return cls(modulus, a * inv % m, 1)
-        if a % modulus.p != 0:
-            inv = pow(a, -1, m)
-            return cls(modulus, 1, b * inv % m)
-        raise ValueError("both coordinates divisible by p: not a point mod p^k")
-
-    def __str__(self) -> str:
-        return f"({self.c1} : {self.c2}) mod {self.modulus}"
+    n = m.modulus
+    a %= n
+    b %= n
+    if b % m.p != 0:
+        return a * pow(b, -1, n) % n, 1
+    if a % m.p != 0:
+        return 1, b * pow(a, -1, n) % n
+    raise ValueError("both coordinates divisible by p: not a point mod p^k")
 
 
-def reduce_mod(x: PointLike, m: PrimePowerModulus) -> ResiduePoint:
-    """Reduce a rational point modulo p^k.
+def reduce_mod(x: PointLike, m: PrimePowerModulus) -> tuple[int, int]:
+    """Reduce a rational point modulo p^k to its canonical pair.
 
     Well-defined for every rational point: normalized coordinates are coprime,
     so at least one survives as a unit mod p.
     """
     pt = normalize(x)
-    return ResiduePoint.make(m, pt.x1, pt.x2)
+    return canonical_residue(pt.x1, pt.x2, m)

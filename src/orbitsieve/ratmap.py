@@ -24,9 +24,10 @@ from .numtheory import (
 from .projective import (
     INFINITY,
     PointLike,
+    PrimePowerModulus,
     ProjectivePoint,
-    ResiduePoint,
     ZERO,
+    canonical_residue,
     normalize,
 )
 
@@ -383,13 +384,18 @@ class RationalMap:
         b = self.G.evaluate(pt.x1, pt.x2)
         return normalize((a, b))
 
-    def evaluate_mod(self, r: ResiduePoint) -> ResiduePoint:
-        """Apply the reduced map to a residue point (good primes only)."""
-        if not self.is_good_prime(r.modulus.p):
-            raise BadPrimeError(r.modulus.p)
-        return ResiduePoint.make(
-            r.modulus, self.F.evaluate(r.c1, r.c2), self.G.evaluate(r.c1, r.c2)
-        )
+    def evaluate_mod(
+        self, r: tuple[int, int], m: PrimePowerModulus
+    ) -> tuple[int, int]:
+        """Apply the reduced map to the canonical pair r of a point mod p^k,
+        returning the image's canonical pair.
+
+        Raises BadPrimeError when p divides the resultant.
+        """
+        if not self.is_good_prime(m.p):
+            raise BadPrimeError(m.p)
+        c1, c2 = r
+        return canonical_residue(self.F.evaluate(c1, c2), self.G.evaluate(c1, c2), m)
 
     @cached_property
     def _iterates(self) -> dict[int, tuple[BinaryForm, BinaryForm]]:

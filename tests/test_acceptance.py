@@ -224,7 +224,7 @@ def test_criterion_5_reduction_is_compatible_with_evaluation():
     for _ in range(1000):
         phi, m = random_good_setting()
         x = random_point()
-        assert reduce_mod(phi.evaluate(x), m) == phi.evaluate_mod(reduce_mod(x, m))
+        assert reduce_mod(phi.evaluate(x), m) == phi.evaluate_mod(reduce_mod(x, m), m)
 
     # x == y mod p^k forces phi(x) == phi(y) mod p^k
     for _ in range(1000):

@@ -79,6 +79,29 @@ def test_verify_reads_stdin(tmp_path, capsys, monkeypatch):
     assert doc["kind"] == "empty"
 
 
+def test_verify_rejects_a_malformed_certificate_without_a_traceback(tmp_path, capsys):
+    cert_file = tmp_path / "cert.json"
+    code, _, _ = _run(
+        capsys,
+        "decide",
+        "--map", "z^2-1",
+        "--point", "3",
+        "--targets", "0",
+        "--output", str(cert_file),
+    )
+    assert code == 0
+    doc = json.loads(cert_file.read_text())
+    del doc["problem"]["budgets"]["day_steps"]
+    bad_file = tmp_path / "bad.json"
+    for text in (json.dumps(doc), "[]"):
+        bad_file.write_text(text)
+        code, out, err = _run(capsys, "verify", str(bad_file))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: malformed certificate: ")
+        assert err.count("\n") == 1
+
+
 def test_decide_exhausted_exit_code(capsys):
     code, doc, _ = _run_json(
         capsys,
@@ -113,6 +136,11 @@ PINNED_JSON_SHA256 = {
         "daaa4829500b8155fc1a41c1569d808662ac93d368ebbb40dc0bfda4da38f556",
     "zsigmondy --map z^2 --beta 2 --gamma 1 --mmax 5":
         "482add6e956b760d7175fb42cf4fd5fe1061b3218dbe1f65955a64e561aab7a5",
+    # a two-modulus family, {2^2, 3}
+    "decide --map z^2-1 --point 4 --targets 0 --day-steps 4 --night-stages 3 --height-bits 256":
+        "848e6b59cbc4f7102a8246e9f2ced6ed0696388c0879da86eb229f99f324e574",
+    "orbit --map z^2-1 --point 3 --mod 7":
+        "505252aa001626dac0802ac0ccbafa6f4345106fcc8062b0ab8230fb9d3f601f",
 }
 
 

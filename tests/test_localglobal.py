@@ -24,19 +24,14 @@ from orbitsieve.localglobal import (
     problem_to_dict,
     verify_certificate,
 )
-from orbitsieve.numtheory import ResidueClassSet, factorial_valuation
+from orbitsieve.numtheory import factorial_valuation
 from orbitsieve.orbit import HitSet, hit_set, orbit_mod
 from orbitsieve.projective import INFINITY, PrimePowerModulus, normalize
 from orbitsieve.ratmap import parse_map
 
 
 def _hs(threshold, exceptional, cycle, residues):
-    return HitSet(
-        threshold,
-        frozenset(exceptional),
-        cycle,
-        ResidueClassSet(cycle, tuple(sorted(residues))),
-    )
+    return HitSet(threshold, frozenset(exceptional), cycle, tuple(sorted(residues)))
 
 
 ALL_INDICES = _hs(0, (), 1, (0,))
@@ -56,7 +51,7 @@ def test_intersect_by_crt():
     mult3 = _hs(0, (), 3, (0,))
     got = intersect_hit_sets([odd, mult3])
     assert got.cycle_length == 6
-    assert got.residues.residues == (3,)
+    assert got.residues == (3,)
     disjoint = intersect_hit_sets([_hs(0, (), 2, (1,)), _hs(0, (), 2, (0,))])
     assert disjoint.is_empty()
 
@@ -287,6 +282,53 @@ def test_verify_rejects_shifted_witness_index():
     doc["witness_index"] = "3"
     problem2, tampered = certificate_from_dict(doc)
     assert not verify_certificate(problem2, tampered)
+
+
+def _int_leaf_paths(node, path):
+    """Paths to every decimal-string leaf at or below node."""
+    if isinstance(node, (dict, list)):
+        items = node.items() if isinstance(node, dict) else enumerate(node)
+        for key, child in items:
+            yield from _int_leaf_paths(child, path + (key,))
+    elif isinstance(node, str) and node.lstrip("-").isdigit():
+        yield path
+
+
+def test_verify_rejects_every_plus_one_edit_of_the_evidence():
+    # Add 1 to one integer leaf of the evidence at a time. Decoding does not
+    # check stored residues or orbit points, so recomputing and comparing in
+    # verify_certificate is what has to catch every such edit.
+    cases = [
+        _problem("z^2-1", 4, [0], day_steps=4, night_stages=3, height_bits=256),
+        _problem("z^2-1", 3, [0]),
+        _problem("z^2-1", 3, [63]),
+        _problem("z^2-1", 0, [5]),
+        _problem("z^2-2", -2, [5]),
+    ]
+    outcomes = {"decode error": 0, "verify fails": 0}
+    for problem in cases:
+        cert = decide(problem)
+        doc = certificate_to_dict(problem, cert)
+        for field in ("moduli", "finite_orbit", "witness_index"):
+            for path in _int_leaf_paths(doc.get(field), (field,)):
+                bad = json.loads(json.dumps(doc))
+                node = bad
+                for key in path[:-1]:
+                    node = node[key]
+                node[path[-1]] = str(int(node[path[-1]]) + 1)
+                try:
+                    problem2, cert2 = certificate_from_dict(bad)
+                except ValueError:
+                    outcomes["decode error"] += 1
+                    continue
+                if cert2 == cert:
+                    # [0, 2] decodes to the point [0 : 1]: the same claim
+                    assert path[0] == "finite_orbit" and path[-1] == 1, path
+                    continue
+                assert not verify_certificate(problem2, cert2), path
+                outcomes["verify fails"] += 1
+    assert [len(decide(p).evidence) for p in cases[:2]] == [2, 1]
+    assert outcomes["decode error"] > 0 and outcomes["verify fails"] > 40, outcomes
 
 
 def test_verify_rejects_finite_orbit_cert_for_other_targets():

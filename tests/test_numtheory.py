@@ -9,7 +9,6 @@ import pytest
 from orbitsieve.numtheory import (
     Factorization,
     FactorizationBudgetError,
-    ResidueClassSet,
     crt_pair,
     factorial_valuation,
     factorize,
@@ -205,17 +204,3 @@ def test_factorization_type_validates():
     with pytest.raises(ValueError):
         Factorization(8, ((4, 1), (2, 1)))
 
-
-def test_residue_class_set():
-    s = ResidueClassSet(6, (1, 3))
-    assert 1 in s and 3 in s and 7 in s
-    assert 0 not in s and 5 not in s
-    assert len(s) == 2
-    assert not s.is_empty()
-    assert ResidueClassSet(4, ()).is_empty()
-    with pytest.raises(ValueError):
-        ResidueClassSet(4, (4,))
-    with pytest.raises(ValueError):
-        ResidueClassSet(4, (2, 1))
-    with pytest.raises(ValueError):
-        ResidueClassSet(0, ())

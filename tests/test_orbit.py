@@ -9,11 +9,9 @@ from orbitsieve.orbit import HitSet, ModOrbit, hit_set, orbit_mod, orbit_rationa
 from orbitsieve.projective import (
     INFINITY,
     PrimePowerModulus,
-    ResiduePoint,
     normalize,
     reduce_mod,
 )
-from orbitsieve.numtheory import ResidueClassSet
 from orbitsieve.ratmap import (
     DegenerateMapError,
     HeightBudgetError,
@@ -132,17 +130,17 @@ def test_orbit_mod_known_values():
     m5 = PrimePowerModulus(5, 1)
     orb = orbit_mod(phi, 3, m5)
     assert (orb.tail, orb.cycle) == (0, 1)
-    assert orb.sequence == (ResiduePoint(m5, 3, 1),)
+    assert orb.sequence == ((3, 1),)
 
     m7 = PrimePowerModulus(7, 1)
     orb = orbit_mod(phi, 3, m7)
     assert (orb.tail, orb.cycle) == (2, 2)
-    assert [(r.c1, r.c2) for r in orb.sequence] == [(3, 1), (1, 1), (0, 1), (6, 1)]
+    assert orb.sequence == ((3, 1), (1, 1), (0, 1), (6, 1))
 
     m3 = PrimePowerModulus(3, 1)
     orb = orbit_mod(phi, 0, m3)
     assert (orb.tail, orb.cycle) == (0, 2)
-    assert [(r.c1, r.c2) for r in orb.sequence] == [(0, 1), (2, 1)]
+    assert orb.sequence == ((0, 1), (2, 1))
 
 
 def test_orbit_mod_rejects_bad_primes():
@@ -211,7 +209,7 @@ def test_orbit_mod_matches_naive_recomputation_up_to_125():
                 orb = orbit_mod(phi, start, m)
                 tail, cycle, seq = _naive_mod_orbit(phi, start, m)
                 assert (orb.tail, orb.cycle) == (tail, cycle), (str(phi), str(m))
-                assert [(r.c1, r.c2) for r in orb.sequence] == seq
+                assert list(orb.sequence) == seq
                 assert orb.tail + orb.cycle <= m.point_count()
 
 
@@ -239,7 +237,7 @@ def test_hit_set_known_values():
 
     hs = hit_set(orb5, [normalize(63)])
     assert (hs.threshold, hs.cycle_length) == (0, 1)
-    assert hs.residues.residues == (0,)
+    assert hs.residues == (0,)
     assert all(hs.contains(n) for n in range(10))
 
     orb7 = orbit_mod(phi, 3, PrimePowerModulus(7, 1))
@@ -247,7 +245,7 @@ def test_hit_set_known_values():
     assert hs.threshold == 2
     assert hs.exceptional == frozenset()
     assert hs.cycle_length == 2
-    assert hs.residues.residues == (0,)
+    assert hs.residues == (0,)
     assert [n for n in range(10) if hs.contains(n)] == [2, 4, 6, 8]
 
 
@@ -263,19 +261,23 @@ def test_hit_set_membership_matches_direct_scan():
         PrimePowerModulus(13, 1),
     ):
         orb = orbit_mod(phi, 3, m)
-        reduced = {(r.c1, r.c2) for r in (reduce_mod(t, m) for t in targets)}
+        reduced = {reduce_mod(t, m) for t in targets}
         hs = hit_set(orb, targets)
         horizon = 3 * (orb.tail + orb.cycle)
         for n in range(horizon + 1):
-            rp = orb.point_at(n)
-            assert hs.contains(n) == ((rp.c1, rp.c2) in reduced), (str(m), n)
+            assert hs.contains(n) == (orb.point_at(n) in reduced), (str(m), n)
 
 
 def test_hit_set_validation():
     with pytest.raises(ValueError):
-        HitSet(0, frozenset(), 2, ResidueClassSet(3, ()))
-    with pytest.raises(ValueError):
-        HitSet(1, frozenset({2}), 2, ResidueClassSet(2, ()))
-    hs = HitSet(0, frozenset(), 1, ResidueClassSet(1, ()))
+        HitSet(1, frozenset({2}), 2, ())  # exceptional index past the threshold
+    for cycle, residues in ((4, (4,)), (4, (-1,)), (4, (2, 1)), (4, (1, 1)), (0, ())):
+        with pytest.raises(ValueError):
+            HitSet(0, frozenset(), cycle, residues)
+    hs = HitSet(0, frozenset(), 6, (1, 3))
+    assert [n for n in range(14) if hs.contains(n)] == [1, 3, 7, 9, 13]
+    assert not hs.is_empty()
+    assert HitSet(0, frozenset(), 4, ()).is_empty()
+    assert not HitSet(1, frozenset({0}), 4, ()).is_empty()
     with pytest.raises(ValueError):
         hs.contains(-1)

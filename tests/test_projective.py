@@ -12,7 +12,7 @@ from orbitsieve.projective import (
     ChordalValue,
     PrimePowerModulus,
     ProjectivePoint,
-    ResiduePoint,
+    canonical_residue,
     chordal,
     congruent_mod,
     format_point,
@@ -136,38 +136,32 @@ def test_parse_modulus():
         parse_modulus("4")
 
 
-def test_residue_point_canonical_form():
+def test_canonical_residue():
     m = PrimePowerModulus(5, 1)
-    ResiduePoint(m, 3, 1)
-    ResiduePoint(m, 1, 0)
+    assert canonical_residue(6, 2, m) == (3, 1)
+    assert canonical_residue(2, 5, m) == (1, 0)
+    assert canonical_residue(3, 1, m) == (3, 1)
+    assert canonical_residue(-1, 10, m) == (1, 0)
+    m25 = PrimePowerModulus(5, 2)
+    assert canonical_residue(3, 10, m25) == (1, 20)  # 10 * 3^-1 = 10 * 17 mod 25
     with pytest.raises(ValueError):
-        ResiduePoint(m, 3, 2)  # second coordinate is a unit but not 1
+        canonical_residue(5, 10, m)
     with pytest.raises(ValueError):
-        ResiduePoint(m, 0, 0)
-    with pytest.raises(ValueError):
-        ResiduePoint(m, 6, 1)  # out of range
-    assert ResiduePoint.make(m, 6, 2) == ResiduePoint(m, 3, 1)
-    assert ResiduePoint.make(m, 2, 5) == ResiduePoint(m, 1, 0)
-    with pytest.raises(ValueError):
-        ResiduePoint.make(m, 5, 10)
+        canonical_residue(0, 0, m)
 
 
 def test_reduce_mod_known_values():
-    assert reduce_mod(3, PrimePowerModulus(5, 1)) == ResiduePoint(
-        PrimePowerModulus(5, 1), 3, 1
-    )
-    assert reduce_mod(INFINITY, PrimePowerModulus(7, 1)) == ResiduePoint(
-        PrimePowerModulus(7, 1), 1, 0
-    )
+    assert reduce_mod(3, PrimePowerModulus(5, 1)) == (3, 1)
+    assert reduce_mod(INFINITY, PrimePowerModulus(7, 1)) == (1, 0)
     # scale (5, 3) by the inverse of 3 mod 25, which is 17: 5 * 17 = 85 = 10
     m25 = PrimePowerModulus(5, 2)
-    assert reduce_mod(Fraction(5, 3), m25) == ResiduePoint(m25, 10, 1)
+    assert reduce_mod(Fraction(5, 3), m25) == (10, 1)
 
 
 def test_reduce_mod_is_the_congruence_quotient():
     # exhaustive over all normalized points with coordinates in [-10, 10]:
     # two points are congruent mod p^k exactly when they reduce to the same
-    # canonical residue point
+    # canonical pair
     points = set()
     for a in range(-10, 11):
         for b in range(-10, 11):
