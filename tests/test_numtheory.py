@@ -19,6 +19,7 @@ from orbitsieve.numtheory import (
     primality_confidence,
     valuation,
 )
+from orbitsieve.orbit import HitSet
 
 
 def _trial_is_prime(n):
@@ -204,3 +205,14 @@ def test_factorization_type_validates():
     with pytest.raises(ValueError):
         Factorization(8, ((4, 1), (2, 1)))
 
+
+def test_residue_class_set():
+    # The periodic part of a hit set: the residue classes mod its cycle length.
+    hs = HitSet(0, frozenset(), 6, (1, 3))
+    assert [n for n in range(14) if hs.contains(n)] == [1, 3, 7, 9, 13]
+    assert len(hs.residues) == 2
+    assert not hs.is_empty()
+    assert HitSet(0, frozenset(), 4, ()).is_empty()
+    for cycle, residues in ((4, (4,)), (4, (-1,)), (4, (2, 1)), (4, (1, 1)), (0, ())):
+        with pytest.raises(ValueError):
+            HitSet(0, frozenset(), cycle, residues)
