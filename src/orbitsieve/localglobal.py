@@ -40,6 +40,7 @@ from .ratmap import (
     DEFAULT_HEIGHT_BITS,
     RationalMap,
     _fpoly_gcd,
+    _horner,
     iterate_point,
     parse_polynomial,
 )
@@ -201,6 +202,12 @@ def _intersect_pair(a: HitSet, b: HitSet, cap: int) -> HitSet:
     return HitSet(t, exceptional, c, tuple(sorted(combined)))
 
 
+def _evidence(problem: DecisionProblem, m: PrimePowerModulus) -> ModulusEvidence:
+    """The orbit of the start mod m and its hit set on the targets."""
+    orb = orbit_mod(problem.phi, problem.start, m)
+    return ModulusEvidence(orb, hit_set(orb, problem.targets))
+
+
 def _stages(
     phi: RationalMap, excluded: frozenset[int], skips: list[tuple[int, int, str]]
 ) -> Iterator[list[PrimePowerModulus]]:
@@ -305,8 +312,7 @@ def decide(problem: DecisionProblem, jobs: int = 1) -> Certificate:
     stages = _stages(phi, problem.excluded_primes, skips)
     for stages_done, moduli in enumerate(islice(stages, budgets.night_stages), 1):
         for m in moduli:
-            orb = orbit_mod(phi, problem.start, m)
-            ev = ModulusEvidence(orb, hit_set(orb, problem.targets))
+            ev = _evidence(problem, m)
             empty = ev.hits.is_empty()
             examined.append((m.p, m.k, empty))
             if empty:
@@ -360,7 +366,8 @@ def verify_certificate(problem: DecisionProblem, cert: Certificate) -> bool:
     equal the stored closed orbit, and require disjointness from the
     targets.
     Empty with moduli: require each modulus to be an allowed good prime
-    power, recompute its orbit and hit set, compare both, and re-intersect.
+    power, recompute its orbit and hit set, compare both with the stored
+    ones, and intersect the hit sets.
     Exhausted certificates assert nothing and never verify.
     """
     phi = problem.phi
@@ -389,26 +396,17 @@ def verify_certificate(problem: DecisionProblem, cert: Certificate) -> bool:
         return not (set(redone.points) & targets)
     if not cert.evidence:
         return False
-    redone_hits: list[HitSet] = []
     for ev in cert.evidence:
-        p = ev.modulus.p
-        if p in problem.excluded_primes:
-            return False
-        if not phi.is_good_prime(p):
+        if ev.modulus.p in problem.excluded_primes:
             return False
         try:
-            orb = orbit_mod(phi, problem.start, ev.modulus)
+            if _evidence(problem, ev.modulus) != ev:
+                return False
         except Exception:
             return False
-        if orb != ev.orbit:
-            return False
-        hs = hit_set(orb, problem.targets)
-        if hs != ev.hits:
-            return False
-        redone_hits.append(hs)
     try:
         combined = intersect_hit_sets(
-            redone_hits, problem.budgets.cycle_lcm_cap
+            [ev.hits for ev in cert.evidence], problem.budgets.cycle_lcm_cap
         )
     except CycleBlowupError:
         return False
@@ -424,7 +422,8 @@ def _pt(p: ProjectivePoint) -> list[str]:
 
 
 def _unpt(v: Sequence[str]) -> ProjectivePoint:
-    return normalize((int(v[0]), int(v[1])))
+    a, b = v
+    return ProjectivePoint(int(a), int(b))
 
 
 def problem_to_dict(problem: DecisionProblem) -> dict:
@@ -545,7 +544,7 @@ def certificate_from_dict(doc: dict) -> tuple[DecisionProblem, Certificate]:
         return _certificate_from_dict(doc)
     except KeyError as exc:
         raise ValueError(f"malformed certificate: missing key {exc}") from exc
-    except (TypeError, AttributeError, IndexError) as exc:
+    except (TypeError, AttributeError, IndexError, ValueError) as exc:
         raise ValueError(f"malformed certificate: {exc}") from exc
 
 
@@ -646,20 +645,6 @@ class PlaceReport:
     detail: dict
 
 
-def _frac_eval(coeffs: Sequence[Fraction], x: Fraction) -> Fraction:
-    acc = Fraction(0)
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
-
-
-def _float_eval(coeffs: Sequence[Fraction], x: float) -> float:
-    acc = 0.0
-    for c in reversed(coeffs):
-        acc = acc * x + float(c)
-    return acc
-
-
 def _frac_valuation(q: Fraction, p: int) -> int:
     return valuation(q.numerator, p) - valuation(q.denominator, p)
 
@@ -667,13 +652,15 @@ def _frac_valuation(q: Fraction, p: int) -> int:
 def _real_report(
     coeffs: Sequence[Fraction], deriv: Sequence[Fraction], alpha: Fraction, iters: int
 ) -> PlaceReport:
+    coeffs = [float(c) for c in coeffs]
+    deriv = [float(c) for c in deriv]
     x = float(alpha)
     verdict = "undecided"
     residual = None
     note = None
     done = 0
     for _ in range(iters):
-        fx = _float_eval(coeffs, x)
+        fx = _horner(coeffs, x, 1.0)
         if not math.isfinite(fx):
             note = "iterates overflowed double precision"
             break
@@ -681,14 +668,14 @@ def _real_report(
         if residual < 1e-12:
             verdict = "converges"
             break
-        dfx = _float_eval(deriv, x)
+        dfx = _horner(deriv, x, 1.0)
         if not math.isfinite(dfx) or dfx == 0.0:
             note = "derivative vanished or overflowed"
             break
         x = x - fx / dfx
         done += 1
     else:
-        fx = _float_eval(coeffs, x)
+        fx = _horner(coeffs, x, 1.0)
         if math.isfinite(fx):
             residual = abs(fx)
             if residual < 1e-12:
@@ -716,7 +703,7 @@ def _padic_report(
     note = None
     exact = False
     for j in range(iters + 1):
-        fx = _frac_eval(coeffs, x)
+        fx = _horner(coeffs, x, 1)
         if fx == 0:
             exact = True
             note = "landed exactly on a rational root"
@@ -724,7 +711,7 @@ def _padic_report(
         vals.append(_frac_valuation(fx, p))
         if j == iters:
             break
-        dfx = _frac_eval(deriv, x)
+        dfx = _horner(deriv, x, 1)
         if dfx == 0:
             note = "derivative vanished at an iterate"
             break
@@ -786,7 +773,7 @@ def newton_place_report(
     if len(_fpoly_gcd(coeffs, deriv)) > 1:
         raise ValueError("polynomial must be squarefree")
     alpha_f = alpha if isinstance(alpha, Fraction) else Fraction(str(alpha))
-    if _frac_eval(coeffs, alpha_f) == 0:
+    if _horner(coeffs, alpha_f, 1) == 0:
         raise ValueError("alpha is already a root of f")
     reports = [_real_report(coeffs, deriv, alpha_f, real_iters)]
     for p in primes:

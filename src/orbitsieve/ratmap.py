@@ -184,6 +184,19 @@ def _content(v: Iterable[int]) -> int:
     return g
 
 
+def _horner(coeffs: Sequence, a, b):
+    """Sum of coeffs[i] * a^i * b^(d-i), d = len(coeffs) - 1: Horner's rule in
+    a with one running power of b. Exact on ints and Fractions; with b = 1 it
+    is the ascending polynomial coeffs evaluated at a."""
+    rest = reversed(coeffs)
+    total = next(rest)
+    b_pow = 1
+    for c in rest:
+        b_pow *= b
+        total = total * a + c * b_pow
+    return total
+
+
 # ---------------------------------------------------------------------------
 # binary forms
 
@@ -210,18 +223,8 @@ class BinaryForm:
         return _content(self.coefficients)
 
     def evaluate(self, a: int, b: int) -> int:
-        d = self.degree
-        bpow = [1] * (d + 1)
-        for i in range(1, d + 1):
-            bpow[i] = bpow[i - 1] * b
-        total = 0
-        apow = 1
-        for i, c in enumerate(self.coefficients):
-            if c:
-                total += c * apow * bpow[d - i]
-            if i < d:
-                apow *= a
-        return total
+        """The sum of c_i * a^i * b^(d-i), computed in Horner order."""
+        return _horner(self.coefficients, a, b)
 
     def primitive_signed(self) -> "BinaryForm":
         """Divide by the content and make the highest nonzero coefficient positive."""

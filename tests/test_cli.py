@@ -81,20 +81,30 @@ def test_verify_reads_stdin(tmp_path, capsys, monkeypatch):
 
 def test_verify_rejects_a_malformed_certificate_without_a_traceback(tmp_path, capsys):
     cert_file = tmp_path / "cert.json"
-    code, _, _ = _run(
-        capsys,
-        "decide",
-        "--map", "z^2-1",
-        "--point", "3",
-        "--targets", "0",
-        "--output", str(cert_file),
-    )
-    assert code == 0
-    doc = json.loads(cert_file.read_text())
-    del doc["problem"]["budgets"]["day_steps"]
+
+    def certificate(point, targets):
+        code, _, _ = _run(
+            capsys,
+            "decide",
+            "--map", "z^2-1",
+            "--point", point,
+            "--targets", targets,
+            "--output", str(cert_file),
+        )
+        assert code == 0
+        return json.loads(cert_file.read_text())
+
+    no_budget = certificate("3", "0")
+    del no_budget["problem"]["budgets"]["day_steps"]
+    short_pair = certificate("3", "0")
+    short_pair["moduli"][0]["orbit"]["sequence"][0] = ["1"]
+    # [0 : 1] stored as [0, 2], not in lowest terms
+    unreduced = certificate("0", "5")
+    points = unreduced["finite_orbit"]["points"]
+    points[points.index(["0", "1"])] = ["0", "2"]
     bad_file = tmp_path / "bad.json"
-    for text in (json.dumps(doc), "[]"):
-        bad_file.write_text(text)
+    for doc in (no_budget, [], short_pair, unreduced):
+        bad_file.write_text(json.dumps(doc))
         code, out, err = _run(capsys, "verify", str(bad_file))
         assert code == 1
         assert out == ""
@@ -141,6 +151,18 @@ PINNED_JSON_SHA256 = {
         "848e6b59cbc4f7102a8246e9f2ced6ed0696388c0879da86eb229f99f324e574",
     "orbit --map z^2-1 --point 3 --mod 7":
         "505252aa001626dac0802ac0ccbafa6f4345106fcc8062b0ab8230fb9d3f601f",
+    # the real report's floats
+    "newton --poly z^3-2 --alpha 3 --primes 5,7":
+        "e24355cb64a5d7950bb4a33b027bca287ff3d3ef803346b174c9b9553827d8e3",
+    "periodic --map z^2-1 --period 2":
+        "6b36caed383d06cfbb03995dca966ef2a6e3293ebebf44fd7e786016341a3953",
+    "orbit --map (z^2+1)/(2z) --point 3 --max-steps 8":
+        "df447bf9bd700f765387dc6946c968af4c2e96e80dc6926b5f550c52f1680820",
+    # a rational map: a bad-prime skip, an excluded-prime skip, three moduli
+    "decide --map (z^2+1)/(2z) --point 2 --targets -1 --exclude-primes 5 --day-steps 5 --night-stages 2":
+        "393bc91eeec587e4407eb601a45a6fbc8630185545ad4da075c9c5cc425192ed",
+    "zsigmondy --map z^2-1 --beta 3 --gamma 0 --mmax 5":
+        "4fdd33d3f044c33085333a567facd516d8a6728f34b2f06ac9598608636cf6eb",
 }
 
 

@@ -46,6 +46,30 @@ def test_binary_form_basics():
         BinaryForm(())
 
 
+def test_binary_form_evaluate_matches_the_monomial_sum():
+    rng = random.Random(31)
+
+    def draw():
+        kind = rng.randrange(4)
+        if kind == 0:
+            return rng.choice((0, 1, -1))
+        if kind == 1:
+            return rng.randint(-50, 50)
+        return rng.choice((1, -1)) * rng.getrandbits(rng.randint(1, 4096))
+
+    for _ in range(400):
+        d = rng.randint(0, 6)
+        coeffs = [rng.randint(-9, 9) for _ in range(d + 1)]
+        # zero leading and trailing coefficients, half the time each
+        if rng.random() < 0.5:
+            coeffs[-1] = 0
+        if rng.random() < 0.5:
+            coeffs[0] = 0
+        a, b = draw(), draw()
+        expected = sum(c * a**i * b ** (d - i) for i, c in enumerate(coeffs))
+        assert BinaryForm(tuple(coeffs)).evaluate(a, b) == expected, (coeffs, a, b)
+
+
 def test_resultant_known_values():
     x2_minus_y2 = BinaryForm((-1, 0, 1))
     y2 = BinaryForm((1, 0, 0))
