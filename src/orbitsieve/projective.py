@@ -51,6 +51,20 @@ class ProjectivePoint:
         if last < 0:
             raise ValueError("last nonzero coordinate must be positive")
 
+    @classmethod
+    def _unchecked(cls, x1: int, x2: int) -> "ProjectivePoint":
+        """Build a point without the normal-form checks of __post_init__.
+
+        Callers must already have established the normal form: (x1, x2) is
+        not (0, 0), gcd(x1, x2) == 1 and the last nonzero coordinate is
+        positive. Everything read from outside the program goes through the
+        checking constructor instead.
+        """
+        pt = object.__new__(cls)
+        object.__setattr__(pt, "x1", x1)
+        object.__setattr__(pt, "x2", x2)
+        return pt
+
     @property
     def is_infinity(self) -> bool:
         return self.x2 == 0
@@ -87,7 +101,7 @@ def normalize(value: PointLike) -> ProjectivePoint:
         last = b if b != 0 else a
         if last < 0:
             a, b = -a, -b
-        return ProjectivePoint(a, b)
+        return ProjectivePoint._unchecked(a, b)
     raise TypeError(f"cannot interpret {value!r} as a projective point")
 
 

@@ -381,11 +381,29 @@ class RationalMap:
         return BadPrimeReport(frozenset(fac.primes()))
 
     def evaluate(self, x: PointLike) -> ProjectivePoint:
-        """Apply the map to a rational point, renormalizing the output."""
+        """Apply the map to a rational point, renormalizing the output.
+
+        For coprime (x1, x2) the Sylvester identities A1*F + B1*G = R*Y^(2d-1)
+        and A2*F + B2*G = R*X^(2d-1), R = self.res (which make computes
+        from F and G), show that
+        gcd(F(x1, x2), G(x1, x2)) divides R*x2^(2d-1) and R*x1^(2d-1), hence
+        divides R. So the common factor of the image coordinates is exactly
+        gcd(R, G(x), F(x)), a gcd against the small resultant rather than
+        between the two big coordinates, and dividing by it leaves them
+        coprime. R != 0 (make rejects it), so the image is never (0, 0).
+        """
         pt = normalize(x)
         a = self.F.evaluate(pt.x1, pt.x2)
         b = self.G.evaluate(pt.x1, pt.x2)
-        return normalize((a, b))
+        # b first: for a polynomial map at an integer point b = 1.
+        g = math.gcd(self.res, b)
+        if g != 1:
+            g = math.gcd(g, a)
+            a //= g
+            b //= g
+        if (b if b != 0 else a) < 0:
+            a, b = -a, -b
+        return ProjectivePoint._unchecked(a, b)
 
     def evaluate_mod(
         self, r: tuple[int, int], m: PrimePowerModulus

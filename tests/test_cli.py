@@ -163,6 +163,16 @@ PINNED_JSON_SHA256 = {
         "393bc91eeec587e4407eb601a45a6fbc8630185545ad4da075c9c5cc425192ed",
     "zsigmondy --map z^2-1 --beta 3 --gamma 0 --mmax 5":
         "4fdd33d3f044c33085333a567facd516d8a6728f34b2f06ac9598608636cf6eb",
+    # exact steps whose image coordinates share a factor of the resultant:
+    # g = 3 at steps 1-5, then the height budget ends the walk
+    "orbit --map (2z^3+z-3)/(z^3-4z^2+6) --point 3 --height-bits 2048 --max-steps 40":
+        "144bd4fc3f3f72695e6e1ab3b2c3bf7b19df5af9803e244b61a6cd0b98009208",
+    # a witness at index 2 of that walk
+    "decide --map (2z^3+z-3)/(z^3-4z^2+6) --point 3 --targets 3895/2374":
+        "84bf3eb55adf5377b27ec9355f0068717f3a43b54755c3dd97600649d67f49a9",
+    # a closed orbit under a map with a negative resultant, g = 16
+    "decide --map (z+5)/(3z-1) --point 2 --targets 0":
+        "e0851501710892948779fcc7518610c74a3974fa68a1969863841933dac994e6",
 }
 
 

@@ -43,6 +43,8 @@ def test_normalize_known_values():
     assert normalize(5) == ProjectivePoint(5, 1)
     assert normalize(0) == ZERO
     assert normalize(INFINITY) is INFINITY
+    assert normalize((7, 0)) == INFINITY
+    assert normalize((-7, 0)) == INFINITY
     with pytest.raises(ValueError):
         normalize((0, 0))
 
@@ -56,6 +58,9 @@ def test_normalize_idempotent():
             continue
         pt = normalize((a, b))
         assert normalize(pt) == pt
+        # normalize builds its result without the constructor's checks
+        assert gcd(pt.x1, pt.x2) == 1
+        assert (pt.x2 if pt.x2 != 0 else pt.x1) > 0
 
 
 def test_parse_and_format_round_trip():

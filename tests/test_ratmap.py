@@ -155,6 +155,59 @@ def test_evaluate_known_values():
     assert newton.evaluate(0) == INFINITY
 
 
+def test_evaluate_matches_a_full_gcd_reduction():
+    # evaluate divides by gcd(res, G(x), F(x)); the reference divides by
+    # gcd(F(x), G(x)) itself and fixes the sign by hand.
+    rng = random.Random(53)
+
+    def form_value(coeffs, a, b):
+        d = len(coeffs) - 1
+        return sum(c * a**i * b ** (d - i) for i, c in enumerate(coeffs))
+
+    def coprime_pair(a, b):
+        g = gcd(a, b)
+        a, b = a // g, b // g
+        return (-a, -b) if (b if b != 0 else a) < 0 else (a, b)
+
+    def draw_point():
+        kind = rng.randrange(5)
+        if kind == 0:
+            return rng.choice(((0, 1), (1, 0), (1, 1), (-1, 1)))
+        if kind == 1:
+            return coprime_pair(rng.randint(-30, 30), rng.randint(1, 30))
+        sign = rng.choice((1, -1))
+        a = sign * rng.getrandbits(rng.randint(1, 4096))
+        b = rng.getrandbits(rng.randint(1, 4096))
+        return coprime_pair(a, b) if (a, b) != (0, 0) else (1, 0)
+
+    maps = [
+        parse_map("(z^2+1)/(2z)"),
+        parse_map("(z+5)/(3z-1)"),  # R = -16
+        parse_map("(2z^3+z-3)/(z^3-4z^2+6)"),  # R = 3681
+    ]
+    while len(maps) < 40:
+        d = rng.randint(1, 4)
+        f = [rng.randint(-10**6, 10**6) * (rng.random() < 0.8) for _ in range(d + 1)]
+        g = [rng.randint(-10**6, 10**6) * (rng.random() < 0.8) for _ in range(d + 1)]
+        try:
+            maps.append(RationalMap.make(f, g))
+        except DegenerateMapError:
+            continue
+
+    divided = 0
+    for phi in maps:
+        for _ in range(40):
+            x1, x2 = draw_point()
+            a = form_value(phi.F.coefficients, x1, x2)
+            b = form_value(phi.G.coefficients, x1, x2)
+            common = gcd(a, b)
+            assert phi.res % common == 0, (phi, x1, x2)
+            divided += common > 1
+            expected = ProjectivePoint(*coprime_pair(a, b))
+            assert phi.evaluate(ProjectivePoint(x1, x2)) == expected, (phi, x1, x2)
+    assert divided >= 100
+
+
 def test_evaluate_mod():
     phi = parse_map("z^2-1")
     m5 = PrimePowerModulus(5, 1)
