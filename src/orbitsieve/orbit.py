@@ -119,16 +119,19 @@ class ModOrbit:
 
 def orbit_mod(phi: RationalMap, start: PointLike, m: PrimePowerModulus) -> ModOrbit:
     """Reduce the start point to its canonical pair and iterate mod p^k,
-    one RationalMap.evaluate_mod per step, until the first repeat.
+    one step of the reduced map (the step of RationalMap.evaluate_mod) at a
+    time, until the first repeat. Good reduction is checked and p^k computed
+    once per orbit, not per step.
 
-    Raises BadPrimeError (from RationalMap.evaluate_mod) at primes dividing
-    the resultant, where reduction and iteration do not commute.
+    Raises BadPrimeError at primes dividing the resultant, where reduction
+    and iteration do not commute.
     """
     cur = reduce_mod(start, m)
+    step = phi._mod_step(m)
     seq = [cur]
     seen = {cur: 0}
     while True:
-        cur = phi.evaluate_mod(cur, m)
+        cur = step(cur)
         if cur in seen:
             tail = seen[cur]
             cycle = len(seq) - tail

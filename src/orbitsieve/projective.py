@@ -227,12 +227,16 @@ def canonical_residue(a: int, b: int, m: PrimePowerModulus) -> tuple[int, int]:
     equal exactly when their pairs are. Raises ValueError when p divides
     both a and b.
     """
-    n = m.modulus
+    return _canonical_pair(a, b, m.p, m.modulus)
+
+
+def _canonical_pair(a: int, b: int, p: int, n: int) -> tuple[int, int]:
+    """canonical_residue with p and n = p^k given, for loops that reuse them."""
     a %= n
     b %= n
-    if b % m.p != 0:
+    if b % p != 0:
         return a * pow(b, -1, n) % n, 1
-    if a % m.p != 0:
+    if a % p != 0:
         return 1, b * pow(a, -1, n) % n
     raise ValueError("both coordinates divisible by p: not a point mod p^k")
 

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .numtheory import (
     FactorizationBudgetError,
@@ -27,7 +27,7 @@ from .projective import (
     PrimePowerModulus,
     ProjectivePoint,
     ZERO,
-    canonical_residue,
+    _canonical_pair,
     normalize,
 )
 
@@ -361,6 +361,31 @@ class RationalMap:
         """Good reduction at p: p does not divide the resultant."""
         return self.res % p != 0
 
+    @cached_property
+    def height_loss_bits(self) -> int:
+        """L with H(phi(x)) > H(x)^d / 2^L for every rational point x.
+
+        The Sylvester identities A1*F + B1*G = R*Y^(2d-1) and
+        A2*F + B2*G = R*X^(2d-1) have cofactors A_i, B_i of degree d-1 whose
+        2d coefficients are (2d-1)-minors of the Sylvester matrix. Each row
+        of such a minor is part of a shifted coefficient vector of F or G,
+        so its Euclidean norm is at most sqrt(s),
+        s = max(sum F_i^2, sum G_i^2). By Hadamard's inequality each
+        coefficient is then at most s^((2d-1)/2) in absolute value, so
+        C = 2d * s^((2d-1)/2) bounds the coefficient sums of A_i and B_i.
+        For coprime (a, b) of height h, the identity for the larger
+        coordinate gives |R| * h^(2d-1) <= C * h^(d-1) * max(|F|, |G|);
+        the common factor of F(a, b) and G(a, b) divides R (see evaluate),
+        so H(phi(a : b)) >= h^d / C > h^d / 2^L, as C < 2^L for
+        L = bits(2d) + ceil(bits(s) * (2d-1) / 2) (Call-Silverman,
+        Compositio Math. 89 (1993); Silverman, The Arithmetic of Dynamical
+        Systems, section 3.4).
+        """
+        d = self.degree
+        s = max(sum(c * c for c in self.F.coefficients),
+                sum(c * c for c in self.G.coefficients))
+        return (2 * d).bit_length() + (s.bit_length() * (2 * d - 1) + 1) // 2
+
     def bad_primes(
         self,
         trial_bound: int = DEFAULT_TRIAL_BOUND,
@@ -413,10 +438,28 @@ class RationalMap:
 
         Raises BadPrimeError when p divides the resultant.
         """
+        return self._mod_step(m)(r)
+
+    def _mod_step(
+        self, m: PrimePowerModulus
+    ) -> Callable[[tuple[int, int]], tuple[int, int]]:
+        """The reduced map as a function on canonical pairs mod p^k.
+
+        Good reduction is checked and p^k computed here, once, so that a loop
+        such as orbit_mod pays only for the arithmetic of each step. Raises
+        BadPrimeError when p divides the resultant; at a good prime the two
+        image coordinates are never both divisible by p.
+        """
         if not self.is_good_prime(m.p):
             raise BadPrimeError(m.p)
-        c1, c2 = r
-        return canonical_residue(self.F.evaluate(c1, c2), self.G.evaluate(c1, c2), m)
+        f, g = self.F.coefficients, self.G.coefficients
+        p, n = m.p, m.modulus
+
+        def step(r: tuple[int, int]) -> tuple[int, int]:
+            c1, c2 = r
+            return _canonical_pair(_horner(f, c1, c2), _horner(g, c1, c2), p, n)
+
+        return step
 
     @cached_property
     def _iterates(self) -> dict[int, tuple[BinaryForm, BinaryForm]]:
@@ -484,16 +527,31 @@ def orbit_points(
     Instead of yielding an iterate whose coordinates exceed `height_bits`
     bits, raises HeightBudgetError carrying the index of the last iterate
     yielded.
+
+    That iterate is usually the costliest of the walk, so it is not computed
+    when a lower bound already puts it over budget: if an iterate pt after
+    the start, whose larger coordinate has `bits` bits, has
+    d * (bits - 1) - L >= height_bits, L = phi.height_loss_bits, then
+    H(phi(pt)) > H(pt)^d / 2^L >= 2^(d * (bits - 1) - L) >= 2^height_bits,
+    so the check on phi(pt) would fail; the error is raised with the same
+    index, without evaluating phi(pt).
     """
     pt = normalize(x)
+    d = phi.degree
     last = 0
     yield pt
     while True:
         pt = phi.evaluate(pt)
-        if max(abs(pt.x1).bit_length(), abs(pt.x2).bit_length()) > height_bits:
+        bits = max(abs(pt.x1).bit_length(), abs(pt.x2).bit_length())
+        if bits > height_bits:
             raise HeightBudgetError(last, height_bits)
         last += 1
         yield pt
+        # L >= 0, so the prediction needs d * (bits - 1) > height_bits first:
+        # short walks and degree-one walks never compute L.
+        excess = d * (bits - 1) - height_bits
+        if excess > 0 and excess >= phi.height_loss_bits:
+            raise HeightBudgetError(last, height_bits)
 
 
 def iterate_point(

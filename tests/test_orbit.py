@@ -89,6 +89,7 @@ def _brute_orbit(phi, x, steps, height_bits):
 def test_orbit_walks_match_a_brute_force_loop():
     rng = random.Random(2008)
     stop_rng = random.Random(2026)
+    edge_rng = random.Random(2027)
     outcomes = set()
     for _ in range(80):
         phi = _random_map(rng)
@@ -122,6 +123,19 @@ def test_orbit_walks_match_a_brute_force_loop():
             assert info.value.last_index == summary.steps_done
         else:
             outcomes.add("steps")
+        # budgets at a drawn iterate's own size and one bit below it, where
+        # the walk's lower bound on the next height is least able to decide:
+        # the walk must still stop exactly where the plain loop does
+        n = edge_rng.randrange(1, len(ref)) if len(ref) > 1 else 0
+        size = max(abs(ref[n].x1).bit_length(), abs(ref[n].x2).bit_length())
+        for edge in (size, size - 1):
+            edge_ref = _brute_orbit(phi, x, 24, edge)
+            edge_walk = orbit_rational(phi, x, 24, edge)
+            assert edge_walk.points == tuple(edge_ref[: len(edge_walk.points)])
+            if len(edge_ref) <= 24:
+                with pytest.raises(HeightBudgetError) as info:
+                    iterate_point(phi, x, len(edge_ref), edge)
+                assert info.value.last_index == len(edge_ref) - 1
     assert outcomes == {"preperiodic", "height", "steps", "stop"}
 
 

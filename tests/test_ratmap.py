@@ -26,6 +26,7 @@ from orbitsieve.ratmap import (
     is_polynomial_type,
     iterate_point,
     newton_map,
+    orbit_points,
     parse_map,
     parse_polynomial,
     rational_periodic_points,
@@ -206,6 +207,85 @@ def test_evaluate_matches_a_full_gcd_reduction():
             expected = ProjectivePoint(*coprime_pair(a, b))
             assert phi.evaluate(ProjectivePoint(x1, x2)) == expected, (phi, x1, x2)
     assert divided >= 100
+
+
+def test_height_loss_bits_bounds_the_image_height():
+    # H(phi(x)) * 2^L > H(x)^d for coprime x, L = phi.height_loss_bits
+    rng = random.Random(97)
+
+    def height(pt):
+        return max(abs(pt.x1), abs(pt.x2))
+
+    def draw_big():
+        while True:
+            a = rng.choice((1, -1)) * rng.getrandbits(rng.randint(1, 4096))
+            b = rng.getrandbits(rng.randint(1, 4096))
+            if gcd(a, b) == 1:
+                return ProjectivePoint(a, b) if b else INFINITY
+
+    maps = [
+        parse_map("z^2"),
+        parse_map("(z^2+1)/(2z)"),
+        parse_map("(2z^3+z-3)/(z^3-4z^2+6)"),
+    ]
+    while len(maps) < 203:
+        d = rng.randint(1, 4)
+        f = [rng.randint(-10**6, 10**6) * (rng.random() < 0.8) for _ in range(d + 1)]
+        g = [rng.randint(-10**6, 10**6) * (rng.random() < 0.8) for _ in range(d + 1)]
+        try:
+            maps.append(RationalMap.make(f, g))
+        except DegenerateMapError:
+            continue
+
+    for phi in maps:
+        L, d = phi.height_loss_bits, phi.degree
+        points = [normalize(0), INFINITY, normalize(1), normalize(-1)]
+        points += [normalize((rng.randint(-30, 30), rng.randint(1, 30))) for _ in range(3)]
+        points += [draw_big() for _ in range(3)]
+        for x in points:
+            assert height(phi.evaluate(x)) << L > height(x) ** d, (phi, x)
+
+
+def test_orbit_points_does_not_evaluate_the_discarded_iterate(monkeypatch):
+    # the walk raises before computing the iterate that the height budget
+    # rejects, at the index a plain evaluate-then-check loop reports
+    def plain_last_index(phi, x, height_bits):
+        pt, last = normalize(x), 0
+        while True:
+            pt = phi.evaluate(pt)
+            if max(abs(pt.x1).bit_length(), abs(pt.x2).bit_length()) > height_bits:
+                return last
+            last += 1
+
+    calls = 0
+    evaluate = RationalMap.evaluate
+
+    def counting(self, x):
+        nonlocal calls
+        calls += 1
+        return evaluate(self, x)
+
+    for text, x in (("z^2-1", 3), ("(2z^3+z-3)/(z^3-4z^2+6)", 3)):
+        phi = parse_map(text)
+        expected = plain_last_index(phi, x, 4096)
+        monkeypatch.setattr(RationalMap, "evaluate", counting)
+        calls = 0
+        with pytest.raises(HeightBudgetError) as info:
+            for _ in orbit_points(phi, x, 4096):
+                pass
+        monkeypatch.undo()
+        assert info.value.last_index == expected
+        assert calls == expected, text
+
+
+def test_orbit_points_stops_early_only_where_the_bound_proves_it():
+    # r z (z - r) / (z^2 - r z + 1) sends inf to r and r to 0: the height
+    # falls from 20 bits to 1, so a 20-bit walk must go on past r although
+    # d * (bits(r) - 1) exceeds the budget; only L rules the stop out
+    r = 10**6
+    phi = RationalMap.make([0, -r * r, r], [1, -r, 1])
+    walk = orbit_points(phi, INFINITY, 20)
+    assert [next(walk) for _ in range(4)] == [INFINITY, normalize(r), normalize(0), normalize(0)]
 
 
 def test_evaluate_mod():
