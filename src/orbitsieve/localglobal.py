@@ -27,6 +27,7 @@ from .numtheory import (
     good_primes,
     is_prime,
     next_prime,
+    prime_set,
     valuation,
 )
 from .orbit import HitSet, ModOrbit, OrbitSummary, hit_set, orbit_mod, orbit_rational
@@ -119,10 +120,7 @@ class DecisionProblem:
         tset = sorted({normalize(t) for t in targets})
         if not tset:
             raise ValueError("the target set must be nonempty")
-        banned = frozenset(excluded_primes)
-        for q in banned:
-            if not is_prime(q):
-                raise ValueError(f"excluded entry {q} is not prime")
+        banned = prime_set(excluded_primes)
         return cls(phi, normalize(start), tuple(tset), banned, budgets)
 
 

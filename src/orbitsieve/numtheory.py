@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from itertools import cycle
 from typing import Iterable, Iterator, Optional
 
 __all__ = [
@@ -19,6 +20,7 @@ __all__ = [
     "primality_confidence",
     "next_prime",
     "good_primes",
+    "prime_set",
     "valuation",
     "factorial_valuation",
     "mobius",
@@ -130,6 +132,16 @@ def good_primes(excluded: Iterable[int] = (), start_after: int = 0) -> Iterator[
         p = next_prime(p)
         if p not in banned:
             yield p
+
+
+def prime_set(entries: Iterable[int]) -> frozenset[int]:
+    """A list of primes to exclude, as a frozenset; raises ValueError
+    naming an entry that is not prime."""
+    primes = frozenset(entries)
+    for q in primes:
+        if not is_prime(q):
+            raise ValueError(f"excluded entry {q} is not prime")
+    return primes
 
 
 def valuation(n: int, p: int) -> int:
@@ -296,17 +308,36 @@ def _pollard_brent(n: int, budget: int) -> tuple[Optional[int], int]:
     return None, steps
 
 
+# The residues mod 30 prime to 30, and the gap from each to the next.
+_WHEEL_RESIDUES = (1, 7, 11, 13, 17, 19, 23, 29)
+_WHEEL_GAPS = (6, 4, 2, 4, 2, 4, 6, 2)
+
+
 def _trial_range(n: int, lo: int, hi: int) -> tuple[int, dict[int, int]]:
-    """Divide out all prime factors of n lying in (lo, hi] by odd trial steps."""
+    """Divide out all prime factors of n lying in (lo, hi] by trial division
+    over a mod-30 wheel, returning the cofactor and the factors found.
+
+    Precondition: lo >= 5 and n has no prime factor <= 5, so skipping the
+    multiples of 2, 3 and 5 drops no factor. Every d found is prime when n
+    has no prime factor <= lo either, as in factorize, which sweeps from
+    lo = 10^4 after removing every prime below it. The sweep stops once
+    d > min(hi, isqrt(n)).
+    """
     found: dict[int, int] = {}
     d = lo + 1
-    if d % 2 == 0:
+    while math.gcd(d, 30) != 1:
         d += 1
-    while d * d <= n and d <= hi:
-        while n % d == 0:
-            found[d] = found.get(d, 0) + 1
-            n //= d
-        d += 2
+    i = _WHEEL_RESIDUES.index(d % 30)
+    limit = min(hi, math.isqrt(n))
+    for gap in cycle(_WHEEL_GAPS[i:] + _WHEEL_GAPS[:i]):
+        if d > limit:
+            break
+        if n % d == 0:
+            while n % d == 0:
+                found[d] = found.get(d, 0) + 1
+                n //= d
+            limit = min(hi, math.isqrt(n))
+        d += gap
     return n, found
 
 
@@ -319,9 +350,12 @@ def factorize(
 
     Strategy: trial division by sieved primes < 10^4, then Pollard-Brent rho
     under `rho_steps` total budget (perfect powers peeled first), then a
-    last-resort trial sweep up to `trial_bound`. Inputs whose prime factors
-    all lie below `trial_bound` always succeed. Raises
-    FactorizationBudgetError carrying the composite cofactor otherwise.
+    last-resort trial sweep from 10^4 up to `trial_bound`. The sweep steps
+    over a mod-30 wheel, skipping the multiples of 2, 3 and 5; that is exact
+    because the first stage has already removed every prime below 10^4.
+    Inputs whose prime factors all lie below `trial_bound` always succeed.
+    Raises FactorizationBudgetError carrying the composite cofactor
+    otherwise.
     """
     if n < 1:
         raise ValueError("factorize expects a positive integer")

@@ -32,8 +32,8 @@ class OrbitSummary:
 
     status is "preperiodic" (a repeat was found: points has length
     tail + cycle + 1 and points[tail + cycle] == points[tail]) or
-    "truncated" (no repeat within the step/height budget; steps_done
-    evaluations were performed).
+    "truncated" (no repeat before the walk ended at a step or height budget,
+    a stop point or proven escape; steps_done evaluations were performed).
     """
 
     start: ProjectivePoint
@@ -64,17 +64,28 @@ def orbit_rational(
     max_steps: int,
     height_bits: int = DEFAULT_HEIGHT_BITS,
     stop_at: Collection[ProjectivePoint] = (),
+    escape_from: Optional[int] = None,
 ) -> OrbitSummary:
     """Iterate until the orbit closes or a budget is hit. Never raises
     on budget exhaustion; that outcome is the "truncated" status.
 
     The walk also ends, "truncated", at the first iterate after the start
     that lies in `stop_at` (normalized points); it is the last point kept.
+
+    With `escape_from` set, the walk also ends, "truncated", at the first
+    iterate of index >= escape_from for which phi.proves_escape holds; it is
+    the last point kept. Such an orbit can never close, so the status is the
+    one a longer walk would report, from fewer steps. decide,
+    verify_certificate and the CLI `orbit` command do not pass it yet: their
+    outputs record the steps walked, so stopping them at escape waits for
+    certificate schema v3 (the height-escape item of ROADMAP.md).
     """
     walk = orbit_points(phi, start, height_bits)
     pt = next(walk)
     points = [pt]
     seen = {pt: 0}
+    if escape_from == 0 and phi.proves_escape(pt):
+        return OrbitSummary(pt, (pt,), "truncated")
     try:
         for nxt in islice(walk, max_steps):
             if nxt in stop_at:
@@ -89,6 +100,12 @@ def orbit_rational(
                 )
             seen[nxt] = len(points)
             points.append(nxt)
+            if (
+                escape_from is not None
+                and len(points) > escape_from
+                and phi.proves_escape(nxt)
+            ):
+                break
     except HeightBudgetError:
         pass
     return OrbitSummary(pt, tuple(points), "truncated", steps_done=len(points) - 1)

@@ -386,6 +386,24 @@ class RationalMap:
                 sum(c * c for c in self.G.coefficients))
         return (2 * d).bit_length() + (s.bit_length() * (2 * d - 1) + 1) // 2
 
+    def proves_escape(self, pt: ProjectivePoint) -> bool:
+        """True when the height bound shows that the orbit of pt wanders.
+
+        For d >= 2, let the larger coordinate of the normalized pt have
+        `bits` bits, so h = H(pt) >= 2^(bits-1). If (d-1) * (bits-1) >= L,
+        L = height_loss_bits, then H(phi(pt)) > h^d / 2^L
+        = h * h^(d-1) / 2^L >= h, so phi(pt) is higher still and passes the
+        same test. Heights therefore rise strictly from pt on, and no later
+        iterate equals pt or any earlier one: a repeat x_(n+k) = x_j would
+        make x_n recur. An orbit walked without closing up to an iterate for
+        which this holds never closes. Degree-one maps never pass.
+        """
+        d = self.degree
+        if d < 2:
+            return False
+        bits = max(abs(pt.x1).bit_length(), abs(pt.x2).bit_length())
+        return (d - 1) * (bits - 1) >= self.height_loss_bits
+
     def bad_primes(
         self,
         trial_bound: int = DEFAULT_TRIAL_BOUND,

@@ -5,6 +5,12 @@ For each index m the quantity factored is the cross term
 which is the numerator of the chordal distances: a prime p divides it
 exactly when phi^m(beta) and gamma collide mod p. A prime in the support at
 index m is primitive when it divides no earlier term.
+
+Whether gamma and beta are preperiodic is read off exact scans of their
+orbits. A scan ends when the orbit closes, when the height bound proves
+that it never will (RationalMap.proves_escape), or at a step or height
+budget. Only a closed orbit is preperiodic, and an escaping one is not, so
+ending a scan at escape gives the answer that a longer scan would.
 """
 
 from __future__ import annotations
@@ -12,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .numtheory import factorize, DEFAULT_RHO_STEPS, DEFAULT_TRIAL_BOUND
+from .numtheory import factorize, prime_set, DEFAULT_RHO_STEPS, DEFAULT_TRIAL_BOUND
 from .orbit import orbit_rational
 from .projective import PointLike, ProjectivePoint, normalize
 from .ratmap import (
@@ -98,20 +104,30 @@ def primitive_divisors(
     """Support and primitive-prime reports for m = 1..m_max.
 
     Excluded primes are dropped from every support before anything else, so
-    they can be neither support nor primitive. Warnings flag the situations
-    where the eventual-primitivity guarantee does not apply (gamma not
-    preperiodic as far as a bounded scan can tell, map of polynomial type at
-    gamma, or beta itself preperiodic); reports are still produced.
+    they can be neither support nor primitive; an excluded entry that is not
+    prime raises ValueError. Warnings flag the situations where the
+    eventual-primitivity guarantee does not apply (gamma not preperiodic as
+    far as a bounded scan can tell, map of polynomial type at gamma, or beta
+    itself preperiodic); reports are still produced.
+
+    The gamma scan ends at closure, at the first iterate that proves escape,
+    or after 64 steps; the beta scan at closure, at the first iterate of
+    index >= m_max that proves escape, or after max(2 * m_max, 64) steps;
+    both also end at the height budget. A scan ended at escape could never
+    have closed, so the warnings are those of the full-length scans, and a
+    beta scan ended at escape holds every phi^m(beta) with m <= m_max.
 
     phi^m(beta) is read off the scan of beta's orbit. When that scan stopped
     at the height budget before m_max, HeightBudgetError is raised at the
     first m it did not reach, once the earlier terms are factored.
     """
-    banned = frozenset(excluded)
+    banned = prime_set(excluded)
     b = normalize(beta)
     g = normalize(gamma)
     warnings: list[str] = []
-    gamma_scan = orbit_rational(phi, g, _PREPERIODIC_SCAN_STEPS, height_bits)
+    gamma_scan = orbit_rational(
+        phi, g, _PREPERIODIC_SCAN_STEPS, height_bits, escape_from=0
+    )
     if not gamma_scan.is_preperiodic:
         warnings.append(
             "gamma was not seen to be preperiodic within "
@@ -124,7 +140,11 @@ def primitive_divisors(
             "fail to appear for all large m"
         )
     beta_scan = orbit_rational(
-        phi, b, max(2 * m_max, _PREPERIODIC_SCAN_STEPS), height_bits
+        phi,
+        b,
+        max(2 * m_max, _PREPERIODIC_SCAN_STEPS),
+        height_bits,
+        escape_from=m_max,
     )
     if beta_scan.is_preperiodic:
         warnings.append(

@@ -173,6 +173,12 @@ PINNED_JSON_SHA256 = {
     # a closed orbit under a map with a negative resultant, g = 16
     "decide --map (z+5)/(3z-1) --point 2 --targets 0":
         "e0851501710892948779fcc7518610c74a3974fa68a1969863841933dac994e6",
+    # gamma escapes, so it is not preperiodic: the warning is kept
+    "zsigmondy --map z^2 --beta 2 --gamma 2 --mmax 3":
+        "60fe2aed565e737ce68ced9955d35dc8c884530eebf77076902d9ecf7d5781f2",
+    # a rational map whose beta and gamma scans both end at escape
+    "zsigmondy --map (z^2+1)/(2z) --beta 3 --gamma 2 --mmax 4":
+        "4796dd05b3e9efedd0f93c548d88e29cf8fa62605effdc5c9ed8488d02a25f6b",
 }
 
 
@@ -253,6 +259,21 @@ def test_zsigmondy_output(capsys):
         ["3"], ["5"], ["17"], ["257"], ["65537"]
     ]
     assert doc["warnings"] == []
+
+
+def test_zsigmondy_rejects_a_composite_excluded_entry(capsys):
+    code, out, err = _run(
+        capsys,
+        "zsigmondy",
+        "--map", "z^2",
+        "--beta", "2",
+        "--gamma", "1",
+        "--mmax", "5",
+        "--exclude-primes", "4",
+    )
+    assert code == 1
+    assert out == ""
+    assert err == "error: excluded entry 4 is not prime\n"
 
 
 def test_newton_output(capsys):

@@ -9,6 +9,7 @@ import pytest
 from orbitsieve.numtheory import (
     Factorization,
     FactorizationBudgetError,
+    _trial_range,
     crt_pair,
     factorial_valuation,
     factorize,
@@ -194,6 +195,53 @@ def test_factorization_budget_error_carries_cofactor():
     assert info.value.cofactor == p * q
     assert (2, 2) in info.value.partial
     assert (3, 1) in info.value.partial
+
+
+def _odd_trial_range(n, lo, hi):
+    """The sweep over every odd d in (lo, hi] with d * d <= n."""
+    found = {}
+    d = lo + 1
+    if d % 2 == 0:
+        d += 1
+    while d * d <= n and d <= hi:
+        while n % d == 0:
+            found[d] = found.get(d, 0) + 1
+            n //= d
+        d += 2
+    return n, found
+
+
+def test_trial_range_wheel_matches_the_odd_step_sweep():
+    # the mod-30 wheel skips only multiples of 3 and 5, which never divide
+    # an n with no prime factor <= 5
+    rng = random.Random(30)
+    primes = [p for p in range(7, 7_000) if is_prime(p)]
+    cases = 0
+    for r in range(30):
+        for _ in range(12):
+            lo = 30 * rng.randint(0, 100) + r
+            if lo < 5:
+                lo += 30
+            hi = lo + rng.choice((-7, 0, 1, 50, 3000))
+            # factors mostly in and just past (lo, hi], with repeats, and
+            # sometimes one below lo
+            window = [p for p in primes if lo < p <= hi + 300]
+            n = rng.choice((1, 1, 1, 7, 11 ** 2))
+            for _ in range(rng.randint(0, 4)):
+                n *= rng.choice(window) ** rng.choice((1, 1, 2, 3))
+            # prime squares just below and above hi
+            below = max((p for p in primes if p <= hi), default=7)
+            above = next_prime(max(hi, 5))
+            n *= rng.choice((1, below ** 2, above ** 2, below ** 2 * above ** 2))
+            assert math.gcd(n, 30) == 1
+            got = _trial_range(n, lo, hi)
+            assert got == _odd_trial_range(n, lo, hi), (n, lo, hi)
+            cases += bool(got[1])
+    assert cases > 100
+    # the sweep is the last resort of factorize: a starved rho leaves it
+    # three primes between 10^4 and the trial bound
+    p, q, r = 10_007, 104_729, 999_983
+    assert factorize(p * q * q * r, rho_steps=8).factors == ((p, 1), (q, 2), (r, 1))
 
 
 def test_factorization_type_validates():

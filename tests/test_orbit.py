@@ -43,6 +43,20 @@ def test_orbit_rational_truncated():
         summary.cycle_points()
 
 
+def test_orbit_rational_stops_at_proven_escape():
+    # under z^2 (L = 5) a point of 7 or more bits proves escape
+    phi = parse_map("z^2")
+    walk = orbit_rational(phi, 2, 10, escape_from=0)
+    assert [p.as_fraction() for p in walk.points] == [2, 4, 16, 256]
+    assert (walk.status, walk.steps_done) == ("truncated", 3)
+    assert orbit_rational(phi, 2, 10, escape_from=4).steps_done == 4
+    start = orbit_rational(phi, 2 ** 40, 10, escape_from=0)
+    assert start.points == (normalize(2 ** 40),)
+    assert (start.status, start.steps_done) == ("truncated", 0)
+    # a closed orbit is never cut short
+    assert orbit_rational(phi, INFINITY, 10, escape_from=0).is_preperiodic
+
+
 def test_orbit_rational_fixed_point():
     summary = orbit_rational(parse_map("z^2"), INFINITY, 10)
     assert summary.is_preperiodic
@@ -111,6 +125,18 @@ def test_orbit_walks_match_a_brute_force_loop():
             assert stopped.status == "truncated"
             assert stopped.steps_done == hit
             assert stopped.points == tuple(ref[: hit + 1])
+        # escape_from = k ends the walk at the first iterate of index >= k
+        # that proves escape, which a closed orbit never has
+        k = stop_rng.randint(0, 6)
+        escaping = [n for n in range(k, end + 1) if phi.proves_escape(ref[n])]
+        if summary.is_preperiodic:
+            assert not escaping
+        if escaping:
+            outcomes.add("escape")
+            expected = orbit_rational(phi, x, escaping[0], bits)
+        else:
+            expected = summary
+        assert orbit_rational(phi, x, 24, bits, escape_from=k) == expected
         for n, pt in enumerate(ref):
             assert iterate_point(phi, x, n, bits) == pt
         if summary.is_preperiodic:
@@ -136,7 +162,7 @@ def test_orbit_walks_match_a_brute_force_loop():
                 with pytest.raises(HeightBudgetError) as info:
                     iterate_point(phi, x, len(edge_ref), edge)
                 assert info.value.last_index == len(edge_ref) - 1
-    assert outcomes == {"preperiodic", "height", "steps", "stop"}
+    assert outcomes == {"preperiodic", "height", "steps", "stop", "escape"}
 
 
 def test_orbit_mod_known_values():

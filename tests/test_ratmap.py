@@ -237,13 +237,37 @@ def test_height_loss_bits_bounds_the_image_height():
         except DegenerateMapError:
             continue
 
-    for phi in maps:
+    escapes = 0
+    for i, phi in enumerate(maps):
         L, d = phi.height_loss_bits, phi.degree
         points = [normalize(0), INFINITY, normalize(1), normalize(-1)]
         points += [normalize((rng.randint(-30, 30), rng.randint(1, 30))) for _ in range(3)]
         points += [draw_big() for _ in range(3)]
         for x in points:
             assert height(phi.evaluate(x)) << L > height(x) ** d, (phi, x)
+        if d == 1:
+            assert not any(map(phi.proves_escape, points))
+        if d == 1 or i % 6:
+            continue
+        # proves_escape: from the first iterate where it holds, the next 6
+        # heights rise strictly and no iterate repeats an earlier one; six
+        # steps of degree 4 multiply the bits by 4096, so a sixth of the
+        # maps suffice
+        small = normalize((rng.randint(-30, 30), rng.randint(1, 30)))
+        large = normalize((rng.getrandbits(64) | 1, rng.getrandbits(64) | 1))
+        for x in (small, large):
+            orbit = [x]
+            while not phi.proves_escape(orbit[-1]) and len(orbit) < 30:
+                orbit.append(phi.evaluate(orbit[-1]))
+            if not phi.proves_escape(orbit[-1]):
+                continue
+            escapes += 1
+            for _ in range(6):
+                orbit.append(phi.evaluate(orbit[-1]))
+            tail = [height(pt) for pt in orbit[-7:]]
+            assert tail == sorted(set(tail)), (phi, x)
+            assert len(set(orbit)) == len(orbit), (phi, x)
+    assert escapes > 40, escapes
 
 
 def test_orbit_points_does_not_evaluate_the_discarded_iterate(monkeypatch):

@@ -7,11 +7,13 @@ import pytest
 
 from orbitsieve import zsigmondy
 from orbitsieve.numtheory import FactorizationBudgetError
+from orbitsieve.orbit import orbit_rational
 from orbitsieve.projective import PrimePowerModulus, congruent_mod, normalize
 from orbitsieve.ratmap import (
     DegenerateMapError,
     HeightBudgetError,
     RationalMap,
+    is_polynomial_type,
     iterate_point,
     parse_map,
 )
@@ -64,6 +66,30 @@ def test_excluded_primes_cannot_be_primitive():
     assert sorted(run.reports[0].primitive) == [3]
     assert run.reports[1].primitive == frozenset()
     assert all(p != 5 for p, _ in run.reports[1].term_valuations)
+
+
+def test_excluded_entries_must_be_prime():
+    with pytest.raises(ValueError, match="excluded entry 4 is not prime"):
+        primitive_divisors(parse_map("z^2"), 2, 1, 5, excluded=[4])
+
+
+def test_scans_stop_once_the_height_bound_proves_escape(monkeypatch):
+    # the gamma scan closes 0 -> -1 -> 0 in 2 steps, is_polynomial_type
+    # checks phi(0) and phi^2(0) in 3 more, and the beta scan of 3 proves
+    # escape at index m_max; a beta scan to the 2^20-bit height budget makes
+    # 24 calls in all
+    calls = 0
+    evaluate = RationalMap.evaluate
+
+    def counting(self, x):
+        nonlocal calls
+        calls += 1
+        return evaluate(self, x)
+
+    monkeypatch.setattr(RationalMap, "evaluate", counting)
+    run = primitive_divisors(parse_map("z^2-1"), 3, 0, 6)
+    assert len(run.reports) == 6
+    assert calls <= 6 + 5
 
 
 def test_polynomial_type_target_warns_and_still_runs():
@@ -135,6 +161,25 @@ def _reference_rows(phi, beta, gamma, m_max, bits, trial, rho):
     return rows
 
 
+def _reference_warnings(phi, beta, gamma, m_max, bits):
+    """The warnings read off full-length scans, which end only at closure, at
+    the step cap or at the height budget."""
+    warnings = []
+    if not orbit_rational(phi, gamma, 64, bits).is_preperiodic:
+        warnings.append(
+            "gamma was not seen to be preperiodic within 64 steps; the "
+            "primitive-divisor guarantee does not apply"
+        )
+    if is_polynomial_type(phi, normalize(gamma)) is not None:
+        warnings.append(
+            "the map is of polynomial type at gamma; primitive divisors may "
+            "fail to appear for all large m"
+        )
+    if orbit_rational(phi, beta, max(2 * m_max, 64), bits).is_preperiodic:
+        warnings.append("beta is preperiodic, so the terms cycle instead of growing")
+    return tuple(warnings)
+
+
 def test_primitive_divisors_match_the_per_m_reference(monkeypatch):
     factored = []
     factorize = zsigmondy.factorize
@@ -172,23 +217,29 @@ def test_primitive_divisors_match_the_per_m_reference(monkeypatch):
             continue
         beta, gamma = ((rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(2))
         cases.append((phi, beta, gamma, rng.randint(1, 6), rng.choice((16, 64, 300))))
-    errors = set()
+    errors, warned = set(), set()
     for phi, beta, gamma, m_max, bits in cases:
-        got = outcome(
-            lambda: [
+        def rows_and_warnings():
+            run = primitive_divisors(phi, beta, gamma, m_max, (), bits, 1000, 2000)
+            rows = [
                 (r.m, r.term_bits, r.term_valuations, r.primitive)
-                for r in primitive_divisors(
-                    phi, beta, gamma, m_max, (), bits, 1000, 2000
-                ).reports
+                for r in run.reports
             ]
-        )
+            warned.update(w.split()[0] for w in run.warnings)
+            return rows, run.warnings
+
+        got = outcome(rows_and_warnings)
         want = outcome(
-            lambda: _reference_rows(phi, beta, gamma, m_max, bits, 1000, 2000)
+            lambda: (
+                _reference_rows(phi, beta, gamma, m_max, bits, 1000, 2000),
+                _reference_warnings(phi, beta, gamma, m_max, bits),
+            )
         )
         assert got == want, (str(phi), beta, gamma, m_max, bits)
         if got[1] is not None:
             errors.add(got[1][0])
     assert errors == {HeightBudgetError, FactorizationBudgetError, ValueError}
+    assert warned == {"gamma", "the", "beta"}  # first words of the 3 warnings
     with pytest.raises(HeightBudgetError) as info:
         primitive_divisors(parse_map("z^2"), 2, 1, 8, height_bits=16)
     assert info.value.last_index == 3
