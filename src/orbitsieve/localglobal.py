@@ -248,10 +248,14 @@ def decide(problem: DecisionProblem, jobs: int = 1) -> Certificate:
     finite orbit that misses the targets gives an "empty" certificate.
     Otherwise the night stages run in order, one modulus at a time. A
     modulus whose own hit set is empty settles the problem by itself and is
-    emitted as a singleton certificate. Moduli with nonempty hit sets are
-    collected, and only after the last stage is their combined intersection
-    attempted (then greedily minimized); this keeps single-modulus
-    certificates, the strongest and cheapest to verify, in front.
+    emitted as a singleton certificate. Of a modulus with a nonempty hit set
+    only the modulus and the hit set are kept, not its orbit, so memory
+    stays bounded by the largest single orbit. Only after the last stage is
+    their combined intersection attempted (then greedily minimized); this
+    keeps single-modulus certificates, the strongest and cheapest to
+    verify, in front. The orbits of the family that empties the
+    intersection are walked again at the end, by the same deterministic
+    orbit_mod, for the certificate.
 
     Deterministic for fixed budgets: the schedule, the orbit arithmetic, and
     the fold order do not depend on timing. `jobs` is ignored: the former
@@ -306,7 +310,7 @@ def decide(problem: DecisionProblem, jobs: int = 1) -> Certificate:
         return finish("empty", finite_orbit=walk)
     if day_status == "running":
         return finish("witness", witness_index=walk.steps_done)
-    collected: list[ModulusEvidence] = []
+    collected: list[tuple[PrimePowerModulus, HitSet]] = []
     stages = _stages(phi, problem.excluded_primes, skips)
     for stages_done, moduli in enumerate(islice(stages, budgets.night_stages), 1):
         for m in moduli:
@@ -315,41 +319,45 @@ def decide(problem: DecisionProblem, jobs: int = 1) -> Certificate:
             examined.append((m.p, m.k, empty))
             if empty:
                 return finish("empty", evidence=(ev,))
-            collected.append(ev)
+            collected.append((m, ev.hits))
+            del ev  # hold no orbit while the next one is walked
     # last chance: a combined intersection over everything collected
     folded: Optional[HitSet] = None
-    used: list[ModulusEvidence] = []
-    for ev in collected:
+    used: list[tuple[PrimePowerModulus, HitSet]] = []
+    for m, hits in collected:
         try:
             cand = (
-                ev.hits
+                hits
                 if folded is None
-                else _intersect_pair(folded, ev.hits, budgets.cycle_lcm_cap)
+                else _intersect_pair(folded, hits, budgets.cycle_lcm_cap)
             )
         except CycleBlowupError:
-            skips.append((ev.modulus.p, ev.modulus.k, "cycle lcm past the cap"))
+            skips.append((m.p, m.k, "cycle lcm past the cap"))
             continue
         folded = cand
-        used.append(ev)
+        used.append((m, hits))
         if folded.is_empty():
             break
     if folded is not None and folded.is_empty():
         family = _minimize_family(used, budgets.cycle_lcm_cap)
-        return finish("empty", evidence=tuple(family))
+        evidence = tuple(
+            ModulusEvidence(orbit_mod(phi, problem.start, m), hits) for m, hits in family
+        )
+        return finish("empty", evidence=evidence)
     return finish("exhausted")
 
 
 def _minimize_family(
-    family: Sequence[ModulusEvidence], cap: int
-) -> list[ModulusEvidence]:
+    family: Sequence[tuple[PrimePowerModulus, HitSet]], cap: int
+) -> list[tuple[PrimePowerModulus, HitSet]]:
     """Greedily drop moduli whose removal keeps the intersection empty."""
     current = list(family)
-    for ev in list(current):
+    for entry in list(current):
         if len(current) == 1:
             break
-        rest = [e for e in current if e is not ev]
+        rest = [e for e in current if e is not entry]
         try:
-            if intersect_hit_sets([e.hits for e in rest], cap).is_empty():
+            if intersect_hit_sets([hits for _, hits in rest], cap).is_empty():
                 current = rest
         except CycleBlowupError:
             continue

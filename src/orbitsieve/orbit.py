@@ -13,7 +13,15 @@ from dataclasses import dataclass
 from itertools import islice
 from typing import Collection, Iterable, Optional
 
-from .projective import PointLike, PrimePowerModulus, ProjectivePoint, reduce_mod
+from .projective import (
+    PointLike,
+    PrimePowerModulus,
+    ProjectivePoint,
+    _residue_code,
+    _residue_pair,
+    normalize,
+    reduce_mod,
+)
 from .ratmap import DEFAULT_HEIGHT_BITS, HeightBudgetError, RationalMap, orbit_points
 
 __all__ = [
@@ -118,6 +126,8 @@ class ModOrbit:
     sequence lists the canonical pairs of the distinct points phi^0, ...,
     phi^(tail+cycle-1) mod `modulus`; every later iterate repeats with
     period `cycle`. The length is bounded by |P^1(Z/p^k)| = p^k + p^(k-1).
+    orbit_mod walks int codes of the points and decodes them into these
+    pairs once, at the end.
     """
 
     modulus: PrimePowerModulus
@@ -135,26 +145,34 @@ class ModOrbit:
 
 
 def orbit_mod(phi: RationalMap, start: PointLike, m: PrimePowerModulus) -> ModOrbit:
-    """Reduce the start point to its canonical pair and iterate mod p^k,
-    one step of the reduced map (the step of RationalMap.evaluate_mod) at a
-    time, until the first repeat. Good reduction is checked and p^k computed
-    once per orbit, not per step.
+    """Iterate the start point mod p^k until the first repeat.
+
+    Points are walked as single int codes (projective._residue_code), one
+    step of the reduced map (the kernel of RationalMap.evaluate_mod) at a
+    time, and kept in a set for the repeat test and a list for the order;
+    they become canonical pairs once, when the ModOrbit is built. Good
+    reduction is checked and p^k computed once per orbit, not per step.
 
     Raises BadPrimeError at primes dividing the resultant, where reduction
     and iteration do not commute.
     """
-    cur = reduce_mod(start, m)
     step = phi._mod_step(m)
+    n = m.modulus
+    pt = normalize(start)
+    cur = _residue_code(pt.x1, pt.x2, m.p, n)
     seq = [cur]
-    seen = {cur: 0}
+    seen = {cur}
+    add, append = seen.add, seq.append
     while True:
         cur = step(cur)
         if cur in seen:
-            tail = seen[cur]
-            cycle = len(seq) - tail
-            return ModOrbit(m, tail, cycle, tuple(seq))
-        seen[cur] = len(seq)
-        seq.append(cur)
+            break
+        add(cur)
+        append(cur)
+    del seen, add  # free the set before the pairs are built
+    tail = seq.index(cur)
+    pairs = tuple([_residue_pair(c, n) for c in seq])
+    return ModOrbit(m, tail, len(seq) - tail, pairs)
 
 
 @dataclass(frozen=True)

@@ -3,8 +3,10 @@
 Rational points are stored in normalized integer coordinates [x1 : x2] with
 gcd(x1, x2) = 1 and the last nonzero coordinate positive, so equality is
 plain tuple equality. A point of P^1(Z/p^k) is its canonical (c1, c2)
-int pair (see canonical_residue); the modulus travels separately. Distances
-at a finite prime are kept exact as valuation exponents rather than floats.
+int pair (see canonical_residue), or inside the night-side loops one int
+that codes the pair (see _residue_code); the modulus travels separately.
+Distances at a finite prime are kept exact as valuation exponents rather
+than floats.
 """
 
 from __future__ import annotations
@@ -227,18 +229,32 @@ def canonical_residue(a: int, b: int, m: PrimePowerModulus) -> tuple[int, int]:
     equal exactly when their pairs are. Raises ValueError when p divides
     both a and b.
     """
-    return _canonical_pair(a, b, m.p, m.modulus)
+    n = m.modulus
+    code = _residue_code(a, b, m.p, n)
+    # _residue_pair inlined: hit_set reduces every target through here
+    return (code, 1) if code < n else (1, code - n)
 
 
-def _canonical_pair(a: int, b: int, p: int, n: int) -> tuple[int, int]:
-    """canonical_residue with p and n = p^k given, for loops that reuse them."""
+def _residue_code(a: int, b: int, p: int, n: int) -> int:
+    """The point (a : b) of P^1(Z/p^k), n = p^k, coded as one int in [0, 2n).
+
+    The canonical pair (c, 1) is coded as c, and (1, c2) with p | c2 as
+    n + c2, so codes are equal exactly when points are; _residue_pair
+    decodes. Loops over P^1(Z/p^k) such as orbit_mod step and store these
+    ints instead of pairs. Raises ValueError when p divides both a and b.
+    """
     a %= n
     b %= n
     if b % p != 0:
-        return a * pow(b, -1, n) % n, 1
+        return a * pow(b, -1, n) % n
     if a % p != 0:
-        return 1, b * pow(a, -1, n) % n
+        return n + b * pow(a, -1, n) % n
     raise ValueError("both coordinates divisible by p: not a point mod p^k")
+
+
+def _residue_pair(code: int, n: int) -> tuple[int, int]:
+    """The canonical pair of the point with int code `code` mod n = p^k."""
+    return (code, 1) if code < n else (1, code - n)
 
 
 def reduce_mod(x: PointLike, m: PrimePowerModulus) -> tuple[int, int]:

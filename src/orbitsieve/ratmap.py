@@ -27,7 +27,8 @@ from .projective import (
     PrimePowerModulus,
     ProjectivePoint,
     ZERO,
-    _canonical_pair,
+    _residue_code,
+    _residue_pair,
     normalize,
 )
 
@@ -311,6 +312,19 @@ class RationalMap:
     G: BinaryForm
     res: int = field(compare=False)
     notes: tuple[str, ...] = field(default=(), compare=False)
+    # Horner inputs of _mod_step: F(x, 1), G(x, 1), F(1, y), G(1, y),
+    # highest power first, leading zeros dropped (no form is zero), so
+    # G(x, 1) of a polynomial map is the single coefficient 1
+    _charts: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        fc, gc = self.F.coefficients, self.G.coefficients
+        charts = []
+        for v in (fc[::-1], gc[::-1], fc, gc):
+            while not v[0]:
+                v = v[1:]
+            charts.append(v)
+        object.__setattr__(self, "_charts", tuple(charts))
 
     @classmethod
     def make(
@@ -451,31 +465,54 @@ class RationalMap:
     def evaluate_mod(
         self, r: tuple[int, int], m: PrimePowerModulus
     ) -> tuple[int, int]:
-        """Apply the reduced map to the canonical pair r of a point mod p^k,
-        returning the image's canonical pair.
+        """Apply the reduced map to the pair r of a point mod p^k, returning
+        the image's canonical pair.
 
-        Raises BadPrimeError when p divides the resultant.
+        r is coded as one int (projective._residue_code), stepped by the
+        kernel that orbit_mod iterates, and decoded. Raises BadPrimeError
+        when p divides the resultant.
         """
-        return self._mod_step(m)(r)
+        step = self._mod_step(m)
+        n = m.modulus
+        return _residue_pair(step(_residue_code(r[0], r[1], m.p, n)), n)
 
-    def _mod_step(
-        self, m: PrimePowerModulus
-    ) -> Callable[[tuple[int, int]], tuple[int, int]]:
-        """The reduced map as a function on canonical pairs mod p^k.
+    def _mod_step(self, m: PrimePowerModulus) -> Callable[[int], int]:
+        """The reduced map on int codes of points of P^1(Z/p^k).
 
-        Good reduction is checked and p^k computed here, once, so that a loop
-        such as orbit_mod pays only for the arithmetic of each step. Raises
-        BadPrimeError when p divides the resultant; at a good prime the two
-        image coordinates are never both divisible by p.
+        A code x < n = p^k is the point (x : 1), whose image is
+        (F(x, 1) : G(x, 1)); a code n + y is (1 : y) with p | y, whose image
+        is (F(1, y) : G(1, y)). Each value is one Horner pass in x or y,
+        with no running power of the other coordinate. When G(x, 1) == 1
+        mod n, as at every affine point of a polynomial map, the image is
+        F(x, 1) mod n with no inverse; otherwise projective._residue_code
+        takes the one inverse. The four Horner coefficient tuples are built
+        once per map (_charts); good reduction is checked and p^k computed
+        here, once per orbit, so that a loop such as orbit_mod pays only for
+        the arithmetic of each step. Raises BadPrimeError when p divides the
+        resultant; at a good prime the two image coordinates are never both
+        divisible by p.
         """
-        if not self.is_good_prime(m.p):
-            raise BadPrimeError(m.p)
-        f, g = self.F.coefficients, self.G.coefficients
         p, n = m.p, m.modulus
+        if not self.is_good_prime(p):
+            raise BadPrimeError(p)
+        f_aff, g_aff, f_inf, g_inf = self._charts
 
-        def step(r: tuple[int, int]) -> tuple[int, int]:
-            c1, c2 = r
-            return _canonical_pair(_horner(f, c1, c2), _horner(g, c1, c2), p, n)
+        def step(x: int) -> int:
+            if x < n:
+                f, g = f_aff, g_aff
+            else:
+                x -= n
+                f, g = f_inf, g_inf
+            a = 0
+            for c in f:
+                a = a * x + c
+            b = 0
+            for c in g:
+                b = b * x + c
+            b %= n
+            if b == 1:
+                return a % n
+            return _residue_code(a, b, p, n)
 
         return step
 
@@ -833,11 +870,15 @@ def is_polynomial_type(
 
     Returns None when no such k exists. "Totally ramified" is checked on the
     form level: with gamma = [g1 : g2], the fiber form g2*F_k - g1*G_k must be
-    a constant times (g2*X - g1*Y)^(d^k).
+    a constant times (g2*X - g1*Y)^(d^k). The orbit of gamma is walked
+    once, one iterate per k, under the default height budget
+    (HeightBudgetError as in orbit_points).
     """
     pt = normalize(gamma)
+    walk = orbit_points(phi, pt)
+    next(walk)
     for k in range(1, k_max + 1):
-        if iterate_point(phi, pt, k) != pt:
+        if next(walk) != pt:
             continue
         fk, gk = phi.iterate_forms(k, max_degree)
         fiber = [

@@ -2,9 +2,11 @@
 search, certificates and their verification, serialization, the degree
 one demonstration, and the Newton place reports."""
 
+import hashlib
 import json
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -23,6 +25,7 @@ from orbitsieve.localglobal import (
     problem_from_dict,
     problem_to_dict,
     verify_certificate,
+    _evidence,
 )
 from orbitsieve.numtheory import factorial_valuation
 from orbitsieve.orbit import HitSet, hit_set, orbit_mod
@@ -225,6 +228,45 @@ def test_decide_degree_one_exhausts():
     assert not cert.is_definitive
     assert cert.warnings
     assert not verify_certificate(problem, cert)
+
+
+def _traced_peak(fn):
+    """fn() and the tracemalloc peak of the call, in bytes."""
+    tracemalloc.start()
+    try:
+        out = fn()
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_decide_memory_is_bounded_by_its_largest_orbit():
+    # z+1 from 1 never settles, and its 36 orbits at 8 stages have 61,734
+    # points, 16,807 of them mod 7^5: decide must hold hit sets, not orbits
+    problem = _problem("z+1", 1, [0, "inf"], night_stages=8)
+    largest = max(
+        _traced_peak(lambda: _evidence(problem, m))[1]
+        for m in night_schedule(problem.phi, (), 8)
+    )
+    cert, peak = _traced_peak(lambda: decide(problem))
+    assert cert.kind == "exhausted" and len(cert.examined) == 36
+    assert peak < 2 * largest
+
+
+def test_decide_rebuilds_a_multi_modulus_family_unchanged():
+    # the certificate of `decide --map z^2-1 --point 4 --targets 0
+    # --day-steps 4 --night-stages 3 --height-bits 256`: the family {2^2, 3}
+    # is rebuilt from its moduli after the fold; digest pinned when decide
+    # still kept every orbit
+    problem = _problem("z^2-1", 4, [0], day_steps=4, night_stages=3, height_bits=256)
+    cert = decide(problem)
+    assert [(ev.modulus.p, ev.modulus.k) for ev in cert.evidence] == [(2, 2), (3, 1)]
+    assert all(not ev.hits.is_empty() for ev in cert.evidence)
+    assert verify_certificate(problem, cert)
+    doc = json.dumps(certificate_to_dict(problem, cert), sort_keys=True)
+    assert hashlib.sha256(doc.encode()).hexdigest() == (
+        "57ece8d88dd3024458b6ff98b7b49ace97aac225697de20797ca8b2b0166e08c"
+    )
 
 
 def test_decide_is_deterministic_and_jobs_independent():

@@ -1,6 +1,7 @@
 """Tests for orbit computation over Q and over residue rings."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -9,10 +10,12 @@ from orbitsieve.orbit import HitSet, ModOrbit, hit_set, orbit_mod, orbit_rationa
 from orbitsieve.projective import (
     INFINITY,
     PrimePowerModulus,
+    canonical_residue,
     normalize,
     reduce_mod,
 )
 from orbitsieve.ratmap import (
+    BadPrimeError,
     DegenerateMapError,
     HeightBudgetError,
     RationalMap,
@@ -251,6 +254,93 @@ def test_orbit_mod_matches_naive_recomputation_up_to_125():
                 assert (orb.tail, orb.cycle) == (tail, cycle), (str(phi), str(m))
                 assert list(orb.sequence) == seq
                 assert orb.tail + orb.cycle <= m.point_count()
+
+
+def _pair_step(phi, pair, m):
+    """One step of the reduced map on pairs: F and G summed term by term at
+    (c1, c2), then canonical_residue. Also says whether G(c1, c2) was 1 mod p
+    but not mod p^k."""
+    c1, c2 = pair
+    d = phi.degree
+    a = sum(c * c1**i * c2 ** (d - i) for i, c in enumerate(phi.F.coefficients))
+    b = sum(c * c1**i * c2 ** (d - i) for i, c in enumerate(phi.G.coefficients))
+    near_one = b % m.p == 1 % m.p and b % m.modulus != 1
+    return canonical_residue(a, b, m), near_one
+
+
+def _pair_orbit(phi, start, m):
+    """Tail, cycle and distinct points of the orbit mod m, by a dict search
+    over pairs, and the number of steps where G was 1 mod p but not mod p^k."""
+    cur = reduce_mod(start, m)
+    index = {}
+    seq = []
+    near_ones = 0
+    while cur not in index:
+        index[cur] = len(seq)
+        seq.append(cur)
+        cur, near_one = _pair_step(phi, cur, m)
+        near_ones += near_one
+    return index[cur], len(seq) - index[cur], tuple(seq), near_ones
+
+
+def _random_kernel_maps(rng, count):
+    maps = []
+    while len(maps) < count:
+        d = rng.randint(1, 4)
+        f = [rng.randint(-9, 9) for _ in range(d + 1)]
+        polynomial = rng.random() < 0.3
+        g = [1] + [0] * d if polynomial else [rng.randint(-9, 9) for _ in range(d + 1)]
+        try:
+            maps.append(RationalMap.make(f, g))
+        except DegenerateMapError:
+            continue
+    return maps
+
+
+def test_mod_kernel_matches_a_pair_based_reference():
+    # orbit_mod and evaluate_mod step int codes through one kernel; here
+    # they are checked against plain pairs. (z^2+1)/(2z) mod 3^k and
+    # (z+5)/(3z-1) have orbits through (1 : c2) with p | c2, c2 != 0; the
+    # starts include inf and points whose denominator p divides
+    rng = random.Random(20260)
+    maps = [parse_map("(z^2+1)/(2z)"), parse_map("(z+5)/(3z-1)")]
+    maps += _random_kernel_maps(rng, 36)
+    assert any(phi.G.coefficients[1:] == (0,) * phi.degree for phi in maps)
+    assert {phi.degree for phi in maps} == {1, 2, 3, 4}
+    moduli = [PrimePowerModulus(p, k) for p in (2, 3, 5, 7) for k in range(1, 5)]
+    bad = chart_points = near_ones = 0
+    for phi in maps:
+        for m in moduli:
+            p = m.p
+            starts = [INFINITY, normalize(0), Fraction(1, p), Fraction(rng.randint(1, 99) * p + 1, p * p)]
+            starts.append(normalize(rng.randint(-50, 50)))
+            if not phi.is_good_prime(p):
+                bad += 1
+                with pytest.raises(BadPrimeError):
+                    orbit_mod(phi, starts[0], m)
+                with pytest.raises(BadPrimeError):
+                    phi.evaluate_mod((1, 0), m)
+                continue
+            if p == 7 and m.k > 2:
+                continue
+            for start in starts:
+                orb = orbit_mod(phi, start, m)
+                tail, cycle, seq, near = _pair_orbit(phi, start, m)
+                assert (orb.tail, orb.cycle, orb.sequence) == (tail, cycle, seq), (str(phi), str(m), start)
+                near_ones += near
+                chart_points += sum(1 for c1, c2 in seq if c1 == 1 and c2 % p == 0 and c2)
+            if m.modulus <= 81:
+                # every point of P^1(Z/p^k), also given as a non-canonical
+                # pair (u c1, u c2) for a unit u
+                points = [(c, 1) for c in range(m.modulus)]
+                points += [(1, c) for c in range(0, m.modulus, p)]
+                for pair in points:
+                    want, _ = _pair_step(phi, pair, m)
+                    assert phi.evaluate_mod(pair, m) == want, (str(phi), str(m), pair)
+                    u = rng.choice([v for v in range(1, m.modulus) if v % p])
+                    assert phi.evaluate_mod((u * pair[0], u * pair[1]), m) == want
+    # the reference met each case that the kernel treats apart
+    assert bad > 0 and chart_points > 0 and near_ones > 0
 
 
 def test_orbit_mod_cycle_divides_rational_cycle():

@@ -75,9 +75,9 @@ def test_excluded_entries_must_be_prime():
 
 def test_scans_stop_once_the_height_bound_proves_escape(monkeypatch):
     # the gamma scan closes 0 -> -1 -> 0 in 2 steps, is_polynomial_type
-    # checks phi(0) and phi^2(0) in 3 more, and the beta scan of 3 proves
-    # escape at index m_max; a beta scan to the 2^20-bit height budget makes
-    # 24 calls in all
+    # walks phi(0) and phi^2(0) once in 2 more, and the beta scan of 3
+    # proves escape at index m_max; a beta scan to the 2^20-bit height
+    # budget makes 24 calls in all
     calls = 0
     evaluate = RationalMap.evaluate
 
@@ -89,7 +89,7 @@ def test_scans_stop_once_the_height_bound_proves_escape(monkeypatch):
     monkeypatch.setattr(RationalMap, "evaluate", counting)
     run = primitive_divisors(parse_map("z^2-1"), 3, 0, 6)
     assert len(run.reports) == 6
-    assert calls <= 6 + 5
+    assert calls <= 6 + 4
 
 
 def test_polynomial_type_target_warns_and_still_runs():
