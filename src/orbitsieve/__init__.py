@@ -7,9 +7,11 @@ divisors along orbits, and a certified day/night semidecision procedure for
 """
 
 from .numtheory import (
+    FactorialDepthRow,
     Factorization,
     FactorizationBudgetError,
     crt_pair,
+    degree_one_demo,
     factorial_valuation,
     factorize,
     good_primes,
@@ -41,12 +43,14 @@ from .ratmap import (
     DynatomicDivisionError,
     DynatomicForm,
     HeightBudgetError,
+    PlaceReport,
     RationalMap,
     dynatomic,
     dynatomic_degree,
     is_polynomial_type,
     iterate_point,
     newton_map,
+    newton_place_report,
     orbit_points,
     parse_map,
     parse_polynomial,
@@ -65,15 +69,11 @@ from .localglobal import (
     Certificate,
     CycleBlowupError,
     DecisionProblem,
-    FactorialDepthRow,
     ModulusEvidence,
-    PlaceReport,
     certificate_from_dict,
     certificate_to_dict,
     decide,
-    degree_one_demo,
     intersect_hit_sets,
-    newton_place_report,
     night_schedule,
     problem_from_dict,
     problem_to_dict,

@@ -23,10 +23,9 @@ from .localglobal import (
     certificate_from_dict,
     certificate_to_dict,
     decide,
-    degree_one_demo,
-    newton_place_report,
     verify_certificate,
 )
+from .numtheory import degree_one_demo
 from .orbit import orbit_mod, orbit_rational
 from .projective import format_point, parse_modulus, parse_point
 from .ratmap import (
@@ -34,6 +33,7 @@ from .ratmap import (
     dynatomic,
     is_polynomial_type,
     newton_map,
+    newton_place_report,
     parse_map,
     rational_periodic_points,
 )

@@ -17,19 +17,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from fractions import Fraction
 from itertools import islice
-from typing import Iterable, Iterator, Optional, Sequence, Union
+from typing import Iterable, Iterator, Optional, Sequence
 
-from .numtheory import (
-    crt_pair,
-    factorial_valuation,
-    good_primes,
-    is_prime,
-    next_prime,
-    prime_set,
-    valuation,
-)
+from .numtheory import crt_pair, good_primes, prime_set
 from .orbit import HitSet, ModOrbit, OrbitSummary, hit_set, orbit_mod, orbit_rational
 from .projective import (
     PointLike,
@@ -37,14 +28,13 @@ from .projective import (
     ProjectivePoint,
     normalize,
 )
-from .ratmap import (
-    DEFAULT_HEIGHT_BITS,
-    RationalMap,
-    _fpoly_gcd,
-    _horner,
-    iterate_point,
-    parse_polynomial,
-)
+from .ratmap import DEFAULT_HEIGHT_BITS, RationalMap, iterate_point
+
+# The degree-one rows and the Newton place reports live in numtheory and
+# ratmap; they are re-exported here so that imports from this module keep
+# working.
+from .numtheory import FactorialDepthRow, degree_one_demo
+from .ratmap import PlaceReport, newton_place_report
 
 __all__ = [
     "Budgets",
@@ -603,187 +593,3 @@ def _certificate_from_dict(doc: dict) -> tuple[DecisionProblem, Certificate]:
         raise ValueError(f"unknown certificate kind {kind!r}")
     return problem, cert
 
-
-# ---------------------------------------------------------------------------
-# the degree-one demonstration
-
-
-@dataclass(frozen=True)
-class FactorialDepthRow:
-    """Least n with p^k dividing n!, found by stepping through multiples of p."""
-
-    p: int
-    k: int
-    minimal_n: int
-
-
-def degree_one_demo(max_prime: int = 5, max_depth: int = 3) -> list[FactorialDepthRow]:
-    """Rows (p, k, least n with v_p(n!) >= k) for p <= max_prime, k <= max_depth.
-
-    This is the arithmetic heart of why the translation map z + 1 starting
-    at 1 with target 0 can never get an empty modular certificate: past row
-    (p, k), every index of the form n! - 1 is a hit mod p^k (the orbit value
-    n! is divisible by p^k), so the hit sets all stay nonempty while the
-    exact orbit 2, 3, 4, ... never reaches 0.
-    """
-    rows = []
-    p = 2
-    while p <= max_prime:
-        for k in range(1, max_depth + 1):
-            n = p
-            while factorial_valuation(n, p) < k:
-                n += p
-            rows.append(FactorialDepthRow(p, k, n))
-        p = next_prime(p)
-    return rows
-
-
-# ---------------------------------------------------------------------------
-# Newton iteration, one report per place
-
-
-@dataclass
-class PlaceReport:
-    """Convergence report for Newton iteration at one place of Q."""
-
-    place: Union[int, str]
-    verdict: str
-    detail: dict
-
-
-def _frac_valuation(q: Fraction, p: int) -> int:
-    return valuation(q.numerator, p) - valuation(q.denominator, p)
-
-
-def _real_report(
-    coeffs: Sequence[Fraction], deriv: Sequence[Fraction], alpha: Fraction, iters: int
-) -> PlaceReport:
-    coeffs = [float(c) for c in coeffs]
-    deriv = [float(c) for c in deriv]
-    x = float(alpha)
-    verdict = "undecided"
-    residual = None
-    note = None
-    done = 0
-    for _ in range(iters):
-        fx = _horner(coeffs, x, 1.0)
-        if not math.isfinite(fx):
-            note = "iterates overflowed double precision"
-            break
-        residual = abs(fx)
-        if residual < 1e-12:
-            verdict = "converges"
-            break
-        dfx = _horner(deriv, x, 1.0)
-        if not math.isfinite(dfx) or dfx == 0.0:
-            note = "derivative vanished or overflowed"
-            break
-        x = x - fx / dfx
-        done += 1
-    else:
-        fx = _horner(coeffs, x, 1.0)
-        if math.isfinite(fx):
-            residual = abs(fx)
-            if residual < 1e-12:
-                verdict = "converges"
-    detail = {
-        "iterations": done,
-        "final_residual": residual,
-        "final_x": x if math.isfinite(x) else None,
-    }
-    if note:
-        detail["note"] = note
-    return PlaceReport("real", verdict, detail)
-
-
-def _padic_report(
-    coeffs: Sequence[Fraction],
-    deriv: Sequence[Fraction],
-    alpha: Fraction,
-    p: int,
-    iters: int,
-) -> PlaceReport:
-    x = alpha
-    vals: list[int] = []
-    diffs: list[int] = []
-    note = None
-    exact = False
-    for j in range(iters + 1):
-        fx = _horner(coeffs, x, 1)
-        if fx == 0:
-            exact = True
-            note = "landed exactly on a rational root"
-            break
-        vals.append(_frac_valuation(fx, p))
-        if j == iters:
-            break
-        dfx = _horner(deriv, x, 1)
-        if dfx == 0:
-            note = "derivative vanished at an iterate"
-            break
-        nxt = x - fx / dfx
-        diffs.append(_frac_valuation(nxt - x, p))
-        x = nxt
-    if exact:
-        verdict = "converges"
-    elif note is not None:
-        verdict = "undecided"
-    else:
-        w = min(len(vals), max(3, (iters + 1) // 2))
-        tail = vals[-w:]
-        dtail = diffs[-min(len(diffs), w):] if diffs else []
-        increasing = all(a < b for a, b in zip(tail, tail[1:])) and all(
-            a < b for a, b in zip(dtail, dtail[1:])
-        )
-        decreasing = all(a > b for a, b in zip(tail, tail[1:]))
-        if increasing and len(tail) >= 3:
-            verdict = "converges"
-        elif max(tail) - min(tail) <= 1:
-            verdict = "diverges"
-        elif decreasing and len(tail) >= 3:
-            verdict = "diverges"
-        else:
-            verdict = "undecided"
-    detail = {
-        "valuations": vals,
-        "difference_valuations": diffs,
-    }
-    if note:
-        detail["note"] = note
-    return PlaceReport(p, verdict, detail)
-
-
-def newton_place_report(
-    f_text: str,
-    alpha: Union[int, str, Fraction],
-    primes: Iterable[int],
-    real_iters: int = 64,
-    p_iters: int = 10,
-) -> list[PlaceReport]:
-    """Run Newton's iteration for f from alpha at the real place and at the
-    given primes, reporting per-place convergence evidence.
-
-    The real side iterates in double precision and calls convergence when
-    the residual falls below 1e-12. Each p-adic side iterates exactly in Q
-    and inspects v_p(f(x_j)): strictly increasing valuations with strictly
-    increasing step valuations (the iterates are Cauchy at the observed
-    depth) is convergence, a flat valuation window is divergence, strict
-    decrease (escape toward infinity) also counts as divergence, and
-    anything mixed stays undecided. f must be squarefree of degree >= 2,
-    and alpha must not already be a root.
-    """
-    coeffs = parse_polynomial(f_text)
-    if len(coeffs) < 3:
-        raise ValueError("Newton reports need a polynomial of degree >= 2")
-    deriv = [coeffs[i] * i for i in range(1, len(coeffs))]
-    if len(_fpoly_gcd(coeffs, deriv)) > 1:
-        raise ValueError("polynomial must be squarefree")
-    alpha_f = alpha if isinstance(alpha, Fraction) else Fraction(str(alpha))
-    if _horner(coeffs, alpha_f, 1) == 0:
-        raise ValueError("alpha is already a root of f")
-    reports = [_real_report(coeffs, deriv, alpha_f, real_iters)]
-    for p in primes:
-        if not is_prime(p):
-            raise ValueError(f"{p} is not prime")
-        reports.append(_padic_report(coeffs, deriv, alpha_f, p, p_iters))
-    return reports

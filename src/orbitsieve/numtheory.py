@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from functools import cache
 from itertools import cycle
 from typing import Iterable, Iterator, Optional
 
@@ -23,6 +24,8 @@ __all__ = [
     "prime_set",
     "valuation",
     "factorial_valuation",
+    "FactorialDepthRow",
+    "degree_one_demo",
     "mobius",
     "crt_pair",
     "factorize",
@@ -37,22 +40,19 @@ _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_EXTRA_ROUNDS = 40
 
 _SMALL_SIEVE_LIMIT = 10_000
-_small_primes: list[int] = []
 
 DEFAULT_RHO_STEPS = 500_000
 DEFAULT_TRIAL_BOUND = 10 ** 6
 
 
-def _sieve_small_primes() -> list[int]:
-    global _small_primes
-    if not _small_primes:
-        flags = bytearray([1]) * _SMALL_SIEVE_LIMIT
-        flags[0] = flags[1] = 0
-        for i in range(2, math.isqrt(_SMALL_SIEVE_LIMIT) + 1):
-            if flags[i]:
-                flags[i * i :: i] = bytearray(len(flags[i * i :: i]))
-        _small_primes = [i for i in range(_SMALL_SIEVE_LIMIT) if flags[i]]
-    return _small_primes
+@cache
+def _sieve_small_primes() -> tuple[int, ...]:
+    flags = bytearray([1]) * _SMALL_SIEVE_LIMIT
+    flags[0] = flags[1] = 0
+    for i in range(2, math.isqrt(_SMALL_SIEVE_LIMIT) + 1):
+        if flags[i]:
+            flags[i * i :: i] = bytearray(len(flags[i * i :: i]))
+    return tuple(i for i in range(_SMALL_SIEVE_LIMIT) if flags[i])
 
 
 class FactorizationBudgetError(RuntimeError):
@@ -124,14 +124,12 @@ def next_prime(n: int) -> int:
     return c
 
 
-def good_primes(excluded: Iterable[int] = (), start_after: int = 0) -> Iterator[int]:
-    """Yield primes > start_after in increasing order, skipping `excluded`."""
-    banned = frozenset(excluded)
-    p = start_after
+def good_primes() -> Iterator[int]:
+    """Yield the primes in increasing order, without end."""
+    p = 0
     while True:
         p = next_prime(p)
-        if p not in banned:
-            yield p
+        yield p
 
 
 def prime_set(entries: Iterable[int]) -> frozenset[int]:
@@ -170,6 +168,36 @@ def factorial_valuation(n: int, p: int) -> int:
         total += n // q
         q *= p
     return total
+
+
+@dataclass(frozen=True)
+class FactorialDepthRow:
+    """Least n with p^k dividing n!, found by stepping through multiples of p."""
+
+    p: int
+    k: int
+    minimal_n: int
+
+
+def degree_one_demo(max_prime: int = 5, max_depth: int = 3) -> list[FactorialDepthRow]:
+    """Rows (p, k, least n with v_p(n!) >= k) for p <= max_prime, k <= max_depth.
+
+    This is the arithmetic heart of why the translation map z + 1 starting
+    at 1 with target 0 can never get an empty modular certificate: past row
+    (p, k), every index of the form n! - 1 is a hit mod p^k (the orbit value
+    n! is divisible by p^k), so the hit sets all stay nonempty while the
+    exact orbit 2, 3, 4, ... never reaches 0.
+    """
+    rows = []
+    p = 2
+    while p <= max_prime:
+        for k in range(1, max_depth + 1):
+            n = p
+            while factorial_valuation(n, p) < k:
+                n += p
+            rows.append(FactorialDepthRow(p, k, n))
+        p = next_prime(p)
+    return rows
 
 
 def mobius(n: int) -> int:

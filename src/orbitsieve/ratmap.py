@@ -4,6 +4,10 @@ A degree-d map is stored as a pair of degree-d homogeneous integer forms
 (F, G) with nonzero resultant, jointly primitive, the highest nonzero
 coefficient of F positive. Coefficient vectors are ascending in the first
 variable: index i holds the coefficient of X^i Y^(d-i).
+
+Newton's iteration for a polynomial f lives here too, both as the map
+z - f/f' (newton_map) and as per-place convergence reports
+(newton_place_report); the two read and check f through one front end.
 """
 
 from __future__ import annotations
@@ -12,12 +16,14 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 from .numtheory import (
     FactorizationBudgetError,
     factorize,
+    is_prime,
     mobius,
+    valuation,
     DEFAULT_RHO_STEPS,
     DEFAULT_TRIAL_BOUND,
 )
@@ -44,6 +50,8 @@ __all__ = [
     "parse_map",
     "parse_polynomial",
     "newton_map",
+    "PlaceReport",
+    "newton_place_report",
     "orbit_points",
     "iterate_point",
     "is_polynomial_type",
@@ -172,17 +180,8 @@ def _fpoly_gcd(a: Sequence, b: Sequence) -> list[Fraction]:
 
 
 def _clear_denominators(v: Sequence[Fraction]) -> list[int]:
-    lcm = 1
-    for c in v:
-        lcm = lcm * c.denominator // math.gcd(lcm, c.denominator)
+    lcm = math.lcm(*(c.denominator for c in v))
     return [int(c * lcm) for c in v]
-
-
-def _content(v: Iterable[int]) -> int:
-    g = 0
-    for c in v:
-        g = math.gcd(g, c)
-    return g
 
 
 def _horner(coeffs: Sequence, a, b):
@@ -221,7 +220,7 @@ class BinaryForm:
         return all(c == 0 for c in self.coefficients)
 
     def content(self) -> int:
-        return _content(self.coefficients)
+        return math.gcd(*self.coefficients)
 
     def evaluate(self, a: int, b: int) -> int:
         """The sum of c_i * a^i * b^(d-i), computed in Horner order."""
@@ -343,7 +342,7 @@ class RationalMap:
             raise ValueError("form vectors must have equal length")
         if len(f_coeffs) < 2:
             raise ValueError("maps must have degree at least 1")
-        joint = _content(list(f_coeffs) + list(g_coeffs))
+        joint = math.gcd(*f_coeffs, *g_coeffs)
         if joint == 0:
             raise DegenerateMapError("both forms are identically zero")
         f = [c // joint for c in f_coeffs]
@@ -556,7 +555,7 @@ class RationalMap:
                     if c:
                         fv[j] += cf * c
                         gv[j] += cg * c
-            joint = _content(fv + gv)
+            joint = math.gcd(*fv, *gv)
             if joint > 1:
                 fv = [c // joint for c in fv]
                 gv = [c // joint for c in gv]
@@ -675,10 +674,11 @@ class _MapParser:
         return tok
 
     def parse(self) -> tuple[list[int], list[int]]:
+        """The whole input as (num, den), both with trailing zeros trimmed."""
         num, den = self.expr()
         if self.pos < len(self.toks):
             raise ValueError(f"trailing input at token {self.pos}")
-        return num, den
+        return _ptrim(num), _ptrim(den)
 
     def expr(self) -> tuple[list[int], list[int]]:
         left = self.term()
@@ -763,8 +763,6 @@ def parse_map(text: str) -> RationalMap:
     so inputs sharing a root raise DegenerateMapError.
     """
     num, den = _MapParser(text).parse()
-    num = _ptrim(list(num))
-    den = _ptrim(list(den))
     if not den:
         raise ValueError("denominator is identically zero")
     if not num:
@@ -784,8 +782,6 @@ def parse_polynomial(text: str) -> list[Fraction]:
     a denominator other than a nonzero constant is rejected.
     """
     num, den = _MapParser(text).parse()
-    num = _ptrim(list(num))
-    den = _ptrim(list(den))
     if len(den) != 1:
         raise ValueError("expected a polynomial, not a rational function")
     return [Fraction(c, den[0]) for c in num]
@@ -813,7 +809,23 @@ def _poly_text(asc: Sequence[int], var: str = "z") -> str:
 
 
 # ---------------------------------------------------------------------------
-# Newton maps
+# Newton iteration: the map on P^1, and one report per place of Q
+
+
+def _newton_polynomial(
+    f_text: str, what: str
+) -> tuple[list[Fraction], list[Fraction], list[Fraction]]:
+    """f, f' and the monic gcd(f, f') of the polynomial f_text.
+
+    The one front end of newton_map and newton_place_report: f must parse
+    as a polynomial (parse_polynomial) of degree >= 2; `what` names the
+    caller in the degree error.
+    """
+    f = parse_polynomial(f_text)
+    if len(f) < 3:
+        raise ValueError(f"{what} need a polynomial of degree >= 2")
+    fp = _pderiv(f)
+    return f, fp, _fpoly_gcd(f, fp)
 
 
 def newton_map(f_text: str) -> RationalMap:
@@ -825,35 +837,169 @@ def newton_map(f_text: str) -> RationalMap:
     recorded in the map's notes, since root multiplicities change the local
     behavior of the iteration.
     """
-    num, den = _MapParser(f_text).parse()
-    num = _ptrim(list(num))
-    den = _ptrim(list(den))
-    if len(den) != 1:
-        raise ValueError("expected a polynomial, not a rational function")
-    if len(num) < 3:
-        raise ValueError("Newton maps need a polynomial of degree >= 2")
-    fp = _pderiv(num)
+    f, fp, common = _newton_polynomial(f_text, "Newton maps")
     # z*f' - f has coefficient (i-1)*f_i at z^i
-    zfp_minus_f = _ptrim([(i - 1) * num[i] for i in range(len(num))])
+    num = _ptrim([(i - 1) * c for i, c in enumerate(f)])
     notes: list[str] = []
-    g = _fpoly_gcd(num, fp)
-    if len(g) > 1:
+    if len(common) > 1:
         notes.append(
             "input polynomial is not squarefree; the common factor of f and "
             "f' was cancelled, which changes behavior at repeated roots"
         )
-        qn, rn = _poly_divmod(zfp_minus_f, g)
-        qd, rd = _poly_divmod(fp, g)
-        if _ptrim(rn) or _ptrim(rd):
+        num, rn = _poly_divmod(num, common)
+        fp, rd = _poly_divmod(fp, common)
+        if rn or rd:
             raise ArithmeticError("gcd cancellation was not exact")
-        # keep the pair on a single common scale: clear across both vectors
-        cleared = _clear_denominators(list(qn) + list(qd))
-        zfp_minus_f = cleared[: len(qn)]
-        fp = cleared[len(qn):]
-    d = max(len(zfp_minus_f), len(fp)) - 1
-    f_vec = list(zfp_minus_f) + [0] * (d + 1 - len(zfp_minus_f))
-    g_vec = list(fp) + [0] * (d + 1 - len(fp))
+    # keep the pair on a single common scale: clear across both vectors
+    cleared = _clear_denominators(num + fp)
+    d = max(len(num), len(fp)) - 1
+    f_vec = cleared[: len(num)] + [0] * (d + 1 - len(num))
+    g_vec = cleared[len(num):] + [0] * (d + 1 - len(fp))
     return RationalMap.make(f_vec, g_vec, notes)
+
+
+@dataclass
+class PlaceReport:
+    """Convergence report for Newton iteration at one place of Q."""
+
+    place: Union[int, str]
+    verdict: str
+    detail: dict
+
+
+def _frac_valuation(q: Fraction, p: int) -> int:
+    return valuation(q.numerator, p) - valuation(q.denominator, p)
+
+
+def _real_report(
+    coeffs: Sequence[Fraction], deriv: Sequence[Fraction], alpha: Fraction, iters: int
+) -> PlaceReport:
+    coeffs = [float(c) for c in coeffs]
+    deriv = [float(c) for c in deriv]
+    x = float(alpha)
+    verdict = "undecided"
+    residual = None
+    note = None
+    # iters Newton steps and iters + 1 residuals; an overflow at the last
+    # iterate keeps the residual before it and adds no note
+    for j in range(iters + 1):
+        fx = _horner(coeffs, x, 1.0)
+        if not math.isfinite(fx):
+            if j < iters:
+                note = "iterates overflowed double precision"
+            break
+        residual = abs(fx)
+        if residual < 1e-12:
+            verdict = "converges"
+            break
+        if j == iters:
+            break
+        dfx = _horner(deriv, x, 1.0)
+        if not math.isfinite(dfx) or dfx == 0.0:
+            note = "derivative vanished or overflowed"
+            break
+        x = x - fx / dfx
+    detail = {
+        "iterations": j,
+        "final_residual": residual,
+        "final_x": x if math.isfinite(x) else None,
+    }
+    if note:
+        detail["note"] = note
+    return PlaceReport("real", verdict, detail)
+
+
+def _padic_report(
+    coeffs: Sequence[Fraction],
+    deriv: Sequence[Fraction],
+    alpha: Fraction,
+    p: int,
+    iters: int,
+) -> PlaceReport:
+    x = alpha
+    vals: list[int] = []
+    diffs: list[int] = []
+    note = None
+    exact = False
+    for j in range(iters + 1):
+        fx = _horner(coeffs, x, 1)
+        if fx == 0:
+            exact = True
+            note = "landed exactly on a rational root"
+            break
+        vals.append(_frac_valuation(fx, p))
+        if j == iters:
+            break
+        dfx = _horner(deriv, x, 1)
+        if dfx == 0:
+            note = "derivative vanished at an iterate"
+            break
+        nxt = x - fx / dfx
+        diffs.append(_frac_valuation(nxt - x, p))
+        x = nxt
+    if exact:
+        verdict = "converges"
+    elif note is not None:
+        verdict = "undecided"
+    else:
+        w = min(len(vals), max(3, (iters + 1) // 2))
+        tail = vals[-w:]
+        dtail = diffs[-min(len(diffs), w):] if diffs else []
+        increasing = all(a < b for a, b in zip(tail, tail[1:])) and all(
+            a < b for a, b in zip(dtail, dtail[1:])
+        )
+        decreasing = all(a > b for a, b in zip(tail, tail[1:]))
+        if increasing and len(tail) >= 3:
+            verdict = "converges"
+        elif max(tail) - min(tail) <= 1:
+            verdict = "diverges"
+        elif decreasing and len(tail) >= 3:
+            verdict = "diverges"
+        else:
+            verdict = "undecided"
+    detail = {
+        "valuations": vals,
+        "difference_valuations": diffs,
+    }
+    if note:
+        detail["note"] = note
+    return PlaceReport(p, verdict, detail)
+
+
+def newton_place_report(
+    f_text: str,
+    alpha: Union[int, str, Fraction],
+    primes: Iterable[int],
+    real_iters: int = 64,
+    p_iters: int = 10,
+) -> list[PlaceReport]:
+    """Run Newton's iteration for f from alpha at the real place and at the
+    given primes, reporting per-place convergence evidence.
+
+    The real side iterates in double precision and calls convergence when
+    the residual falls below 1e-12. Each p-adic side iterates exactly in Q
+    and inspects v_p(f(x_j)): strictly increasing valuations with strictly
+    increasing step valuations (the iterates are Cauchy at the observed
+    depth) is convergence, a flat valuation window is divergence, strict
+    decrease (escape toward infinity) also counts as divergence, and
+    anything mixed stays undecided. f must be squarefree of degree >= 2,
+    alpha must not already be a root, and both iteration counts must be
+    nonnegative.
+    """
+    coeffs, deriv, common = _newton_polynomial(f_text, "Newton reports")
+    if len(common) > 1:
+        raise ValueError("polynomial must be squarefree")
+    if real_iters < 0 or p_iters < 0:
+        raise ValueError("iteration counts must be nonnegative")
+    alpha_f = alpha if isinstance(alpha, Fraction) else Fraction(str(alpha))
+    if _horner(coeffs, alpha_f, 1) == 0:
+        raise ValueError("alpha is already a root of f")
+    reports = [_real_report(coeffs, deriv, alpha_f, real_iters)]
+    for p in primes:
+        if not is_prime(p):
+            raise ValueError(f"{p} is not prime")
+        reports.append(_padic_report(coeffs, deriv, alpha_f, p, p_iters))
+    return reports
 
 
 # ---------------------------------------------------------------------------
@@ -956,12 +1102,8 @@ def dynatomic(
         else:
             den = _pmul(den, pe)
             den_deg += len(pe) - 1
-    if den_deg == 0 and den == [1]:
-        quotient = [Fraction(c) for c in num]
-        rem: list[Fraction] = []
-    else:
-        quotient, rem = _poly_divmod(num, den)
-    if _ptrim(list(rem)):
+    quotient, rem = _poly_divmod(num, den)
+    if rem:
         raise DynatomicDivisionError(
             f"period-{n} product division left a remainder"
         )
@@ -977,10 +1119,6 @@ def dynatomic(
 
 # ---------------------------------------------------------------------------
 # rational points of exact period n
-
-
-def _divisors_of(n: int) -> list[int]:
-    return factorize(abs(n)).divisors()
 
 
 def rational_periodic_points(
@@ -1006,8 +1144,8 @@ def rational_periodic_points(
     lo = next((i for i in range(deg + 1) if v[i] != 0), None)
     hi = next((i for i in range(deg, -1, -1) if v[i] != 0), None)
     if lo is not None and hi is not None and lo < hi:
-        r_divs = _divisors_of(v[lo])
-        s_divs = _divisors_of(v[hi])
+        r_divs = factorize(abs(v[lo])).divisors()
+        s_divs = factorize(abs(v[hi])).divisors()
         for r in r_divs:
             for s in s_divs:
                 if math.gcd(r, s) != 1:

@@ -4,9 +4,13 @@ Everything goes through main(argv) so the tests cover argument parsing,
 exit codes, and both output formats without spawning subprocesses.
 """
 
+import contextlib
 import hashlib
 import io
 import json
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -300,3 +304,39 @@ def test_missing_required_flag_is_a_usage_error(capsys):
         main(["decide", "--map", "z^2-1"])
     assert info.value.code == 2
     assert "--point" in capsys.readouterr().err
+
+
+_README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+
+
+def _readme_blocks(lang):
+    return re.findall(rf"```{lang}\n(.*?)```", _README, re.S)
+
+
+def test_readme_commands_exit_zero(tmp_path, monkeypatch, capsys):
+    # every command of the README's shell examples, in order, so that
+    # `verify cert.json` reads the certificate that `decide` wrote
+    commands = [
+        shlex.split(line)[1:]
+        for block in _readme_blocks("sh")
+        for line in block.splitlines()
+        if line.startswith("orbitsieve ")
+    ]
+    assert len(commands) == 11
+    monkeypatch.chdir(tmp_path)
+    for argv in commands:
+        assert main(argv) == 0, argv
+    assert (tmp_path / "cert.json").exists()
+    capsys.readouterr()
+
+
+def test_readme_library_snippet_prints_its_comments():
+    (snippet,) = _readme_blocks("python")
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(snippet, {})
+    printed = out.getvalue().splitlines()
+    assert printed == ["empty", "['5']", "True"]
+    # each print's comment shows its output; a quoted string shows a str
+    comments = re.findall(r"^print\(.*#\s*(.*)$", snippet, re.M)
+    assert [c.strip('"') for c in comments] == printed

@@ -423,6 +423,10 @@ def test_newton_report_validation():
         newton_place_report("z-1", 2, [5])  # degree too small
     with pytest.raises(ValueError):
         newton_place_report("z^2-1", 1, [5])  # alpha already a root
+    with pytest.raises(ValueError):
+        newton_place_report("z^2-2", 1, [5], real_iters=-1)
+    with pytest.raises(ValueError):
+        newton_place_report("z^2-2", 1, [5], p_iters=-1)
 
 
 def test_newton_report_vanishing_derivative_stays_undecided():

@@ -66,11 +66,10 @@ def test_next_prime():
     assert next_prime(65536) == 65537
 
 
-def test_good_primes_skips_excluded():
-    stream = good_primes(excluded={2, 3})
-    assert list(itertools.islice(stream, 4)) == [5, 7, 11, 13]
-    assert list(itertools.islice(good_primes((), 10), 3)) == [11, 13, 17]
-    assert list(itertools.islice(good_primes({5}, 3), 2)) == [7, 11]
+def test_good_primes_yields_every_prime_in_order():
+    first = list(itertools.islice(good_primes(), 200))
+    assert first[:6] == [2, 3, 5, 7, 11, 13]
+    assert first == [n for n in range(first[-1] + 1) if _trial_is_prime(n)]
 
 
 def test_valuation():

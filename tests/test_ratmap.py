@@ -1,6 +1,7 @@
 """Tests for rational map models: parsing, resultants, evaluation,
 iteration, Newton maps, dynatomic forms, and periodic points."""
 
+import math
 import random
 from fractions import Fraction
 from math import gcd
@@ -26,6 +27,7 @@ from orbitsieve.ratmap import (
     is_polynomial_type,
     iterate_point,
     newton_map,
+    newton_place_report,
     orbit_points,
     parse_map,
     parse_polynomial,
@@ -377,6 +379,123 @@ def test_newton_map_cancels_repeated_roots():
     assert phi.evaluate(0) == normalize(0)
     assert phi.evaluate(1) == normalize(1)
     assert phi.evaluate(2) == normalize(Fraction(3, 2))
+
+
+def _poly_mul(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _poly_at(coeffs, x):
+    return sum(c * x ** i for i, c in enumerate(coeffs))
+
+
+def test_newton_map_is_z_minus_f_over_f_prime():
+    # one path for every input: squarefree or not, any denominators, the map
+    # must be x - f(x)/f'(x) wherever f'(x) != 0, on one joint integer scale
+    rng = random.Random(20261018)
+    xs = [Fraction(a, b) for a in range(-4, 5) for b in (1, 2, 3, 7)]
+    for trial in range(200):
+        den = rng.choice([1, 2, 6, 35])
+        f = [Fraction(rng.randint(-9, 9), den) for _ in range(rng.randint(3, 5))]
+        f[-1] = f[-1] or Fraction(1, den)
+        squared = trial % 3 == 0
+        if squared:
+            s, r = rng.randint(1, 3), rng.randint(-4, 4)
+            f = _poly_mul(f, _poly_mul([-r, s], [-r, s]))
+        text = " + ".join(
+            f"({c.numerator}/{c.denominator})z^{i}" for i, c in enumerate(f)
+        )
+        fp = [i * c for i, c in enumerate(f)][1:]
+        phi = newton_map(text)
+        assert bool(phi.notes) or not squared, text
+        assert gcd(*phi.F.coefficients, *phi.G.coefficients) == 1
+        assert next(c for c in reversed(phi.F.coefficients) if c) > 0
+        for x in xs:
+            dfx = _poly_at(fp, x)
+            if dfx:
+                want = normalize(x - _poly_at(f, x) / dfx)
+                assert phi.evaluate(x) == want, (text, x)
+
+
+def _float_newton(f, x, iters):
+    """The real Newton report as a plain loop: iters steps in doubles, then
+    one more evaluation of f at the iterate they reached."""
+    fp = [float(i * c) for i, c in enumerate(f)][1:]
+    f = [float(c) for c in f]
+
+    def at(v, x):
+        acc = v[-1]
+        for c in reversed(v[:-1]):
+            acc = acc * x + c
+        return acc
+
+    x = float(x)
+    residual = note = None
+    verdict = "undecided"
+    done = 0
+    for _ in range(iters):
+        fx = at(f, x)
+        if not math.isfinite(fx):
+            note = "iterates overflowed double precision"
+            break
+        residual = abs(fx)
+        if residual < 1e-12:
+            verdict = "converges"
+            break
+        dfx = at(fp, x)
+        if not math.isfinite(dfx) or dfx == 0.0:
+            note = "derivative vanished or overflowed"
+            break
+        x = x - fx / dfx
+        done += 1
+    else:
+        fx = at(f, x)
+        if math.isfinite(fx):
+            residual = abs(fx)
+            if residual < 1e-12:
+                verdict = "converges"
+    return verdict, done, residual, x if math.isfinite(x) else None, note
+
+
+def test_real_newton_report_matches_a_float_loop():
+    cases = [
+        ("z^3-2", [-2, 0, 0, 1], Fraction(1), 64),  # converges
+        ("z^3-2", [-2, 0, 0, 1], Fraction(1), 3),  # runs out of steps
+        ("z^2+1", [1, 0, 1], Fraction(2), 64),  # no real root
+        ("z^2-z", [0, -1, 1], Fraction(1, 2), 64),  # f'(1/2) = 0
+        ("z^3-2", [-2, 0, 0, 1], Fraction(10 ** 200), 64),  # overflows
+        # the step overflows x, and f at the last iterate is not finite
+        ("z^2+1", [1, 0, 1], Fraction(1, 10 ** 200), 1),
+    ]
+    rng = random.Random(7)
+    for _ in range(60):
+        f = [rng.randint(-9, 9) for _ in range(rng.randint(3, 5))]
+        f[-1] = f[-1] or 1
+        alpha = Fraction(rng.randint(-50, 50), rng.randint(1, 9))
+        text = " + ".join(f"({c})z^{i}" for i, c in enumerate(f))
+        if _poly_at(f, alpha) and gcd(*f) == 1:
+            cases.append((text, f, alpha, rng.randint(0, 8)))
+    seen = set()
+    for text, f, alpha, iters in cases:
+        try:
+            real = newton_place_report(text, alpha, [], real_iters=iters)[0]
+        except ValueError:  # not squarefree
+            continue
+        verdict, done, residual, x, note = _float_newton(f, alpha, iters)
+        assert real.verdict == verdict, (text, alpha, iters)
+        assert real.detail["iterations"] == done, (text, alpha, iters)
+        assert real.detail["final_residual"] == residual, (text, alpha, iters)
+        assert real.detail["final_x"] == x, (text, alpha, iters)
+        assert real.detail.get("note") == note, (text, alpha, iters)
+        seen.add((verdict, note, done == iters))
+    assert ("converges", None, False) in seen
+    assert ("undecided", None, True) in seen
+    assert ("undecided", "derivative vanished or overflowed", False) in seen
+    assert ("undecided", "iterates overflowed double precision", False) in seen
 
 
 def test_is_polynomial_type():
