@@ -20,7 +20,7 @@ from .projective import (
     _residue_code,
     _residue_pair,
     normalize,
-    reduce_mod,
+    reduce_mod,  # unused here; bench/tracing.py resolves it from this module
 )
 from .ratmap import DEFAULT_HEIGHT_BITS, HeightBudgetError, RationalMap, orbit_points
 
@@ -215,8 +215,17 @@ class HitSet:
 
 
 def hit_set(orb: ModOrbit, targets: Iterable[PointLike]) -> HitSet:
-    """Compute the hit set of a modular orbit against a set of targets."""
-    reduced = {reduce_mod(t, orb.modulus) for t in targets}
+    """Compute the hit set of a modular orbit against a set of targets.
+
+    p and p^k are read once per call, and each target is reduced straight
+    to its canonical pair, as reduce_mod would give it.
+    """
+    p = orb.modulus.p
+    n = orb.modulus.modulus
+    reduced = set()
+    for t in targets:
+        pt = normalize(t)
+        reduced.add(_residue_pair(_residue_code(pt.x1, pt.x2, p, n), n))
     hits = [n for n, rp in enumerate(orb.sequence) if rp in reduced]
     exceptional = frozenset(n for n in hits if n < orb.tail)
     in_cycle = sorted({n % orb.cycle for n in hits if n >= orb.tail})

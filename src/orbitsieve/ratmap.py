@@ -121,6 +121,11 @@ def _pmul(a: Sequence, b: Sequence) -> list:
     """Full-length product, not trimmed: forms must keep their degree."""
     if not a or not b:
         return []
+    # the map parser multiplies by the unit denominator [1] at every + and *
+    if b == [1]:
+        return list(a)
+    if a == [1]:
+        return list(b)
     out = [0] * (len(a) + len(b) - 1)
     for i, ca in enumerate(a):
         if ca:
@@ -1081,10 +1086,17 @@ def dynatomic(
 
     Numerator and denominator products are assembled separately and divided
     once, exactly; a nonzero remainder raises DynatomicDivisionError. The
-    result is primitive with positive highest nonzero coefficient.
+    result is primitive with positive highest nonzero coefficient. A map
+    with an iterate phi^e = id (e dividing n) has Y*F_e - X*G_e = 0 and
+    every point periodic, so it has no such form: ValueError.
     """
     if n < 1:
         raise ValueError("period must be >= 1")
+    if not any(_period_form(phi, 1, max_degree)):
+        raise ValueError(
+            "the map is the identity: every point is fixed, so no period "
+            "has a dynatomic form"
+        )
     num: list[int] = [1]
     den: list[int] = [1]
     num_deg = 0
@@ -1096,6 +1108,11 @@ def dynatomic(
         if mu == 0:
             continue
         pe = _period_form(phi, e, max_degree)
+        if not any(pe):
+            raise ValueError(
+                f"phi^{e} is the identity: every point has a period dividing "
+                f"{e}, so period {n} has no dynatomic form"
+            )
         if mu == 1:
             num = _pmul(num, pe)
             num_deg += len(pe) - 1

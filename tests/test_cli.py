@@ -141,7 +141,7 @@ def test_decide_json_output_is_byte_identical(capsys):
 # alone; only a deliberate schema change may update a digest.
 PINNED_JSON_SHA256 = {
     "decide --map z^2-1 --point 3 --targets 0":
-        "b4c306fa75223486489f9ede93ab4635347176d482bf63ace4faee1b26594c5f",
+        "a0b900a78323937b189bcb6b32f501dd18ed077d8e992852e4c8f459cb3e2aaf",
     "decide --map z^2-1 --point 3 --targets 63":
         "717c0db72c355d7060e0b9ce3f1b748b16b592cb9e47007f953188380aaeb90c",
     "decide --map z^2-1 --point 0 --targets 5":
@@ -150,9 +150,12 @@ PINNED_JSON_SHA256 = {
         "daaa4829500b8155fc1a41c1569d808662ac93d368ebbb40dc0bfda4da38f556",
     "zsigmondy --map z^2 --beta 2 --gamma 1 --mmax 5":
         "482add6e956b760d7175fb42cf4fd5fe1061b3218dbe1f65955a64e561aab7a5",
-    # a two-modulus family, {2^2, 3}
+    # settled by 11 alone, the fifth modulus examined
     "decide --map z^2-1 --point 4 --targets 0 --day-steps 4 --night-stages 3 --height-bits 256":
-        "848e6b59cbc4f7102a8246e9f2ced6ed0696388c0879da86eb229f99f324e574",
+        "77e145f2e4a2dce2a13527ae31a5032ed009aaf060ebe13bce57a5fdcd716a4a",
+    # a two-modulus family, {3, 5}
+    "decide --map z^2-1 --point 5 --targets 0,3 --day-steps 4 --night-stages 3 --height-bits 256":
+        "873389232fb87c4ac00a4e6fbb0b1871f133fbe8c06278ee209864d636030102",
     "orbit --map z^2-1 --point 3 --mod 7":
         "505252aa001626dac0802ac0ccbafa6f4345106fcc8062b0ab8230fb9d3f601f",
     # the real report's floats
@@ -162,9 +165,9 @@ PINNED_JSON_SHA256 = {
         "6b36caed383d06cfbb03995dca966ef2a6e3293ebebf44fd7e786016341a3953",
     "orbit --map (z^2+1)/(2z) --point 3 --max-steps 8":
         "df447bf9bd700f765387dc6946c968af4c2e96e80dc6926b5f550c52f1680820",
-    # a rational map: a bad-prime skip, an excluded-prime skip, three moduli
+    # a rational map: a bad-prime skip, an excluded-prime skip, two moduli
     "decide --map (z^2+1)/(2z) --point 2 --targets -1 --exclude-primes 5 --day-steps 5 --night-stages 2":
-        "393bc91eeec587e4407eb601a45a6fbc8630185545ad4da075c9c5cc425192ed",
+        "62fac66b2d6fbdd36b28fa8c4de51760a6f5d307f1bb8f7cf2c3900962f23246",
     "zsigmondy --map z^2-1 --beta 3 --gamma 0 --mmax 5":
         "4fdd33d3f044c33085333a567facd516d8a6728f34b2f06ac9598608636cf6eb",
     # exact steps whose image coordinates share a factor of the resultant:
@@ -239,6 +242,23 @@ def test_periodic_output(capsys):
     )
     assert code == 0
     assert doc["points"] == [["-1", "1"], ["0", "1"]]
+
+
+def test_periodic_on_a_map_with_an_identity_iterate_is_an_input_error(capsys):
+    identity = (
+        "error: the map is the identity: every point is fixed, so no period "
+        "has a dynatomic form\n"
+    )
+    for period in ("1", "2"):
+        code, out, err = _run(capsys, "periodic", "--map", "z", "--period", period)
+        assert (code, out, err) == (1, "", identity)
+    # 1/z is an involution: phi^2 = id
+    code, out, err = _run(capsys, "periodic", "--map", "1/z", "--period", "4")
+    assert (code, out) == (1, "")
+    assert err == (
+        "error: phi^2 is the identity: every point has a period dividing 2, "
+        "so period 4 has no dynatomic form\n"
+    )
 
 
 def test_poltype_output(capsys):

@@ -6,6 +6,7 @@ import hashlib
 import json
 import math
 import random
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -25,7 +26,6 @@ from orbitsieve.localglobal import (
     problem_from_dict,
     problem_to_dict,
     verify_certificate,
-    _evidence,
 )
 from orbitsieve.numtheory import factorial_valuation
 from orbitsieve.orbit import HitSet, hit_set, orbit_mod
@@ -94,17 +94,85 @@ def test_intersect_cycle_cap():
         intersect_hit_sets([_hs(0, (), 4, (0,)), _hs(0, (), 6, (0,))], cycle_lcm_cap=10)
 
 
-def test_night_schedule_orders_by_prime_index_plus_depth():
+def _cost(p, k):
+    """The schedule's key, computed here independently of the package."""
+    return (p ** k + p ** (k - 1)) * k ** 3
+
+
+def test_night_schedule_orders_by_cost_then_prime():
+    # primes cost p + 1 at k = 1, so the primes up to 43 come before 2^2
+    # (cost 48, ahead of 47 by the tie-break on p)
     phi = parse_map("z^2-1")
     got = night_schedule(phi, (), 4)
-    want = [(2, 1), (2, 2), (3, 1), (2, 3), (3, 2), (5, 1), (2, 4), (3, 3), (5, 2), (7, 1)]
-    assert [(m.p, m.k) for m in got] == want
+    want = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
+    assert [(m.p, m.k) for m in got] == [(p, 1) for p in want]
+
+    # default budgets: 12 stages, 78 moduli, the primes up to 373 and four
+    # prime powers at these positions
+    got = night_schedule(parse_map("z+1"), (), 12)
+    assert len(got) == 78
+    assert [(i, m.p, m.k) for i, m in enumerate(got) if m.k > 1] == [
+        (14, 2, 2), (25, 3, 2), (53, 5, 2), (69, 2, 3)
+    ]
+    assert [m.p for m in got if m.k == 1][-3:] == [359, 367, 373]
 
     # 2 is a bad prime for the Newton map of z^2 - 1, so the schedule
     # starts at 3; an exclusion shifts it further
     newton = parse_map("(z^2+1)/(2z)")
-    assert [(m.p, m.k) for m in night_schedule(newton, (), 2)] == [(3, 1), (3, 2), (5, 1)]
-    assert [(m.p, m.k) for m in night_schedule(newton, {3}, 2)] == [(5, 1), (5, 2), (7, 1)]
+    assert [(m.p, m.k) for m in night_schedule(newton, (), 2)] == [(3, 1), (5, 1), (7, 1)]
+    assert [(m.p, m.k) for m in night_schedule(newton, {3}, 2)] == [(5, 1), (7, 1), (11, 1)]
+    # at 7 stages 3^2 (cost 96) falls between 89 and 97; with 3 excluded
+    # the next power, 5^2, costs 240 and is not reached
+    primes = [
+        5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71,
+        73, 79, 83, 89, 97, 101, 103, 107, 109, 113,
+    ]
+    want = [(3, 1)] + [(p, 1) for p in primes[:22]] + [(3, 2)]
+    want += [(p, 1) for p in primes[22:26]]
+    assert [(m.p, m.k) for m in night_schedule(newton, (), 7)] == want
+    want = [(p, 1) for p in primes]
+    assert [(m.p, m.k) for m in night_schedule(newton, {3}, 7)] == want
+
+
+def test_night_schedule_properties():
+    # z^2 + 1/30: bad reduction at 2, 3 and 5; 7 and 13 excluded
+    phi = parse_map("z^2+1/30")
+    bad = {p for p in (2, 3, 5, 7, 11, 13) if not phi.is_good_prime(p)}
+    assert bad == {2, 3, 5}
+    excluded = {7, 13}
+    stages = 20
+    flat = night_schedule(phi, excluded, stages)
+    # stage s has s moduli
+    sizes = [len(night_schedule(phi, excluded, s)) for s in range(stages + 1)]
+    assert [b - a for a, b in zip(sizes, sizes[1:])] == list(range(1, stages + 1))
+    pairs = [(m.p, m.k) for m in flat]
+    assert len(set(pairs)) == len(pairs)
+    keys = [(_cost(p, k), p) for p, k in pairs]
+    assert keys == sorted(keys)
+    assert not {p for p, _ in pairs} & (bad | excluded)
+    # exactly the cheapest allowed prime powers, by brute force
+    last = keys[-1]
+    allowed = [
+        p for p in range(2, last[0])
+        if all(p % d for d in range(2, math.isqrt(p) + 1))
+        and p not in bad | excluded
+    ]
+    want = sorted(
+        (_cost(p, k), p, k)
+        for p in allowed
+        for k in range(1, 8)
+        if (_cost(p, k), p) <= last
+    )
+    assert [(p, k) for _, p, k in want] == pairs
+
+    # every small prime power is reached: k <= 2 within 20 stages; 7^3
+    # costs 10,584, so about 1,300 primes come first and it needs 51
+    plain = parse_map("z+1")
+    reached = {(m.p, m.k) for m in night_schedule(plain, (), 20)}
+    assert {(p, k) for p in (2, 3, 5, 7) for k in (1, 2)} <= reached
+    reached = {(m.p, m.k) for m in night_schedule(plain, (), 51)}
+    assert {(p, k) for p in (2, 3, 5, 7) for k in (1, 2, 3)} <= reached
+    assert (7, 3) not in {(m.p, m.k) for m in night_schedule(plain, (), 50)}
 
 
 def test_parity_clash_gives_an_empty_pair_intersection():
@@ -197,7 +265,7 @@ def test_decide_records_skipped_primes_of_the_stages_run_only():
     assert one.examined == ((3, 1, False),)
     assert two.kind == "empty"
     assert two.skipped == ((2, 0, "bad reduction"), (5, 0, "excluded"))
-    assert two.examined == ((3, 1, False), (3, 2, False), (7, 1, True))
+    assert two.examined == ((3, 1, False), (7, 1, True))
 
 
 def test_decide_respects_excluded_primes():
@@ -240,32 +308,37 @@ def _traced_peak(fn):
         tracemalloc.stop()
 
 
-def test_decide_memory_is_bounded_by_its_largest_orbit():
-    # z+1 from 1 never settles, and its 36 orbits at 8 stages have 61,734
-    # points, 16,807 of them mod 7^5: decide must hold hit sets, not orbits
-    problem = _problem("z+1", 1, [0, "inf"], night_stages=8)
-    largest = max(
-        _traced_peak(lambda: _evidence(problem, m))[1]
-        for m in night_schedule(problem.phi, (), 8)
-    )
+def test_decide_at_default_budgets_ends_in_bounded_time_and_memory():
+    # z+1 from 1 never settles; at default budgets its 12 stages examine the
+    # primes up to 373 and 2^2, 3^2, 5^2, 2^3, so no orbit has more than
+    # 374 points
+    problem = _problem("z+1", 1, [0, "inf"])
+    start = time.perf_counter()
     cert, peak = _traced_peak(lambda: decide(problem))
-    assert cert.kind == "exhausted" and len(cert.examined) == 36
-    assert peak < 2 * largest
+    elapsed = time.perf_counter() - start
+    assert cert.kind == "exhausted"
+    assert cert.night_stages_done == 12 and len(cert.examined) == 78
+    assert elapsed < 1.0
+    assert peak < 50 * 2 ** 20
 
 
 def test_decide_rebuilds_a_multi_modulus_family_unchanged():
-    # the certificate of `decide --map z^2-1 --point 4 --targets 0
-    # --day-steps 4 --night-stages 3 --height-bits 256`: the family {2^2, 3}
-    # is rebuilt from its moduli after the fold; digest pinned when decide
-    # still kept every orbit
-    problem = _problem("z^2-1", 4, [0], day_steps=4, night_stages=3, height_bits=256)
+    # the certificate of `decide --map z^2-1 --point 5 --targets 0,3
+    # --day-steps 4 --night-stages 3 --height-bits 256`: no modulus of the
+    # six examined settles it alone; mod 3 the orbit hits at odd indices,
+    # mod 5 at even ones, and the family {3, 5} is rebuilt from its moduli
+    # after the fold
+    problem = _problem(
+        "z^2-1", 5, [0, 3], day_steps=4, night_stages=3, height_bits=256
+    )
     cert = decide(problem)
-    assert [(ev.modulus.p, ev.modulus.k) for ev in cert.evidence] == [(2, 2), (3, 1)]
+    assert len(cert.examined) == 6
+    assert [(ev.modulus.p, ev.modulus.k) for ev in cert.evidence] == [(3, 1), (5, 1)]
     assert all(not ev.hits.is_empty() for ev in cert.evidence)
     assert verify_certificate(problem, cert)
     doc = json.dumps(certificate_to_dict(problem, cert), sort_keys=True)
     assert hashlib.sha256(doc.encode()).hexdigest() == (
-        "57ece8d88dd3024458b6ff98b7b49ace97aac225697de20797ca8b2b0166e08c"
+        "bd449601b3d94fd66503f84fe306a24a50ce975e742af1258569ca95c7292c53"
     )
 
 
@@ -343,7 +416,7 @@ def test_verify_rejects_every_plus_one_edit_of_the_evidence():
     # modular orbit pairs, so recomputing and comparing in verify_certificate
     # has to catch those edits.
     cases = [
-        _problem("z^2-1", 4, [0], day_steps=4, night_stages=3, height_bits=256),
+        _problem("z^2-3", 5, [-2, 0], day_steps=4, night_stages=3, height_bits=256),
         _problem("z^2-1", 3, [0]),
         _problem("z^2-1", 3, [63]),
         _problem("z^2-1", 0, [5]),
@@ -367,7 +440,7 @@ def test_verify_rejects_every_plus_one_edit_of_the_evidence():
                     continue
                 assert not verify_certificate(problem2, cert2), path
                 outcomes["verify fails"] += 1
-    assert [len(decide(p).evidence) for p in cases[:2]] == [2, 1]
+    assert [len(decide(p).evidence) for p in cases[:2]] == [3, 1]
     assert outcomes["decode error"] > 0 and outcomes["verify fails"] > 40, outcomes
 
 

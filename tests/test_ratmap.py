@@ -15,6 +15,7 @@ from orbitsieve.projective import (
     normalize,
     reduce_mod,
 )
+from orbitsieve import ratmap
 from orbitsieve.ratmap import (
     BadPrimeError,
     BinaryForm,
@@ -115,6 +116,63 @@ def test_parse_map_rejects_degenerate_input():
         parse_map("z^")
     with pytest.raises(ValueError):
         parse_map("w^2")
+
+
+def _reference_pmul(a, b):
+    """_pmul without its unit-factor shortcut."""
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ca in enumerate(a):
+        for j, cb in enumerate(b):
+            out[i + j] += ca * cb
+    return out
+
+
+def _random_map_text(rng):
+    """Map text in the styles parse_map meets: quotients of polynomials with
+    small coefficients, fractions, powers and juxtaposition."""
+
+    def poly(d):
+        terms = []
+        for i in range(d, -1, -1):
+            c = rng.randint(-3, 3)
+            if c:
+                mono = "" if i == 0 else ("z" if i == 1 else f"z^{i}")
+                body = str(abs(c)) + ("*" + mono if mono else "")
+                if mono and abs(c) == 1:
+                    body = mono
+                terms.append(("-" if c < 0 else "+") + body)
+        return "".join(terms).lstrip("+") or "1"
+
+    d = rng.randint(1, 3)
+    style = rng.randrange(4)
+    if style == 0:
+        return f"({poly(d)})/({poly(d)})"
+    if style == 1:
+        return f"{poly(d)}+{rng.randint(-5, 5)}/{rng.randint(1, 7)}"
+    if style == 2:
+        return f"({poly(1)})^{d}/({rng.randint(1, 4)}z)"
+    return f"{rng.randint(2, 5)}(z{rng.choice('+-')}{rng.randint(1, 4)})z^{d}-1"
+
+
+def test_parse_map_unit_factor_shortcut_changes_no_output(monkeypatch):
+    def parse_all(texts):
+        out = []
+        for text in texts:
+            try:
+                phi = parse_map(text)
+                out.append((phi.F, phi.G, phi.res))
+            except ValueError as exc:
+                out.append((type(exc), str(exc)))
+        return out
+
+    rng = random.Random(6400)
+    texts = [_random_map_text(rng) for _ in range(500)]
+    fast = parse_all(texts)
+    monkeypatch.setattr(ratmap, "_pmul", _reference_pmul)
+    assert parse_all(texts) == fast
+    assert sum(len(entry) == 3 for entry in fast) > 400
 
 
 def test_make_clears_joint_content_and_fixes_sign():
