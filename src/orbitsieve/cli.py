@@ -50,6 +50,13 @@ def _emit(doc: dict, fmt: str, table_lines: list[str]) -> None:
             print(line)
 
 
+def _report(args, doc: dict, table_lines: list[str]) -> None:
+    """_emit a report in the envelope that every command's JSON carries,
+    except decide's, whose document is the certificate itself."""
+    envelope = {"schema_version": "1", "command": args.command}
+    _emit({**envelope, **doc}, args.format, table_lines)
+
+
 def _parse_int_list(text: Optional[str]) -> list[int]:
     if not text:
         return []
@@ -78,8 +85,6 @@ def _cmd_orbit(args) -> int:
         m = parse_modulus(args.mod)
         orb = orbit_mod(phi, start, m)
         doc = {
-            "schema_version": "1",
-            "command": "orbit",
             "modulus": {"p": str(m.p), "k": str(m.k)},
             "tail": str(orb.tail),
             "cycle": str(orb.cycle),
@@ -87,12 +92,10 @@ def _cmd_orbit(args) -> int:
         }
         lines = [f"orbit of {format_point(start)} mod {m}: tail={orb.tail} cycle={orb.cycle}"]
         lines += [f"  n={n}: ({a} : {b})" for n, (a, b) in enumerate(orb.sequence)]
-        _emit(doc, args.format, lines)
+        _report(args, doc, lines)
         return 0
     summary = orbit_rational(phi, start, args.max_steps, args.height_bits)
     doc = {
-        "schema_version": "1",
-        "command": "orbit",
         "status": summary.status,
         "steps_done": str(summary.steps_done),
         "points": [[str(p.x1), str(p.x2)] for p in summary.points],
@@ -111,7 +114,7 @@ def _cmd_orbit(args) -> int:
             f"{summary.steps_done} steps"
         )
     lines += [f"  n={n}: {format_point(p)}" for n, p in enumerate(summary.points)]
-    _emit(doc, args.format, lines)
+    _report(args, doc, lines)
     return 0
 
 
@@ -119,8 +122,6 @@ def _cmd_badprimes(args) -> int:
     phi = parse_map(args.map)
     report = phi.bad_primes(args.trial_bound, args.factor_steps)
     doc = {
-        "schema_version": "1",
-        "command": "badprimes",
         "resultant": str(phi.res),
         "bad_primes": [str(p) for p in sorted(report.primes)],
         "complete": report.complete,
@@ -134,7 +135,7 @@ def _cmd_badprimes(args) -> int:
             f"{report.cofactor.bit_length()} bits; the list above may be "
             "incomplete"
         )
-    _emit(doc, args.format, lines)
+    _report(args, doc, lines)
     return 0
 
 
@@ -143,8 +144,6 @@ def _cmd_periodic(args) -> int:
     pts = sorted(rational_periodic_points(phi, args.period))
     form = dynatomic(phi, args.period)
     doc = {
-        "schema_version": "1",
-        "command": "periodic",
         "period": str(args.period),
         "dynatomic_coefficients": [str(c) for c in form.form.coefficients],
         "points": [[str(p.x1), str(p.x2)] for p in pts],
@@ -154,7 +153,7 @@ def _cmd_periodic(args) -> int:
         f"rational points of exact period {args.period}: {body}",
         f"dynatomic form degree: {form.degree}",
     ]
-    _emit(doc, args.format, lines)
+    _report(args, doc, lines)
     return 0
 
 
@@ -163,8 +162,6 @@ def _cmd_poltype(args) -> int:
     gamma = parse_point(args.point)
     k = is_polynomial_type(phi, gamma, args.k_max)
     doc = {
-        "schema_version": "1",
-        "command": "poltype",
         "gamma": [str(gamma.x1), str(gamma.x2)],
         "k": None if k is None else str(k),
     }
@@ -178,7 +175,7 @@ def _cmd_poltype(args) -> int:
             f"polynomial type at {format_point(gamma)}: totally ramified "
             f"fixed point of iterate k={k}"
         ]
-    _emit(doc, args.format, lines)
+    _report(args, doc, lines)
     return 0
 
 
@@ -192,8 +189,6 @@ def _cmd_zsigmondy(args) -> int:
         _parse_int_list(args.exclude_primes),
     )
     doc = {
-        "schema_version": "1",
-        "command": "zsigmondy",
         "rows": [
             {
                 "m": str(r.m),
@@ -214,7 +209,7 @@ def _cmd_zsigmondy(args) -> int:
         lines.append(f"{r.m:>3} | {r.term_bits:>4} | {support} | {prim}")
     for w in run.warnings:
         lines.append(f"warning: {w}")
-    _emit(doc, args.format, lines)
+    _report(args, doc, lines)
     return 0
 
 
@@ -282,13 +277,11 @@ def _cmd_verify(args) -> int:
     problem, cert = certificate_from_dict(json.loads(text))
     ok = verify_certificate(problem, cert)
     doc = {
-        "schema_version": "1",
-        "command": "verify",
         "kind": cert.kind,
         "verdict": ok,
     }
     lines = [f"certificate kind: {cert.kind}", f"verifies: {'yes' if ok else 'no'}"]
-    _emit(doc, args.format, lines)
+    _report(args, doc, lines)
     return 0 if ok else 1
 
 
@@ -302,8 +295,6 @@ def _cmd_newton(args) -> int:
         args.p_iters,
     )
     doc = {
-        "schema_version": "1",
-        "command": "newton",
         "map": {
             "f": [str(c) for c in phi.F.coefficients],
             "g": [str(c) for c in phi.G.coefficients],
@@ -331,7 +322,7 @@ def _cmd_newton(args) -> int:
         else:
             vals = ",".join(str(v) for v in r.detail["valuations"])
             lines.append(f"p={r.place}: {r.verdict} (valuations {vals})")
-    _emit(doc, args.format, lines)
+    _report(args, doc, lines)
     return 0
 
 
@@ -354,8 +345,6 @@ def _jsonable_detail(detail: dict) -> dict:
 def _cmd_demo_degree_one(args) -> int:
     rows = degree_one_demo(args.max_prime, args.max_depth)
     doc = {
-        "schema_version": "1",
-        "command": "demo-degree-one",
         "rows": [
             {"p": str(r.p), "k": str(r.k), "minimal_n": str(r.minimal_n)}
             for r in rows
@@ -371,7 +360,7 @@ def _cmd_demo_degree_one(args) -> int:
     ]
     for r in rows:
         lines.append(f"{r.p:>3} | {r.k} | {r.minimal_n}")
-    _emit(doc, args.format, lines)
+    _report(args, doc, lines)
     return 0
 
 

@@ -269,8 +269,12 @@ def decide(problem: DecisionProblem, jobs: int = 1) -> Certificate:
     """Run the exact walk, then the night stages, under the problem's budgets.
 
     First the exact orbit is walked once, up to `day_steps` evaluations or
-    the height budget. Reaching a target gives a witness, and closing into a
-    finite orbit that misses the targets gives an "empty" certificate.
+    the height budget, with the targets as orbit_rational's stop set. Every
+    point of the walk is tested alike, the start included: reaching a target
+    at index n, 0 when the start is a target, gives a witness with
+    day_status "running" (the walk was cut there, and the orbit did not
+    close), and closing into a finite orbit that misses the targets gives
+    an "empty" certificate.
     Otherwise the night stages run in order, one modulus at a time, the
     cheapest moduli first (night_schedule): many primes at k = 1 before any
     deep power, because breadth over primes is what settles problems, and
@@ -279,7 +283,9 @@ def decide(problem: DecisionProblem, jobs: int = 1) -> Certificate:
     emitted as a singleton certificate. Of a modulus with a nonempty hit set
     only the modulus and the hit set are kept, not its orbit, so at most
     one orbit is held at a time. Only after the last stage is
-    their combined intersection attempted (then greedily minimized); this
+    their combined intersection attempted (a hit set whose cycle would push
+    the fold past `cycle_lcm_cap` is skipped), and the family that empties
+    it is minimized in one pass (_minimize_family); this
     keeps single-modulus certificates, the strongest and cheapest to
     verify, in front. The orbits of the family that empties the
     intersection are walked again at the end, by the same deterministic
@@ -299,13 +305,6 @@ def decide(problem: DecisionProblem, jobs: int = 1) -> Certificate:
             "degree-one map: modular hit sets can stay nonempty at every "
             "modulus even for orbits that miss the targets, so only a "
             "witness or a closed orbit can settle this problem"
-        )
-    if problem.start in targets:
-        return Certificate(
-            "witness",
-            witness_index=0,
-            day_status="closed",
-            warnings=tuple(warnings),
         )
     walk = orbit_rational(
         phi, problem.start, budgets.day_steps, budgets.height_bits, stop_at=targets
@@ -354,42 +353,64 @@ def decide(problem: DecisionProblem, jobs: int = 1) -> Certificate:
     used: list[tuple[PrimePowerModulus, HitSet]] = []
     for m, hits in collected:
         try:
-            cand = (
-                hits
-                if folded is None
-                else _intersect_pair(folded, hits, budgets.cycle_lcm_cap)
-            )
+            folded = _meet(folded, hits, budgets.cycle_lcm_cap)
         except CycleBlowupError:
             skips.append((m.p, m.k, "cycle lcm past the cap"))
             continue
-        folded = cand
         used.append((m, hits))
         if folded.is_empty():
-            break
-    if folded is not None and folded.is_empty():
-        family = _minimize_family(used, budgets.cycle_lcm_cap)
-        evidence = tuple(
-            ModulusEvidence(orbit_mod(phi, problem.start, m), hits) for m, hits in family
-        )
-        return finish("empty", evidence=evidence)
+            family = _minimize_family(used, budgets.cycle_lcm_cap)
+            evidence = tuple(
+                ModulusEvidence(orbit_mod(phi, problem.start, m), hits)
+                for m, hits in family
+            )
+            return finish("empty", evidence=evidence)
     return finish("exhausted")
+
+
+def _meet(a: Optional[HitSet], b: Optional[HitSet], cap: int) -> Optional[HitSet]:
+    """The intersection of two hit sets, where None means no constraint."""
+    if a is None:
+        return b
+    if b is None:
+        return a
+    return _intersect_pair(a, b, cap)
 
 
 def _minimize_family(
     family: Sequence[tuple[PrimePowerModulus, HitSet]], cap: int
 ) -> list[tuple[PrimePowerModulus, HitSet]]:
-    """Greedily drop moduli whose removal keeps the intersection empty."""
-    current = list(family)
-    for entry in list(current):
-        if len(current) == 1:
-            break
-        rest = [e for e in current if e is not entry]
-        try:
-            if intersect_hit_sets([hits for _, hits in rest], cap).is_empty():
-                current = rest
-        except CycleBlowupError:
+    """Greedily drop moduli whose removal keeps the intersection empty.
+
+    Members are tried in order; member i is dropped exactly when the members
+    kept so far (their intersection is acc) and those after it (after[i + 1],
+    the intersection of family[i + 1:]) meet in the empty set. Hit-set
+    intersection is exact and does not depend on order, so this keeps the
+    family that folding the rest anew for each member keeps, at a few pair
+    intersections per member instead of a fold of the whole family.
+
+    For a family from decide's fold, which ended empty within `cap`, two
+    cases cannot arise:
+    - no intersection here passes `cap`: the cycle length of a subset's
+      intersection is the lcm of the subset's cycle lengths, which divides
+      that of the whole family, the cycle length of the fold;
+    - no family shrinks to one member: decide returns on an empty hit set
+      before it folds, so every member is nonempty, and an empty
+      intersection needs at least two of them.
+    """
+    after: list[Optional[HitSet]] = [None]
+    for _, hits in reversed(family):
+        after.append(_meet(hits, after[-1], cap))
+    after.reverse()
+    kept: list[tuple[PrimePowerModulus, HitSet]] = []
+    acc: Optional[HitSet] = None
+    for i, (m, hits) in enumerate(family):
+        rest = _meet(acc, after[i + 1], cap)
+        if rest is not None and rest.is_empty():
             continue
-    return current
+        kept.append((m, hits))
+        acc = _meet(acc, hits, cap)
+    return kept
 
 
 def verify_certificate(problem: DecisionProblem, cert: Certificate) -> bool:
@@ -477,19 +498,35 @@ def problem_to_dict(problem: DecisionProblem) -> dict:
 
 
 def problem_from_dict(doc: dict) -> DecisionProblem:
+    """Decode the problem block that problem_to_dict wrote, and nothing else.
+
+    ValueError unless the stored map is already in the normal form of
+    RationalMap.make, with its own degree and resultant, the targets are
+    sorted without repeats, and the excluded primes are strictly increasing.
+    Without these checks a certificate whose map is stored times 2, or with
+    a wrong resultant, would decode to the normalized map and verify. The
+    parsed values are compared, not re-encoded. Budget keys outside Budgets
+    (the two of schema version 1) are ignored.
+    """
     m = doc["map"]
-    phi = RationalMap.make(
-        [int(c) for c in m["f"]], [int(c) for c in m["g"]]
-    )
+    fc = [int(c) for c in m["f"]]
+    gc = [int(c) for c in m["g"]]
+    phi = RationalMap.make(fc, gc)
+    stored = (tuple(fc), tuple(gc), int(m["degree"]), int(m["resultant"]))
+    if stored != (phi.F.coefficients, phi.G.coefficients, phi.degree, phi.res):
+        raise ValueError("the map is not stored as RationalMap.make gives it")
     b = doc["budgets"]
     budgets = Budgets(**{f.name: int(b[f.name]) for f in fields(Budgets)})
-    return DecisionProblem.make(
-        phi,
-        _unpt(doc["start"]),
-        [_unpt(t) for t in doc["targets"]],
-        [int(q) for q in doc["excluded_primes"]],
-        budgets,
+    targets = [_unpt(t) for t in doc["targets"]]
+    excluded = [int(q) for q in doc["excluded_primes"]]
+    problem = DecisionProblem.make(
+        phi, _unpt(doc["start"]), targets, excluded, budgets
     )
+    if tuple(targets) != problem.targets:
+        raise ValueError("the targets are not sorted and distinct")
+    if excluded != sorted(problem.excluded_primes):
+        raise ValueError("the excluded primes are not sorted and distinct")
+    return problem
 
 
 def _orbit_summary_to_dict(o: OrbitSummary) -> dict:
@@ -500,11 +537,11 @@ def _orbit_summary_to_dict(o: OrbitSummary) -> dict:
     }
 
 
-def _orbit_summary_from_dict(doc: dict, start: ProjectivePoint) -> OrbitSummary:
+def _orbit_summary_from_dict(doc: dict) -> OrbitSummary:
     pts = tuple(_unpt(v) for v in doc["points"])
     tail = int(doc["tail"])
     cycle = int(doc["cycle"])
-    return OrbitSummary(start, pts, "preperiodic", tail, cycle, len(pts) - 1)
+    return OrbitSummary(pts, "preperiodic", tail, cycle, len(pts) - 1)
 
 
 def _evidence_to_dict(ev: ModulusEvidence) -> dict:
@@ -612,9 +649,7 @@ def _certificate_from_dict(doc: dict) -> tuple[DecisionProblem, Certificate]:
         if "finite_orbit" in doc:
             cert = Certificate(
                 "empty",
-                finite_orbit=_orbit_summary_from_dict(
-                    doc["finite_orbit"], problem.start
-                ),
+                finite_orbit=_orbit_summary_from_dict(doc["finite_orbit"]),
                 **base,
             )
         else:

@@ -36,7 +36,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class OrbitSummary:
-    """Prefix of a rational forward orbit.
+    """Prefix of a rational forward orbit; points[0] is the start.
 
     status is "preperiodic" (a repeat was found: points has length
     tail + cycle + 1 and points[tail + cycle] == points[tail]) or
@@ -44,7 +44,6 @@ class OrbitSummary:
     a stop point or proven escape; steps_done evaluations were performed).
     """
 
-    start: ProjectivePoint
     points: tuple[ProjectivePoint, ...]
     status: str
     tail: Optional[int] = None
@@ -77,46 +76,45 @@ def orbit_rational(
     """Iterate until the orbit closes or a budget is hit. Never raises
     on budget exhaustion; that outcome is the "truncated" status.
 
-    The walk also ends, "truncated", at the first iterate after the start
-    that lies in `stop_at` (normalized points); it is the last point kept.
-
-    With `escape_from` set, the walk also ends, "truncated", at the first
-    iterate of index >= escape_from for which phi.proves_escape holds; it is
-    the last point kept. Such an orbit can never close, so the status is the
-    one a longer walk would report, from fewer steps. decide,
-    verify_certificate and the CLI `orbit` command do not pass it yet: their
-    outputs record the steps walked, so stopping them at escape waits for
-    certificate schema v3 (the height-escape item of ROADMAP.md).
+    Every point of the walk, phi^0(start) included, goes through the same
+    tests in the same order; the first that applies ends the walk, and the
+    point is the last one kept:
+    - it lies in `stop_at` (normalized points): "truncated". A start in
+      `stop_at` ends the walk at index 0 with steps_done 0. Only decide
+      passes `stop_at`, with the targets, so that a walk that meets them
+      ends with the witness;
+    - it repeats an earlier point: "preperiodic";
+    - `escape_from` is set, its index is >= escape_from and
+      phi.proves_escape holds for it: "truncated". Such an orbit can never
+      close, so the status is the one a longer walk would report, from fewer
+      steps. decide, verify_certificate and the CLI `orbit` command do not
+      pass it yet: their outputs record the steps walked, so stopping them
+      at escape waits for certificate schema v3 (the height-escape item of
+      ROADMAP.md).
     """
-    walk = orbit_points(phi, start, height_bits)
-    pt = next(walk)
-    points = [pt]
-    seen = {pt: 0}
-    if escape_from == 0 and phi.proves_escape(pt):
-        return OrbitSummary(pt, (pt,), "truncated")
+    points: list[ProjectivePoint] = []
+    seen: dict[ProjectivePoint, int] = {}
     try:
-        for nxt in islice(walk, max_steps):
-            if nxt in stop_at:
-                points.append(nxt)
+        for pt in islice(orbit_points(phi, start, height_bits), max_steps + 1):
+            if pt in stop_at:
+                points.append(pt)
                 break
-            if nxt in seen:
-                tail = seen[nxt]
-                cycle = len(points) - tail
-                points.append(nxt)
-                return OrbitSummary(
-                    pt, tuple(points), "preperiodic", tail, cycle, len(points) - 1
-                )
-            seen[nxt] = len(points)
-            points.append(nxt)
+            if pt in seen:
+                tail = seen[pt]
+                points.append(pt)
+                n = len(points) - 1
+                return OrbitSummary(tuple(points), "preperiodic", tail, n - tail, n)
+            seen[pt] = len(points)
+            points.append(pt)
             if (
                 escape_from is not None
                 and len(points) > escape_from
-                and phi.proves_escape(nxt)
+                and phi.proves_escape(pt)
             ):
                 break
     except HeightBudgetError:
         pass
-    return OrbitSummary(pt, tuple(points), "truncated", steps_done=len(points) - 1)
+    return OrbitSummary(tuple(points), "truncated", steps_done=len(points) - 1)
 
 
 @dataclass(frozen=True)

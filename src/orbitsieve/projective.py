@@ -230,9 +230,7 @@ def canonical_residue(a: int, b: int, m: PrimePowerModulus) -> tuple[int, int]:
     both a and b.
     """
     n = m.modulus
-    code = _residue_code(a, b, m.p, n)
-    # _residue_pair inlined: hit_set reduces every target through here
-    return (code, 1) if code < n else (1, code - n)
+    return _residue_pair(_residue_code(a, b, m.p, n), n)
 
 
 def _residue_code(a: int, b: int, p: int, n: int) -> int:

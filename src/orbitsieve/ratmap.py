@@ -16,6 +16,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from itertools import islice
 from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 from .numtheory import (
@@ -1015,7 +1016,6 @@ def is_polynomial_type(
     phi: RationalMap,
     gamma: PointLike,
     k_max: int = 2,
-    max_degree: int = DEFAULT_COMPOSE_DEGREE,
 ) -> Optional[int]:
     """Smallest k <= k_max making gamma a totally ramified fixed point of phi^k.
 
@@ -1031,7 +1031,7 @@ def is_polynomial_type(
     for k in range(1, k_max + 1):
         if next(walk) != pt:
             continue
-        fk, gk = phi.iterate_forms(k, max_degree)
+        fk, gk = phi.iterate_forms(k)
         fiber = [
             pt.x2 * fk.coefficients[i] - pt.x1 * gk.coefficients[i]
             for i in range(len(fk.coefficients))
@@ -1138,9 +1138,7 @@ def dynatomic(
 # rational points of exact period n
 
 
-def rational_periodic_points(
-    phi: RationalMap, n: int, max_degree: int = DEFAULT_COMPOSE_DEGREE
-) -> set[ProjectivePoint]:
+def rational_periodic_points(phi: RationalMap, n: int) -> set[ProjectivePoint]:
     """All points of P^1(Q) with exact period n under phi.
 
     Candidate roots of the period-n dynatomic form are found by rational root
@@ -1148,9 +1146,11 @@ def rational_periodic_points(
     when the corresponding coefficients vanish); every candidate is then
     verified by direct iteration to have exact period n, which quietly drops
     the extraneous roots the Moebius product can pick up at multiplier-one
-    cycles.
+    cycles. The check walks orbit_points under the default height budget
+    (HeightBudgetError as there); the dynatomic form is composed under
+    dynatomic's default degree limit.
     """
-    form = dynatomic(phi, n, max_degree).form
+    form = dynatomic(phi, n).form
     v = list(form.coefficients)
     deg = form.degree
     candidates: set[ProjectivePoint] = set()
@@ -1172,13 +1172,7 @@ def rational_periodic_points(
                         candidates.add(normalize((signed, s)))
     verified: set[ProjectivePoint] = set()
     for pt in candidates:
-        cur = pt
-        period = None
-        for j in range(1, n + 1):
-            cur = phi.evaluate(cur)
-            if cur == pt:
-                period = j
-                break
-        if period == n:
+        orbit = list(islice(orbit_points(phi, pt), n + 1))
+        if orbit[n] == pt and pt not in orbit[1:n]:
             verified.add(pt)
     return verified

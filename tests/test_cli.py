@@ -186,6 +186,9 @@ PINNED_JSON_SHA256 = {
     # a rational map whose beta and gamma scans both end at escape
     "zsigmondy --map (z^2+1)/(2z) --beta 3 --gamma 2 --mmax 4":
         "4796dd05b3e9efedd0f93c548d88e29cf8fa62605effdc5c9ed8488d02a25f6b",
+    # the start is a target: a witness at index 0, day_status "running"
+    "decide --map z^2-1 --point 0 --targets 0,7":
+        "959b6430c5d1ab414365f00abcfff7b2dd4aa0382d2709832ed765694ab13fe5",
 }
 
 

@@ -16,6 +16,7 @@ from orbitsieve.localglobal import (
     Budgets,
     CycleBlowupError,
     DecisionProblem,
+    _minimize_family,
     certificate_from_dict,
     certificate_to_dict,
     decide,
@@ -92,6 +93,66 @@ def test_intersect_matches_direct_scan_on_random_inputs():
 def test_intersect_cycle_cap():
     with pytest.raises(CycleBlowupError):
         intersect_hit_sets([_hs(0, (), 4, (0,)), _hs(0, (), 6, (0,))], cycle_lcm_cap=10)
+
+
+def _quadratic_minimize(family, cap):
+    """The former _minimize_family: fold the rest anew for every member."""
+    current = list(family)
+    for entry in list(current):
+        if len(current) == 1:
+            break
+        rest = [e for e in current if e is not entry]
+        try:
+            if intersect_hit_sets([hits for _, hits in rest], cap).is_empty():
+                current = rest
+        except CycleBlowupError:
+            continue
+    return current
+
+
+def _random_nonempty_hit_set(rng):
+    while True:
+        t = rng.randrange(0, 4)
+        c = rng.randrange(1, 9)
+        hs = _hs(
+            t,
+            [n for n in range(t) if rng.random() < 0.5],
+            c,
+            [r for r in range(c) if rng.random() < 0.5],
+        )
+        if not hs.is_empty():
+            return hs
+
+
+def test_minimize_family_matches_the_quadratic_greedy_loop():
+    # families as decide's fold builds them: nonempty hit sets folded in
+    # order, a member that would push the cycle lcm past the cap skipped,
+    # until the fold is empty
+    rng = random.Random(4711)
+    seen = {"skipped": 0, "dropped": 0, "kept 3+": 0}
+    families = 0
+    while families < 300:
+        cap = rng.choice((12, 60, 10 ** 7))
+        used, folded = [], ALL_INDICES
+        for i in range(rng.randrange(2, 9)):
+            hits = _random_nonempty_hit_set(rng)
+            try:
+                folded = intersect_hit_sets([folded, hits], cap)
+            except CycleBlowupError:
+                seen["skipped"] += 1
+                continue
+            used.append((PrimePowerModulus(2, i + 1), hits))
+            if folded.is_empty():
+                break
+        if not folded.is_empty():
+            continue
+        families += 1
+        got = _minimize_family(used, cap)
+        assert got == _quadratic_minimize(used, cap), used
+        assert intersect_hit_sets([hits for _, hits in got], cap).is_empty()
+        seen["dropped"] += len(got) < len(used)
+        seen["kept 3+"] += len(got) >= 3
+    assert all(seen.values()), seen
 
 
 def _cost(p, k):
@@ -226,11 +287,18 @@ def test_decide_empty_by_finite_orbit():
 
 
 def test_decide_witness_at_index_zero():
+    # the start is a target: the exact walk stops at index 0 like at any
+    # later index, and the orbit did not close, so the day side reads
+    # "running"
     problem = _problem("z^2-1", 0, [0, 7])
     cert = decide(problem)
     assert cert.kind == "witness"
     assert cert.witness_index == 0
+    assert (cert.day_status, cert.day_steps_done) == ("running", 0)
+    assert (cert.night_stages_done, cert.examined) == (0, ())
     assert verify_certificate(problem, cert)
+    problem2, cert2 = certificate_from_dict(certificate_to_dict(problem, cert))
+    assert verify_certificate(problem2, cert2)
 
 
 def test_decide_walks_the_whole_exact_orbit_before_the_night():
@@ -442,6 +510,48 @@ def test_verify_rejects_every_plus_one_edit_of_the_evidence():
                 outcomes["verify fails"] += 1
     assert [len(decide(p).evidence) for p in cases[:2]] == [3, 1]
     assert outcomes["decode error"] > 0 and outcomes["verify fails"] > 40, outcomes
+
+
+def test_problem_block_must_be_stored_in_normal_form():
+    # a map stored times 2 or times -1, a wrong degree or resultant, and
+    # targets or excluded primes out of order or repeated each describe the
+    # problem in a form that problem_to_dict never writes
+    problem = _problem("z^2-1", 3, [0, 5], excluded=(7, 11))
+    doc = certificate_to_dict(problem, decide(problem))
+    assert certificate_from_dict(json.loads(json.dumps(doc)))[0] == problem
+
+    def scaled(k):
+        def edit(block):
+            for key in ("f", "g"):
+                block["map"][key] = [str(k * int(c)) for c in block["map"][key]]
+        return edit
+
+    def plus_one(key):
+        def edit(block):
+            block["map"][key] = str(int(block["map"][key]) + 1)
+        return edit
+
+    def reordered(key):
+        def edit(block):
+            block[key].reverse()
+        return edit
+
+    def repeated(key):
+        def edit(block):
+            block[key].append(block[key][0])
+        return edit
+
+    edits = [
+        scaled(2), scaled(-1), plus_one("resultant"), plus_one("degree"),
+        reordered("targets"), repeated("targets"),
+        reordered("excluded_primes"), repeated("excluded_primes"),
+    ]
+    for edit in edits:
+        bad = json.loads(json.dumps(doc))
+        edit(bad["problem"])
+        assert bad["problem"] != doc["problem"]
+        with pytest.raises(ValueError):
+            certificate_from_dict(bad)
 
 
 def test_verify_rejects_finite_orbit_cert_for_other_targets():

@@ -115,16 +115,19 @@ def test_orbit_walks_match_a_brute_force_loop():
         ref = _brute_orbit(phi, x, 24, bits)
         summary = orbit_rational(phi, x, 24, bits)
         assert summary.points == tuple(ref[: len(summary.points)])
-        # a stop set drawn from the orbit (the start included) and off it
+        # a stop set drawn from the orbit and off it; the start is tested
+        # like every later point, so it joins the set on some draws only
         stop = {pt for pt in ref if stop_rng.random() < 0.1}
-        stop |= {normalize(stop_rng.randint(-9, 9)), ref[0]}
+        stop.add(normalize(stop_rng.randint(-9, 9)))
+        if stop_rng.random() < 0.25:
+            stop.add(ref[0])
         stopped = orbit_rational(phi, x, 24, bits, stop_at=stop)
         end = len(summary.points) - 1
-        hit = next((n for n in range(1, end + 1) if ref[n] in stop), None)
+        hit = next((n for n in range(end + 1) if ref[n] in stop), None)
         if hit is None:
             assert stopped == summary
         else:
-            outcomes.add("stop")
+            outcomes.add("stop at 0" if hit == 0 else "stop later")
             assert stopped.status == "truncated"
             assert stopped.steps_done == hit
             assert stopped.points == tuple(ref[: hit + 1])
@@ -165,7 +168,9 @@ def test_orbit_walks_match_a_brute_force_loop():
                 with pytest.raises(HeightBudgetError) as info:
                     iterate_point(phi, x, len(edge_ref), edge)
                 assert info.value.last_index == len(edge_ref) - 1
-    assert outcomes == {"preperiodic", "height", "steps", "stop", "escape"}
+    assert outcomes == {
+        "preperiodic", "height", "steps", "stop at 0", "stop later", "escape"
+    }
 
 
 def test_orbit_mod_known_values():
