@@ -22,7 +22,15 @@ from itertools import islice
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .numtheory import crt_pair, good_primes, prime_set
-from .orbit import HitSet, ModOrbit, OrbitSummary, hit_set, orbit_mod, orbit_rational
+from .orbit import (
+    HitSet,
+    ModOrbit,
+    OrbitSummary,
+    _height,
+    hit_set,
+    orbit_mod,
+    orbit_rational,
+)
 from .projective import (
     PointLike,
     PrimePowerModulus,
@@ -274,7 +282,12 @@ def decide(problem: DecisionProblem, jobs: int = 1) -> Certificate:
     at index n, 0 when the start is a target, gives a witness with
     day_status "running" (the walk was cut there, and the orbit did not
     close), and closing into a finite orbit that misses the targets gives
-    an "empty" certificate.
+    an "empty" certificate. The walk also stops, with day_status "escaped",
+    at the first iterate that is neither, that phi.proves_escape, and that
+    is at least as high as every target (orbit_rational's escape_from=0):
+    heights rise strictly from there, so no later iterate is a target or
+    closes the orbit, and the longer walk could only have ended at the step
+    or height budget ("budget", "height") before the same night stages.
     Otherwise the night stages run in order, one modulus at a time, the
     cheapest moduli first (night_schedule): many primes at k = 1 before any
     deep power, because breadth over primes is what settles problems, and
@@ -307,15 +320,25 @@ def decide(problem: DecisionProblem, jobs: int = 1) -> Certificate:
             "witness or a closed orbit can settle this problem"
         )
     walk = orbit_rational(
-        phi, problem.start, budgets.day_steps, budgets.height_bits, stop_at=targets
+        phi,
+        problem.start,
+        budgets.day_steps,
+        budgets.height_bits,
+        stop_at=targets,
+        escape_from=0,
     )
     skips: list[tuple[int, int, str]] = []
     examined: list[tuple[int, int, bool]] = []
     stages_done = 0
+    last = walk.points[-1]
     if walk.is_preperiodic:
         day_status = "closed"
-    elif walk.points[-1] in targets:
+    elif last in targets:
         day_status = "running"
+    elif phi.proves_escape(last) and all(
+        _height(last) >= _height(t) for t in targets
+    ):
+        day_status = "escaped"
     elif walk.steps_done == budgets.day_steps:
         day_status = "budget"
     else:

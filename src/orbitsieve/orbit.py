@@ -65,6 +65,11 @@ class OrbitSummary:
         return self.points[: self.tail + self.cycle]
 
 
+def _height(pt: ProjectivePoint) -> int:
+    """H(pt) = max(|x1|, |x2|) of a normalized point."""
+    return max(abs(pt.x1), abs(pt.x2))
+
+
 def orbit_rational(
     phi: RationalMap,
     start: PointLike,
@@ -84,16 +89,18 @@ def orbit_rational(
       passes `stop_at`, with the targets, so that a walk that meets them
       ends with the witness;
     - it repeats an earlier point: "preperiodic";
-    - `escape_from` is set, its index is >= escape_from and
-      phi.proves_escape holds for it: "truncated". Such an orbit can never
-      close, so the status is the one a longer walk would report, from fewer
-      steps. decide, verify_certificate and the CLI `orbit` command do not
-      pass it yet: their outputs record the steps walked, so stopping them
-      at escape waits for certificate schema v3 (the height-escape item of
-      ROADMAP.md).
+    - `escape_from` is set, its index is >= escape_from, phi.proves_escape
+      holds for it, and its height is at least that of every point of
+      `stop_at`: "truncated". Heights rise strictly from such a point on, so
+      no later iterate closes the orbit or lies in `stop_at`, and the status
+      is the one a longer walk would report, from fewer steps. With an empty
+      `stop_at` the height condition always holds. decide passes
+      escape_from=0 with its targets; verify_certificate and the CLI `orbit`
+      command do not pass it, because their outputs record the steps walked.
     """
     points: list[ProjectivePoint] = []
     seen: dict[ProjectivePoint, int] = {}
+    top = max(map(_height, stop_at), default=0)
     try:
         for pt in islice(orbit_points(phi, start, height_bits), max_steps + 1):
             if pt in stop_at:
@@ -110,6 +117,7 @@ def orbit_rational(
                 escape_from is not None
                 and len(points) > escape_from
                 and phi.proves_escape(pt)
+                and _height(pt) >= top
             ):
                 break
     except HeightBudgetError:

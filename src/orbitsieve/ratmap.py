@@ -886,13 +886,12 @@ def _real_report(
     verdict = "undecided"
     residual = None
     note = None
-    # iters Newton steps and iters + 1 residuals; an overflow at the last
-    # iterate keeps the residual before it and adds no note
+    # iters Newton steps and iters + 1 residuals; an overflow of f keeps the
+    # residual before it, at the last iterate too
     for j in range(iters + 1):
         fx = _horner(coeffs, x, 1.0)
         if not math.isfinite(fx):
-            if j < iters:
-                note = "iterates overflowed double precision"
+            note = "iterates overflowed double precision"
             break
         residual = abs(fx)
         if residual < 1e-12:

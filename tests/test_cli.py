@@ -141,7 +141,7 @@ def test_decide_json_output_is_byte_identical(capsys):
 # alone; only a deliberate schema change may update a digest.
 PINNED_JSON_SHA256 = {
     "decide --map z^2-1 --point 3 --targets 0":
-        "a0b900a78323937b189bcb6b32f501dd18ed077d8e992852e4c8f459cb3e2aaf",
+        "36ea4243336eb8d19402e804762f45da64e16edb8b9391f1a1337f8fce6e7c3b",
     "decide --map z^2-1 --point 3 --targets 63":
         "717c0db72c355d7060e0b9ce3f1b748b16b592cb9e47007f953188380aaeb90c",
     "decide --map z^2-1 --point 0 --targets 5":
@@ -152,10 +152,10 @@ PINNED_JSON_SHA256 = {
         "482add6e956b760d7175fb42cf4fd5fe1061b3218dbe1f65955a64e561aab7a5",
     # settled by 11 alone, the fifth modulus examined
     "decide --map z^2-1 --point 4 --targets 0 --day-steps 4 --night-stages 3 --height-bits 256":
-        "77e145f2e4a2dce2a13527ae31a5032ed009aaf060ebe13bce57a5fdcd716a4a",
+        "0505715b8630d25dc748a8e9feb0866a277089cd22b52081b629b5f559fb6164",
     # a two-modulus family, {3, 5}
     "decide --map z^2-1 --point 5 --targets 0,3 --day-steps 4 --night-stages 3 --height-bits 256":
-        "873389232fb87c4ac00a4e6fbb0b1871f133fbe8c06278ee209864d636030102",
+        "2d65b127d51668c44fdd0a23313509c6b1c790555e3a391f28211327ec559a83",
     "orbit --map z^2-1 --point 3 --mod 7":
         "505252aa001626dac0802ac0ccbafa6f4345106fcc8062b0ab8230fb9d3f601f",
     # the real report's floats
@@ -167,7 +167,7 @@ PINNED_JSON_SHA256 = {
         "df447bf9bd700f765387dc6946c968af4c2e96e80dc6926b5f550c52f1680820",
     # a rational map: a bad-prime skip, an excluded-prime skip, two moduli
     "decide --map (z^2+1)/(2z) --point 2 --targets -1 --exclude-primes 5 --day-steps 5 --night-stages 2":
-        "62fac66b2d6fbdd36b28fa8c4de51760a6f5d307f1bb8f7cf2c3900962f23246",
+        "320614ccf7c7831a69682231427517e522908fe30d82ad680d6479d8a782ee12",
     "zsigmondy --map z^2-1 --beta 3 --gamma 0 --mmax 5":
         "4fdd33d3f044c33085333a567facd516d8a6728f34b2f06ac9598608636cf6eb",
     # exact steps whose image coordinates share a factor of the resultant:

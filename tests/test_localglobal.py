@@ -29,9 +29,9 @@ from orbitsieve.localglobal import (
     verify_certificate,
 )
 from orbitsieve.numtheory import factorial_valuation
-from orbitsieve.orbit import HitSet, hit_set, orbit_mod
+from orbitsieve.orbit import HitSet, hit_set, orbit_mod, orbit_rational
 from orbitsieve.projective import INFINITY, PrimePowerModulus, normalize
-from orbitsieve.ratmap import parse_map
+from orbitsieve.ratmap import DegenerateMapError, RationalMap, parse_map
 
 
 def _hs(threshold, exceptional, cycle, residues):
@@ -318,6 +318,62 @@ def test_decide_walks_the_whole_exact_orbit_before_the_night():
     assert (cert.night_stages_done, cert.examined) == (0, ())
 
 
+def test_decide_walk_stops_at_escape_above_every_target():
+    # under z^2 (L = 5) 256 is the first iterate of 2 that proves escape
+    phi = parse_map("z^2")
+    assert phi.height_loss_bits == 5
+    assert [phi.proves_escape(normalize(2 ** 2 ** n)) for n in range(5)] == [
+        False, False, False, True, True
+    ]
+    cert = decide(_problem("z^2", 2, [0]))
+    assert (cert.day_status, cert.day_steps_done) == ("escaped", 3)
+    # 256 is lower than these targets, so the walk goes on and meets them
+    for target, index in ((65536, 4), (2 ** 32, 5)):
+        problem = _problem("z^2", 2, [target, 3])
+        cert = decide(problem)
+        assert (cert.kind, cert.witness_index) == ("witness", index)
+        assert (cert.day_status, cert.day_steps_done) == ("running", index)
+        assert verify_certificate(problem, cert)
+
+
+def test_decide_escapes_only_where_the_plain_walk_settles_nothing():
+    # random degree-2 and degree-3 problems in the ranges of the benchmark's
+    # survey: wherever decide's walk stops at escape, the walk without that
+    # stop, to the same budgets, neither meets a target nor closes
+    rng = random.Random(1993)
+    statuses = set()
+    for _ in range(200):
+        while True:
+            d = rng.choice((2, 3))
+            try:
+                phi = RationalMap.make(
+                    [rng.randint(-3, 3) for _ in range(d + 1)],
+                    [rng.randint(-3, 3) for _ in range(d + 1)],
+                )
+            except DegenerateMapError:
+                continue
+            if phi.degree >= 2:
+                break
+        start = Fraction(rng.randint(-5, 5), rng.randint(1, 3))
+        targets = [
+            Fraction(rng.randint(-20, 20), rng.randint(1, 5))
+            for _ in range(rng.randint(1, 12))
+        ]
+        budgets = Budgets(height_bits=4096, night_stages=1)
+        problem = DecisionProblem.make(phi, start, targets, (), budgets)
+        cert = decide(problem)
+        statuses.add(cert.day_status)
+        if cert.day_status != "escaped":
+            continue
+        plain = orbit_rational(
+            phi, start, budgets.day_steps, budgets.height_bits,
+            stop_at=frozenset(problem.targets),
+        )
+        assert not plain.is_preperiodic
+        assert plain.points[-1] not in problem.targets
+    assert statuses == {"escaped", "closed", "running"}
+
+
 def test_decide_records_skipped_primes_of_the_stages_run_only():
     # 2 is bad for the Newton map of z^2 - 1 and 5 is excluded; one stage
     # needs only p_1 = 3, so 5 is not passed over until stage 2
@@ -403,10 +459,12 @@ def test_decide_rebuilds_a_multi_modulus_family_unchanged():
     assert len(cert.examined) == 6
     assert [(ev.modulus.p, ev.modulus.k) for ev in cert.evidence] == [(3, 1), (5, 1)]
     assert all(not ev.hits.is_empty() for ev in cert.evidence)
+    # 5, 24, 575: 575 proves escape above both targets
+    assert (cert.day_status, cert.day_steps_done) == ("escaped", 2)
     assert verify_certificate(problem, cert)
     doc = json.dumps(certificate_to_dict(problem, cert), sort_keys=True)
     assert hashlib.sha256(doc.encode()).hexdigest() == (
-        "bd449601b3d94fd66503f84fe306a24a50ce975e742af1258569ca95c7292c53"
+        "5f55d56b7703d5ff09bcd3c4dc19ea00f198eced63f82aa1014fd77077068f68"
     )
 
 

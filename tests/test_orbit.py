@@ -56,8 +56,18 @@ def test_orbit_rational_stops_at_proven_escape():
     start = orbit_rational(phi, 2 ** 40, 10, escape_from=0)
     assert start.points == (normalize(2 ** 40),)
     assert (start.status, start.steps_done) == ("truncated", 0)
+    # an empty stop set never blocks the stop at escape
+    assert orbit_rational(phi, 2, 10, stop_at=(), escape_from=0) == walk
     # a closed orbit is never cut short
     assert orbit_rational(phi, INFINITY, 10, escape_from=0).is_preperiodic
+    # with stop points, escape ends the walk only at an iterate as high as
+    # each of them: 256 proves escape but is lower than 300, 65536 and 2^32
+    for stop, end in (([0, 100], 256), ([300], 65536), ([65536], 65536),
+                      ([2 ** 32, 3], 2 ** 32)):
+        got = orbit_rational(
+            phi, 2, 10, stop_at={normalize(t) for t in stop}, escape_from=0
+        )
+        assert got.points[-1] == normalize(end)
 
 
 def test_orbit_rational_fixed_point():
@@ -90,6 +100,10 @@ def _random_map(rng):
             )
         except DegenerateMapError:
             pass
+
+
+def _height(pt):
+    return max(abs(pt.x1), abs(pt.x2))
 
 
 def _brute_orbit(phi, x, steps, height_bits):
@@ -143,6 +157,23 @@ def test_orbit_walks_match_a_brute_force_loop():
         else:
             expected = summary
         assert orbit_rational(phi, x, 24, bits, escape_from=k) == expected
+        # with the stop set too, escape ends the walk only at an iterate that
+        # is no stop point and is at least as high as each of them; no later
+        # iterate is a stop point or closes the orbit, so every hit is kept
+        top = max(_height(pt) for pt in stop)
+        above = [
+            n for n in range(k, len(stopped.points))
+            if phi.proves_escape(ref[n]) and _height(ref[n]) >= top
+            and ref[n] not in stop
+        ]
+        if above:
+            outcomes.add("escape above the stop set")
+            assert not stopped.is_preperiodic
+            assert not any(pt in stop for pt in ref[above[0]:])
+            expected = orbit_rational(phi, x, above[0], bits, stop_at=stop)
+        else:
+            expected = stopped
+        assert orbit_rational(phi, x, 24, bits, stop, escape_from=k) == expected
         for n, pt in enumerate(ref):
             assert iterate_point(phi, x, n, bits) == pt
         if summary.is_preperiodic:
@@ -169,7 +200,8 @@ def test_orbit_walks_match_a_brute_force_loop():
                     iterate_point(phi, x, len(edge_ref), edge)
                 assert info.value.last_index == len(edge_ref) - 1
     assert outcomes == {
-        "preperiodic", "height", "steps", "stop at 0", "stop later", "escape"
+        "preperiodic", "height", "steps", "stop at 0", "stop later", "escape",
+        "escape above the stop set",
     }
 
 

@@ -481,7 +481,8 @@ def test_newton_map_is_z_minus_f_over_f_prime():
 
 def _float_newton(f, x, iters):
     """The real Newton report as a plain loop: iters steps in doubles, then
-    one more evaluation of f at the iterate they reached."""
+    one more evaluation of f at the iterate they reached. Every overflow of
+    f is noted and keeps the residual before it."""
     fp = [float(i * c) for i, c in enumerate(f)][1:]
     f = [float(c) for c in f]
 
@@ -512,7 +513,9 @@ def _float_newton(f, x, iters):
         done += 1
     else:
         fx = at(f, x)
-        if math.isfinite(fx):
+        if not math.isfinite(fx):
+            note = "iterates overflowed double precision"
+        else:
             residual = abs(fx)
             if residual < 1e-12:
                 verdict = "converges"
@@ -554,6 +557,7 @@ def test_real_newton_report_matches_a_float_loop():
     assert ("undecided", None, True) in seen
     assert ("undecided", "derivative vanished or overflowed", False) in seen
     assert ("undecided", "iterates overflowed double precision", False) in seen
+    assert ("undecided", "iterates overflowed double precision", True) in seen
 
 
 def test_is_polynomial_type():
