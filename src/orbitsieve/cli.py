@@ -27,7 +27,7 @@ from .localglobal import (
 )
 from .numtheory import degree_one_demo
 from .orbit import orbit_mod, orbit_rational
-from .projective import format_point, parse_modulus, parse_point
+from .projective import _residue_pair, format_point, parse_modulus, parse_point
 from .ratmap import (
     DEFAULT_HEIGHT_BITS,
     dynatomic,
@@ -84,19 +84,20 @@ def _cmd_orbit(args) -> int:
     if args.mod:
         m = parse_modulus(args.mod)
         orb = orbit_mod(phi, start, m)
+        pairs = [_residue_pair(c, m.modulus) for c in orb.sequence]
         doc = {
             "modulus": {"p": str(m.p), "k": str(m.k)},
             "tail": str(orb.tail),
             "cycle": str(orb.cycle),
-            "sequence": [[str(a), str(b)] for a, b in orb.sequence],
+            "sequence": [[str(a), str(b)] for a, b in pairs],
         }
         lines = [f"orbit of {format_point(start)} mod {m}: tail={orb.tail} cycle={orb.cycle}"]
-        lines += [f"  n={n}: ({a} : {b})" for n, (a, b) in enumerate(orb.sequence)]
+        lines += [f"  n={n}: ({a} : {b})" for n, (a, b) in enumerate(pairs)]
         _report(args, doc, lines)
         return 0
     summary = orbit_rational(phi, start, args.max_steps, args.height_bits)
     doc = {
-        "status": summary.status,
+        "status": "preperiodic" if summary.is_preperiodic else "truncated",
         "steps_done": str(summary.steps_done),
         "points": [[str(p.x1), str(p.x2)] for p in summary.points],
     }

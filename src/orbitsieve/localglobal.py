@@ -26,7 +26,6 @@ from .orbit import (
     HitSet,
     ModOrbit,
     OrbitSummary,
-    _height,
     hit_set,
     orbit_mod,
     orbit_rational,
@@ -35,6 +34,8 @@ from .projective import (
     PointLike,
     PrimePowerModulus,
     ProjectivePoint,
+    _pair_code,
+    _residue_pair,
     normalize,
 )
 from .ratmap import DEFAULT_HEIGHT_BITS, RationalMap, iterate_point
@@ -277,17 +278,15 @@ def decide(problem: DecisionProblem, jobs: int = 1) -> Certificate:
     """Run the exact walk, then the night stages, under the problem's budgets.
 
     First the exact orbit is walked once, up to `day_steps` evaluations or
-    the height budget, with the targets as orbit_rational's stop set. Every
-    point of the walk is tested alike, the start included: reaching a target
-    at index n, 0 when the start is a target, gives a witness with
-    day_status "running" (the walk was cut there, and the orbit did not
-    close), and closing into a finite orbit that misses the targets gives
-    an "empty" certificate. The walk also stops, with day_status "escaped",
-    at the first iterate that is neither, that phi.proves_escape, and that
-    is at least as high as every target (orbit_rational's escape_from=0):
-    heights rise strictly from there, so no later iterate is a target or
-    closes the orbit, and the longer walk could only have ended at the step
-    or height budget ("budget", "height") before the same night stages.
+    the height budget, with the targets as orbit_rational's stop set and
+    escape_from=0, and the certificate's day_status is the walk's stop.
+    Every point of the walk is tested alike, the start included: reaching a
+    target at index n, 0 when the start is a target, gives a witness (stop
+    "target", written as its historic day_status "running"), and closing
+    into a finite orbit that misses the targets ("closed") gives an "empty"
+    certificate. A walk that ends "escaped" stopped at an iterate from which
+    heights rise strictly, so the longer walk could only have ended at the
+    step or height budget ("budget", "height") before the same night stages.
     Otherwise the night stages run in order, one modulus at a time, the
     cheapest moduli first (night_schedule): many primes at k = 1 before any
     deep power, because breadth over primes is what settles problems, and
@@ -330,19 +329,7 @@ def decide(problem: DecisionProblem, jobs: int = 1) -> Certificate:
     skips: list[tuple[int, int, str]] = []
     examined: list[tuple[int, int, bool]] = []
     stages_done = 0
-    last = walk.points[-1]
-    if walk.is_preperiodic:
-        day_status = "closed"
-    elif last in targets:
-        day_status = "running"
-    elif phi.proves_escape(last) and all(
-        _height(last) >= _height(t) for t in targets
-    ):
-        day_status = "escaped"
-    elif walk.steps_done == budgets.day_steps:
-        day_status = "budget"
-    else:
-        day_status = "height"
+    day_status = "running" if walk.stop == "target" else walk.stop
 
     def finish(kind: str, **kw) -> Certificate:
         return Certificate(
@@ -356,9 +343,9 @@ def decide(problem: DecisionProblem, jobs: int = 1) -> Certificate:
             **kw,
         )
 
-    if day_status == "closed":
+    if walk.stop == "closed":
         return finish("empty", finite_orbit=walk)
-    if day_status == "running":
+    if walk.stop == "target":
         return finish("witness", witness_index=walk.steps_done)
     collected: list[tuple[PrimePowerModulus, HitSet]] = []
     stages = _stages(phi, problem.excluded_primes, skips)
@@ -406,7 +393,7 @@ def _minimize_family(
     """Greedily drop moduli whose removal keeps the intersection empty.
 
     Members are tried in order; member i is dropped exactly when the members
-    kept so far (their intersection is acc) and those after it (after[i + 1],
+    kept so far (their intersection is acc) and those after it (after[i],
     the intersection of family[i + 1:]) meet in the empty set. Hit-set
     intersection is exact and does not depend on order, so this keeps the
     family that folding the rest anew for each member keeps, at a few pair
@@ -422,17 +409,18 @@ def _minimize_family(
       intersection needs at least two of them.
     """
     after: list[Optional[HitSet]] = [None]
-    for _, hits in reversed(family):
+    for _, hits in reversed(family[1:]):
         after.append(_meet(hits, after[-1], cap))
     after.reverse()
     kept: list[tuple[PrimePowerModulus, HitSet]] = []
     acc: Optional[HitSet] = None
     for i, (m, hits) in enumerate(family):
-        rest = _meet(acc, after[i + 1], cap)
+        rest = _meet(acc, after[i], cap)
         if rest is not None and rest.is_empty():
             continue
         kept.append((m, hits))
-        acc = _meet(acc, hits, cap)
+        if i < len(family) - 1:  # the last member's acc is never read
+            acc = _meet(acc, hits, cap)
     return kept
 
 
@@ -564,17 +552,19 @@ def _orbit_summary_from_dict(doc: dict) -> OrbitSummary:
     pts = tuple(_unpt(v) for v in doc["points"])
     tail = int(doc["tail"])
     cycle = int(doc["cycle"])
-    return OrbitSummary(pts, "preperiodic", tail, cycle, len(pts) - 1)
+    return OrbitSummary(pts, "closed", tail, cycle, len(pts) - 1)
 
 
 def _evidence_to_dict(ev: ModulusEvidence) -> dict:
+    n = ev.modulus.modulus
+    pairs = (_residue_pair(c, n) for c in ev.orbit.sequence)
     return {
         "p": str(ev.modulus.p),
         "k": str(ev.modulus.k),
         "orbit": {
             "tail": str(ev.orbit.tail),
             "cycle": str(ev.orbit.cycle),
-            "sequence": [[str(a), str(b)] for a, b in ev.orbit.sequence],
+            "sequence": [[str(a), str(b)] for a, b in pairs],
         },
         "hit_set": {
             "threshold": str(ev.hits.threshold),
@@ -587,7 +577,8 @@ def _evidence_to_dict(ev: ModulusEvidence) -> dict:
 
 def _evidence_from_dict(doc: dict) -> ModulusEvidence:
     mod = PrimePowerModulus(int(doc["p"]), int(doc["k"]))
-    seq = tuple((int(a), int(b)) for a, b in doc["orbit"]["sequence"])
+    p, n = mod.p, mod.modulus
+    seq = tuple(_pair_code(tuple(map(int, v)), p, n) for v in doc["orbit"]["sequence"])
     orb = ModOrbit(mod, int(doc["orbit"]["tail"]), int(doc["orbit"]["cycle"]), seq)
     hs_doc = doc["hit_set"]
     hs = HitSet(

@@ -3,8 +3,9 @@
 A modular orbit is always eventually periodic (the ring is finite), so the
 set of indices n with phi^n(start) == target mod p^k decomposes into a
 finite exceptional set below the tail length plus a union of residue
-classes modulo the cycle length. HitSet captures exactly that. Points mod
-p^k are canonical (c1, c2) int pairs (projective.canonical_residue).
+classes modulo the cycle length. HitSet captures exactly that. A point mod
+p^k is its int code (projective._residue_code) from orbit_mod through
+hit_set; pairs are for callers that read or write points.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from .projective import (
     PrimePowerModulus,
     ProjectivePoint,
     _residue_code,
-    _residue_pair,
     normalize,
     reduce_mod,  # unused here; bench/tracing.py resolves it from this module
 )
@@ -38,21 +38,22 @@ __all__ = [
 class OrbitSummary:
     """Prefix of a rational forward orbit; points[0] is the start.
 
-    status is "preperiodic" (a repeat was found: points has length
-    tail + cycle + 1 and points[tail + cycle] == points[tail]) or
-    "truncated" (no repeat before the walk ended at a step or height budget,
-    a stop point or proven escape; steps_done evaluations were performed).
+    stop says how the walk ended, at points[-1], after steps_done
+    evaluations: "closed" (a repeat: points has length tail + cycle + 1 and
+    points[tail + cycle] == points[tail]), "target" (a stop point),
+    "escaped" (proven escape), "budget" (the step budget) or "height" (the
+    height budget). tail and cycle are set only for "closed".
     """
 
     points: tuple[ProjectivePoint, ...]
-    status: str
+    stop: str
     tail: Optional[int] = None
     cycle: Optional[int] = None
     steps_done: int = 0
 
     @property
     def is_preperiodic(self) -> bool:
-        return self.status == "preperiodic"
+        return self.stop == "closed"
 
     def cycle_points(self) -> tuple[ProjectivePoint, ...]:
         if not self.is_preperiodic:
@@ -79,38 +80,42 @@ def orbit_rational(
     escape_from: Optional[int] = None,
 ) -> OrbitSummary:
     """Iterate until the orbit closes or a budget is hit. Never raises
-    on budget exhaustion; that outcome is the "truncated" status.
+    on budget exhaustion; the summary's stop says which exit was taken.
 
     Every point of the walk, phi^0(start) included, goes through the same
     tests in the same order; the first that applies ends the walk, and the
     point is the last one kept:
-    - it lies in `stop_at` (normalized points): "truncated". A start in
+    - it lies in `stop_at` (normalized points): "target". A start in
       `stop_at` ends the walk at index 0 with steps_done 0. Only decide
       passes `stop_at`, with the targets, so that a walk that meets them
       ends with the witness;
-    - it repeats an earlier point: "preperiodic";
+    - it repeats an earlier point: "closed";
     - `escape_from` is set, its index is >= escape_from, phi.proves_escape
       holds for it, and its height is at least that of every point of
-      `stop_at`: "truncated". Heights rise strictly from such a point on, so
-      no later iterate closes the orbit or lies in `stop_at`, and the status
-      is the one a longer walk would report, from fewer steps. With an empty
-      `stop_at` the height condition always holds. decide passes
-      escape_from=0 with its targets; verify_certificate and the CLI `orbit`
-      command do not pass it, because their outputs record the steps walked.
+      `stop_at`: "escaped". Heights rise strictly from such a point on, so
+      no later iterate closes the orbit or lies in `stop_at`, and a longer
+      walk could only have ended at a budget. With an empty `stop_at` the
+      height condition always holds. decide passes escape_from=0 with its
+      targets; verify_certificate and the CLI `orbit` command do not pass
+      it, because their outputs record the steps walked.
+    Otherwise the walk ends with "budget" after max_steps evaluations, or
+    with "height" where the next iterate would pass `height_bits`.
     """
     points: list[ProjectivePoint] = []
     seen: dict[ProjectivePoint, int] = {}
     top = max(map(_height, stop_at), default=0)
+    stop = "budget"
     try:
         for pt in islice(orbit_points(phi, start, height_bits), max_steps + 1):
             if pt in stop_at:
                 points.append(pt)
+                stop = "target"
                 break
             if pt in seen:
                 tail = seen[pt]
                 points.append(pt)
                 n = len(points) - 1
-                return OrbitSummary(tuple(points), "preperiodic", tail, n - tail, n)
+                return OrbitSummary(tuple(points), "closed", tail, n - tail, n)
             seen[pt] = len(points)
             points.append(pt)
             if (
@@ -119,35 +124,28 @@ def orbit_rational(
                 and phi.proves_escape(pt)
                 and _height(pt) >= top
             ):
+                stop = "escaped"
                 break
     except HeightBudgetError:
-        pass
-    return OrbitSummary(tuple(points), "truncated", steps_done=len(points) - 1)
+        stop = "height"
+    return OrbitSummary(tuple(points), stop, steps_done=len(points) - 1)
 
 
 @dataclass(frozen=True)
 class ModOrbit:
     """The full eventual-period decomposition of an orbit mod p^k.
 
-    sequence lists the canonical pairs of the distinct points phi^0, ...,
-    phi^(tail+cycle-1) mod `modulus`; every later iterate repeats with
-    period `cycle`. The length is bounded by |P^1(Z/p^k)| = p^k + p^(k-1).
-    orbit_mod walks int codes of the points and decodes them into these
-    pairs once, at the end.
+    sequence lists the int codes (projective._residue_code) of the distinct
+    points phi^0, ..., phi^(tail+cycle-1) mod `modulus`; every later iterate
+    repeats with period `cycle`. The length is bounded by |P^1(Z/p^k)| =
+    p^k + p^(k-1). projective._residue_pair decodes a code into its
+    canonical pair.
     """
 
     modulus: PrimePowerModulus
     tail: int
     cycle: int
-    sequence: tuple[tuple[int, int], ...]
-
-    def point_at(self, n: int) -> tuple[int, int]:
-        """The canonical pair of phi^n(start) mod p^k, for any n >= 0."""
-        if n < 0:
-            raise ValueError("orbit indices are nonnegative")
-        if n < len(self.sequence):
-            return self.sequence[n]
-        return self.sequence[self.tail + (n - self.tail) % self.cycle]
+    sequence: tuple[int, ...]
 
 
 def orbit_mod(phi: RationalMap, start: PointLike, m: PrimePowerModulus) -> ModOrbit:
@@ -156,8 +154,8 @@ def orbit_mod(phi: RationalMap, start: PointLike, m: PrimePowerModulus) -> ModOr
     Points are walked as single int codes (projective._residue_code), one
     step of the reduced map (the kernel of RationalMap.evaluate_mod) at a
     time, and kept in a set for the repeat test and a list for the order;
-    they become canonical pairs once, when the ModOrbit is built. Good
-    reduction is checked and p^k computed once per orbit, not per step.
+    the codes walked are the ModOrbit's sequence. Good reduction is checked
+    and p^k computed once per orbit, not per step.
 
     Raises BadPrimeError at primes dividing the resultant, where reduction
     and iteration do not commute.
@@ -175,10 +173,9 @@ def orbit_mod(phi: RationalMap, start: PointLike, m: PrimePowerModulus) -> ModOr
             break
         add(cur)
         append(cur)
-    del seen, add  # free the set before the pairs are built
+    del seen, add  # free the set before the sequence is copied
     tail = seq.index(cur)
-    pairs = tuple([_residue_pair(c, n) for c in seq])
-    return ModOrbit(m, tail, len(seq) - tail, pairs)
+    return ModOrbit(m, tail, len(seq) - tail, tuple(seq))
 
 
 @dataclass(frozen=True)
@@ -224,17 +221,14 @@ def hit_set(orb: ModOrbit, targets: Iterable[PointLike]) -> HitSet:
     """Compute the hit set of a modular orbit against a set of targets.
 
     p and p^k are read once per call, and each target is reduced straight
-    to its canonical pair, as reduce_mod would give it.
+    to its int code, which is compared with the codes of the orbit.
     """
     p = orb.modulus.p
     n = orb.modulus.modulus
-    reduced = set()
-    for t in targets:
-        pt = normalize(t)
-        reduced.add(_residue_pair(_residue_code(pt.x1, pt.x2, p, n), n))
-    hits = [n for n, rp in enumerate(orb.sequence) if rp in reduced]
-    exceptional = frozenset(n for n in hits if n < orb.tail)
-    in_cycle = sorted({n % orb.cycle for n in hits if n >= orb.tail})
+    reduced = {_residue_code(pt.x1, pt.x2, p, n) for pt in map(normalize, targets)}
+    hits = [i for i, c in enumerate(orb.sequence) if c in reduced]
+    exceptional = frozenset(i for i in hits if i < orb.tail)
+    in_cycle = sorted({i % orb.cycle for i in hits if i >= orb.tail})
     return HitSet(
         threshold=orb.tail,
         exceptional=exceptional,

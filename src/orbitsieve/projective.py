@@ -255,6 +255,20 @@ def _residue_pair(code: int, n: int) -> tuple[int, int]:
     return (code, 1) if code < n else (1, code - n)
 
 
+def _pair_code(pair: tuple[int, int], p: int, n: int) -> int:
+    """The int code of a canonical pair mod n = p^k, the inverse of
+    _residue_pair: (c, 1) with 0 <= c < n, or (1, c2) with p | c2 and
+    0 <= c2 < n. Unlike _residue_code it never canonicalizes: any other
+    pair raises ValueError, so a certificate that stores one is malformed.
+    """
+    a, b = pair
+    if b == 1 and 0 <= a < n:
+        return a
+    if a == 1 and 0 <= b < n and b % p == 0:
+        return n + b
+    raise ValueError(f"({a}, {b}) is not a canonical pair mod {n}")
+
+
 def reduce_mod(x: PointLike, m: PrimePowerModulus) -> tuple[int, int]:
     """Reduce a rational point modulo p^k to its canonical pair.
 

@@ -927,6 +927,11 @@ def _padic_report(
     note = None
     exact = False
     for j in range(iters + 1):
+        # f(x) and the next iterate have about deg f times the bits of x
+        size = max(abs(x.numerator).bit_length(), x.denominator.bit_length())
+        if (len(coeffs) - 1) * size > DEFAULT_HEIGHT_BITS:
+            note = "iterates outgrew the height budget"
+            break
         fx = _horner(coeffs, x, 1)
         if fx == 0:
             exact = True
@@ -987,7 +992,10 @@ def newton_place_report(
     increasing step valuations (the iterates are Cauchy at the observed
     depth) is convergence, a flat valuation window is divergence, strict
     decrease (escape toward infinity) also counts as divergence, and
-    anything mixed stays undecided. f must be squarefree of degree >= 2,
+    anything mixed stays undecided. The exact iterates grow about deg f-fold
+    in bits per step, so the p-adic walk stops, undecided, at an iterate x
+    with deg f * bits(x) > DEFAULT_HEIGHT_BITS, before evaluating f there.
+    f must be squarefree of degree >= 2,
     alpha must not already be a root, and both iteration counts must be
     nonnegative.
     """

@@ -102,12 +102,20 @@ def test_verify_rejects_a_malformed_certificate_without_a_traceback(tmp_path, ca
     del no_budget["problem"]["budgets"]["day_steps"]
     short_pair = certificate("3", "0")
     short_pair["moduli"][0]["orbit"]["sequence"][0] = ["1"]
+    # a stored pair mod p^k that is not canonical: (p^k, 1), (0, 0), and
+    # (1, c2) with p not dividing c2; the family here is the modulus 5
+    non_canonical = []
+    for pair in (["5", "1"], ["0", "0"], ["1", "2"]):
+        doc = certificate("3", "0")
+        assert doc["moduli"][0]["p"] == "5" and doc["moduli"][0]["k"] == "1"
+        doc["moduli"][0]["orbit"]["sequence"][0] = pair
+        non_canonical.append(doc)
     # [0 : 1] stored as [0, 2], not in lowest terms
     unreduced = certificate("0", "5")
     points = unreduced["finite_orbit"]["points"]
     points[points.index(["0", "1"])] = ["0", "2"]
     bad_file = tmp_path / "bad.json"
-    for doc in (no_budget, [], short_pair, unreduced):
+    for doc in (no_budget, [], short_pair, *non_canonical, unreduced):
         bad_file.write_text(json.dumps(doc))
         code, out, err = _run(capsys, "verify", str(bad_file))
         assert code == 1

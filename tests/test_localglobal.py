@@ -537,10 +537,11 @@ def _int_leaf_paths(node, path):
 
 def test_verify_rejects_every_plus_one_edit_of_the_evidence():
     # Add 1 to one integer leaf of the evidence at a time. Every edit must
-    # fail to decode (a stored rational point no longer in lowest terms, for
-    # one) or fail to verify: decoding does not check stored residues or
-    # modular orbit pairs, so recomputing and comparing in verify_certificate
-    # has to catch those edits.
+    # fail to decode (a stored rational point no longer in lowest terms, or
+    # a modular orbit pair no longer canonical, for two) or fail to verify:
+    # decoding does not check stored residues, or whether a canonical pair
+    # is the right point, so recomputing and comparing in
+    # verify_certificate has to catch those edits.
     cases = [
         _problem("z^2-3", 5, [-2, 0], day_steps=4, night_stages=3, height_bits=256),
         _problem("z^2-1", 3, [0]),
@@ -676,6 +677,19 @@ def test_newton_report_vanishing_derivative_stays_undecided():
     assert real.verdict != "converges"
     assert p3.verdict == "undecided"
     assert "derivative" in p3.detail.get("note", "")
+
+
+def test_newton_report_stops_when_iterates_outgrow_the_height_budget():
+    # exact Newton for z^5 + z + 3 grows about 5-fold in bits per step, so
+    # from an iterate of more than 2^20 / 5 bits the walk stops before
+    # evaluating f there; from 2 it would pass 2.8M bits by iterate 9
+    _, p5 = newton_place_report("z^5+z+3", Fraction(1, 2 ** 210000), [5])
+    assert p5.verdict == "undecided"
+    assert p5.detail == {
+        "valuations": [],
+        "difference_valuations": [],
+        "note": "iterates outgrew the height budget",
+    }
 
 
 def test_newton_real_report_never_claims_divergence():

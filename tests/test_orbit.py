@@ -6,10 +6,11 @@ from fractions import Fraction
 import pytest
 
 from orbitsieve.numtheory import good_primes
-from orbitsieve.orbit import HitSet, ModOrbit, hit_set, orbit_mod, orbit_rational
+from orbitsieve.orbit import HitSet, OrbitSummary, hit_set, orbit_mod, orbit_rational
 from orbitsieve.projective import (
     INFINITY,
     PrimePowerModulus,
+    _residue_pair,
     canonical_residue,
     normalize,
     reduce_mod,
@@ -39,7 +40,7 @@ def test_orbit_rational_preperiodic():
 def test_orbit_rational_truncated():
     phi = parse_map("z^2-1")
     summary = orbit_rational(phi, 3, 5)
-    assert summary.status == "truncated"
+    assert summary.stop == "budget"
     assert summary.steps_done == 5
     assert [p.as_fraction() for p in summary.points[:4]] == [3, 8, 63, 3968]
     with pytest.raises(ValueError):
@@ -51,11 +52,11 @@ def test_orbit_rational_stops_at_proven_escape():
     phi = parse_map("z^2")
     walk = orbit_rational(phi, 2, 10, escape_from=0)
     assert [p.as_fraction() for p in walk.points] == [2, 4, 16, 256]
-    assert (walk.status, walk.steps_done) == ("truncated", 3)
+    assert (walk.stop, walk.steps_done) == ("escaped", 3)
     assert orbit_rational(phi, 2, 10, escape_from=4).steps_done == 4
     start = orbit_rational(phi, 2 ** 40, 10, escape_from=0)
     assert start.points == (normalize(2 ** 40),)
-    assert (start.status, start.steps_done) == ("truncated", 0)
+    assert (start.stop, start.steps_done) == ("escaped", 0)
     # an empty stop set never blocks the stop at escape
     assert orbit_rational(phi, 2, 10, stop_at=(), escape_from=0) == walk
     # a closed orbit is never cut short
@@ -78,7 +79,7 @@ def test_orbit_rational_fixed_point():
 
 def test_orbit_rational_height_budget_is_a_status():
     summary = orbit_rational(parse_map("z^2"), 2, 100, height_bits=64)
-    assert summary.status == "truncated"
+    assert summary.stop == "height"
     assert 0 < summary.steps_done < 10
 
 
@@ -122,6 +123,7 @@ def test_orbit_walks_match_a_brute_force_loop():
     stop_rng = random.Random(2026)
     edge_rng = random.Random(2027)
     outcomes = set()
+    stops = set()
     for _ in range(80):
         phi = _random_map(rng)
         x = rng.choice([(1, 0), (rng.randint(-4, 4), rng.randint(1, 3))])
@@ -129,6 +131,14 @@ def test_orbit_walks_match_a_brute_force_loop():
         ref = _brute_orbit(phi, x, 24, bits)
         summary = orbit_rational(phi, x, 24, bits)
         assert summary.points == tuple(ref[: len(summary.points)])
+        # the plain loop's own reason: the first repeat, else the height
+        # budget when the loop broke off, else the step budget
+        repeat = next((n for n in range(len(ref)) if ref[n] in ref[:n]), None)
+        if repeat is not None:
+            assert summary.stop == "closed" and summary.steps_done == repeat
+        else:
+            assert summary.stop == ("height" if len(ref) <= 24 else "budget")
+        stops.add(summary.stop)
         # a stop set drawn from the orbit and off it; the start is tested
         # like every later point, so it joins the set on some draws only
         stop = {pt for pt in ref if stop_rng.random() < 0.1}
@@ -142,21 +152,22 @@ def test_orbit_walks_match_a_brute_force_loop():
             assert stopped == summary
         else:
             outcomes.add("stop at 0" if hit == 0 else "stop later")
-            assert stopped.status == "truncated"
-            assert stopped.steps_done == hit
-            assert stopped.points == tuple(ref[: hit + 1])
+            assert stopped == OrbitSummary(tuple(ref[: hit + 1]), "target", steps_done=hit)
+        stops.add(stopped.stop)
         # escape_from = k ends the walk at the first iterate of index >= k
         # that proves escape, which a closed orbit never has
         k = stop_rng.randint(0, 6)
         escaping = [n for n in range(k, end + 1) if phi.proves_escape(ref[n])]
         if summary.is_preperiodic:
             assert not escaping
+        escaped = orbit_rational(phi, x, 24, bits, escape_from=k)
         if escaping:
             outcomes.add("escape")
-            expected = orbit_rational(phi, x, escaping[0], bits)
+            e = escaping[0]
+            assert escaped == OrbitSummary(tuple(ref[: e + 1]), "escaped", steps_done=e)
         else:
-            expected = summary
-        assert orbit_rational(phi, x, 24, bits, escape_from=k) == expected
+            assert escaped == summary
+        stops.add(escaped.stop)
         # with the stop set too, escape ends the walk only at an iterate that
         # is no stop point and is at least as high as each of them; no later
         # iterate is a stop point or closes the orbit, so every hit is kept
@@ -166,14 +177,15 @@ def test_orbit_walks_match_a_brute_force_loop():
             if phi.proves_escape(ref[n]) and _height(ref[n]) >= top
             and ref[n] not in stop
         ]
+        got = orbit_rational(phi, x, 24, bits, stop, escape_from=k)
         if above:
             outcomes.add("escape above the stop set")
             assert not stopped.is_preperiodic
             assert not any(pt in stop for pt in ref[above[0]:])
-            expected = orbit_rational(phi, x, above[0], bits, stop_at=stop)
+            e = above[0]
+            assert got == OrbitSummary(tuple(ref[: e + 1]), "escaped", steps_done=e)
         else:
-            expected = stopped
-        assert orbit_rational(phi, x, 24, bits, stop, escape_from=k) == expected
+            assert got == stopped
         for n, pt in enumerate(ref):
             assert iterate_point(phi, x, n, bits) == pt
         if summary.is_preperiodic:
@@ -203,24 +215,27 @@ def test_orbit_walks_match_a_brute_force_loop():
         "preperiodic", "height", "steps", "stop at 0", "stop later", "escape",
         "escape above the stop set",
     }
+    assert stops == {"closed", "target", "escaped", "budget", "height"}
 
 
 def test_orbit_mod_known_values():
+    # the sequence holds int codes: c for (c : 1), p^k + c2 for (1 : c2)
     phi = parse_map("z^2-1")
     m5 = PrimePowerModulus(5, 1)
     orb = orbit_mod(phi, 3, m5)
     assert (orb.tail, orb.cycle) == (0, 1)
-    assert orb.sequence == ((3, 1),)
+    assert orb.sequence == (3,)
+    assert orbit_mod(phi, INFINITY, m5).sequence == (5,)
 
     m7 = PrimePowerModulus(7, 1)
     orb = orbit_mod(phi, 3, m7)
     assert (orb.tail, orb.cycle) == (2, 2)
-    assert orb.sequence == ((3, 1), (1, 1), (0, 1), (6, 1))
+    assert orb.sequence == (3, 1, 0, 6)
 
     m3 = PrimePowerModulus(3, 1)
     orb = orbit_mod(phi, 0, m3)
     assert (orb.tail, orb.cycle) == (0, 2)
-    assert orb.sequence == ((0, 1), (2, 1))
+    assert orb.sequence == (0, 2)
 
 
 def test_orbit_mod_rejects_bad_primes():
@@ -230,14 +245,19 @@ def test_orbit_mod_rejects_bad_primes():
         orbit_mod(parse_map("(z^2+1)/(2z)"), 1, PrimePowerModulus(2, 1))
 
 
-def test_mod_orbit_point_at_extends_periodically():
-    orb = orbit_mod(parse_map("z^2-1"), 3, PrimePowerModulus(7, 1))
-    assert orb.point_at(1) == orb.sequence[1]
-    assert orb.point_at(4) == orb.sequence[2]
-    assert orb.point_at(5) == orb.sequence[3]
-    assert orb.point_at(100) == orb.sequence[2]
-    with pytest.raises(ValueError):
-        orb.point_at(-1)
+def test_mod_orbit_sequence_extends_periodically():
+    # phi^n(start) mod p^k is sequence[n] inside the sequence and
+    # sequence[tail + (n - tail) % cycle] past it, checked against steps of
+    # evaluate_mod on pairs: 3, 1, 0, 6 mod 7, then 0, 6, 0, ...
+    phi = parse_map("z^2-1")
+    m = PrimePowerModulus(7, 1)
+    orb = orbit_mod(phi, 3, m)
+    assert (orb.tail, orb.cycle, len(orb.sequence)) == (2, 2, 4)
+    pair = reduce_mod(3, m)
+    for n in range(101):
+        i = n if n < len(orb.sequence) else orb.tail + (n - orb.tail) % orb.cycle
+        assert _residue_pair(orb.sequence[i], m.modulus) == pair, n
+        pair = phi.evaluate_mod(pair, m)
 
 
 def _naive_mod_orbit(phi, start, m):
@@ -289,7 +309,7 @@ def test_orbit_mod_matches_naive_recomputation_up_to_125():
                 orb = orbit_mod(phi, start, m)
                 tail, cycle, seq = _naive_mod_orbit(phi, start, m)
                 assert (orb.tail, orb.cycle) == (tail, cycle), (str(phi), str(m))
-                assert list(orb.sequence) == seq
+                assert [_residue_pair(c, m.modulus) for c in orb.sequence] == seq
                 assert orb.tail + orb.cycle <= m.point_count()
 
 
@@ -363,7 +383,8 @@ def test_mod_kernel_matches_a_pair_based_reference():
             for start in starts:
                 orb = orbit_mod(phi, start, m)
                 tail, cycle, seq, near = _pair_orbit(phi, start, m)
-                assert (orb.tail, orb.cycle, orb.sequence) == (tail, cycle, seq), (str(phi), str(m), start)
+                pairs = tuple(_residue_pair(c, m.modulus) for c in orb.sequence)
+                assert (orb.tail, orb.cycle, pairs) == (tail, cycle, seq), (str(phi), str(m), start)
                 near_ones += near
                 chart_points += sum(1 for c1, c2 in seq if c1 == 1 and c2 % p == 0 and c2)
             if m.modulus <= 81:
@@ -432,7 +453,9 @@ def test_hit_set_membership_matches_direct_scan():
         hs = hit_set(orb, targets)
         horizon = 3 * (orb.tail + orb.cycle)
         for n in range(horizon + 1):
-            assert hs.contains(n) == (orb.point_at(n) in reduced), (str(m), n)
+            i = n if n < len(orb.sequence) else orb.tail + (n - orb.tail) % orb.cycle
+            at_n = _residue_pair(orb.sequence[i], m.modulus)
+            assert hs.contains(n) == (at_n in reduced), (str(m), n)
 
 
 def test_hit_set_validation():
