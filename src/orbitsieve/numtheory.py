@@ -40,6 +40,12 @@ _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_EXTRA_ROUNDS = 40
 
 _SMALL_SIEVE_LIMIT = 10_000
+# The 25 primes below 100 = isqrt(_SMALL_SIEVE_LIMIT): every composite
+# n < 10^4 has a prime factor among them, so trial division decides it.
+_SMALL_PRIMES = (
+    2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67,
+    71, 73, 79, 83, 89, 97,
+)
 
 DEFAULT_RHO_STEPS = 500_000
 DEFAULT_TRIAL_BOUND = 10 ** 6
@@ -82,13 +88,22 @@ def _miller_rabin_round(n: int, a: int, d: int, s: int) -> bool:
 def is_prime(n: int) -> bool:
     """Primality test, deterministic below ~3.3e24.
 
-    Above that bound the answer is probabilistic (40 extra rounds with bases
-    drawn from a PRNG seeded by n, so repeated calls agree); see
+    n < 10^4 is decided by trial division by the primes below 100, up to
+    the square root of n; larger n by Miller-Rabin with the first 13 primes
+    as witnesses. Above ~3.3e24 the answer is probabilistic (40 extra rounds
+    with bases drawn from a PRNG seeded by n, so repeated calls agree); see
     primality_confidence().
     """
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41):
+    if n < _SMALL_SIEVE_LIMIT:
+        for p in _SMALL_PRIMES:
+            if p * p > n:
+                return True
+            if n % p == 0:
+                return n == p
+        return True
+    for p in _MR_WITNESSES:
         if n % p == 0:
             return n == p
     d = n - 1

@@ -100,27 +100,30 @@ def orbit_rational(
       it, because their outputs record the steps walked.
     Otherwise the walk ends with "budget" after max_steps evaluations, or
     with "height" where the next iterate would pass `height_bits`.
+
+    One dict holds the stop points and the points walked, keyed by their
+    coordinate pairs, so each point is hashed once for both tests. Escape
+    is not tested for a degree-one map, which never proves it.
     """
     points: list[ProjectivePoint] = []
-    seen: dict[ProjectivePoint, int] = {}
+    # coordinate pairs: -1 for a stop point, else the index of a walked point
+    seen = dict.fromkeys([(t.x1, t.x2) for t in stop_at], -1)
+    escape = escape_from is not None and phi.degree >= 2
     top = max(map(_height, stop_at), default=0)
     stop = "budget"
     try:
         for pt in islice(orbit_points(phi, start, height_bits), max_steps + 1):
-            if pt in stop_at:
-                points.append(pt)
+            n = len(points)
+            points.append(pt)
+            tail = seen.setdefault((pt.x1, pt.x2), n)
+            if tail < 0:
                 stop = "target"
                 break
-            if pt in seen:
-                tail = seen[pt]
-                points.append(pt)
-                n = len(points) - 1
+            if tail != n:
                 return OrbitSummary(tuple(points), "closed", tail, n - tail, n)
-            seen[pt] = len(points)
-            points.append(pt)
             if (
-                escape_from is not None
-                and len(points) > escape_from
+                escape
+                and n >= escape_from
                 and phi.proves_escape(pt)
                 and _height(pt) >= top
             ):
@@ -151,24 +154,24 @@ class ModOrbit:
 def orbit_mod(phi: RationalMap, start: PointLike, m: PrimePowerModulus) -> ModOrbit:
     """Iterate the start point mod p^k until the first repeat.
 
-    Points are walked as single int codes (projective._residue_code), one
-    step of the reduced map (the kernel of RationalMap.evaluate_mod) at a
-    time, and kept in a set for the repeat test and a list for the order;
-    the codes walked are the ModOrbit's sequence. Good reduction is checked
-    and p^k computed once per orbit, not per step.
+    Points are walked as single int codes (projective._residue_code), as
+    RationalMap._mod_walk yields them (the kernel of
+    RationalMap.evaluate_mod), and kept in a set for the repeat test and a
+    list for the order; the codes walked are the ModOrbit's sequence. Good
+    reduction is checked and p^k computed once per orbit, not per step. A
+    dict from code to index would find the tail without the list, but holds
+    more memory per step than the set and the list together.
 
     Raises BadPrimeError at primes dividing the resultant, where reduction
     and iteration do not commute.
     """
-    step = phi._mod_step(m)
     n = m.modulus
     pt = normalize(start)
     cur = _residue_code(pt.x1, pt.x2, m.p, n)
     seq = [cur]
     seen = {cur}
     add, append = seen.add, seq.append
-    while True:
-        cur = step(cur)
+    for cur in phi._mod_walk(m, cur):
         if cur in seen:
             break
         add(cur)
@@ -220,18 +223,31 @@ class HitSet:
 def hit_set(orb: ModOrbit, targets: Iterable[PointLike]) -> HitSet:
     """Compute the hit set of a modular orbit against a set of targets.
 
-    p and p^k are read once per call, and each target is reduced straight
-    to its int code, which is compared with the codes of the orbit.
+    p and p^k are read once per call, and each target is coded straight
+    from its coordinates (as projective._residue_code does): a point
+    (x1 : x2) with p not dividing x2 is the code x1 / x2 mod p^k, else
+    p^k + x2 / x1. The codes of the orbit are distinct, so each target code
+    has at most one index in it: one pass over the sequence finds the codes
+    that occur, and each of those few is then looked up by its index.
     """
     p = orb.modulus.p
     n = orb.modulus.modulus
-    reduced = {_residue_code(pt.x1, pt.x2, p, n) for pt in map(normalize, targets)}
-    hits = [i for i, c in enumerate(orb.sequence) if c in reduced]
-    exceptional = frozenset(i for i in hits if i < orb.tail)
-    in_cycle = sorted({i % orb.cycle for i in hits if i >= orb.tail})
+    codes = set()
+    for pt in targets:
+        if type(pt) is not ProjectivePoint:
+            pt = normalize(pt)
+        a, b = pt.x1, pt.x2
+        if b == 1:
+            codes.add(a % n)
+        elif b % p:
+            codes.add(a * pow(b, -1, n) % n)
+        else:
+            codes.add(n + b * pow(a, -1, n) % n)
+    seq, tail, cycle = orb.sequence, orb.tail, orb.cycle
+    hits = sorted(map(seq.index, codes.intersection(seq)))
     return HitSet(
-        threshold=orb.tail,
-        exceptional=exceptional,
-        cycle_length=orb.cycle,
-        residues=tuple(in_cycle),
+        threshold=tail,
+        exceptional=frozenset(i for i in hits if i < tail),
+        cycle_length=cycle,
+        residues=tuple(sorted(i % cycle for i in hits if i >= tail)),
     )

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import islice
-from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from .numtheory import (
     FactorizationBudgetError,
@@ -317,18 +317,23 @@ class RationalMap:
     G: BinaryForm
     res: int = field(compare=False)
     notes: tuple[str, ...] = field(default=(), compare=False)
-    # Horner inputs of _mod_step: F(x, 1), G(x, 1), F(1, y), G(1, y),
-    # highest power first, leading zeros dropped (no form is zero), so
-    # G(x, 1) of a polynomial map is the single coefficient 1
-    _charts: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
+    # Horner inputs of _mod_walk, for the affine chart (F(x, 1), G(x, 1))
+    # and the chart at infinity (F(1, y), G(1, y)): each polynomial, highest
+    # power first with leading zeros dropped (no form is zero), as its
+    # leading coefficient and the rest, so G(x, 1) of a polynomial map is
+    # (1, ())
+    _charts: tuple[tuple, tuple] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         fc, gc = self.F.coefficients, self.G.coefficients
         charts = []
-        for v in (fc[::-1], gc[::-1], fc, gc):
-            while not v[0]:
-                v = v[1:]
-            charts.append(v)
+        for pair in ((fc[::-1], gc[::-1]), (fc, gc)):
+            chart: tuple = ()
+            for v in pair:
+                while not v[0]:
+                    v = v[1:]
+                chart += (v[0], v[1:])
+            charts.append(chart)
         object.__setattr__(self, "_charts", tuple(charts))
 
     @classmethod
@@ -454,9 +459,9 @@ class RationalMap:
         between the two big coordinates, and dividing by it leaves them
         coprime. R != 0 (make rejects it), so the image is never (0, 0).
         """
-        pt = normalize(x)
-        a = self.F.evaluate(pt.x1, pt.x2)
-        b = self.G.evaluate(pt.x1, pt.x2)
+        pt = x if type(x) is ProjectivePoint else normalize(x)
+        a = _horner(self.F.coefficients, pt.x1, pt.x2)
+        b = _horner(self.G.coefficients, pt.x1, pt.x2)
         # b first: for a polynomial map at an integer point b = 1.
         g = math.gcd(self.res, b)
         if g != 1:
@@ -473,53 +478,66 @@ class RationalMap:
         """Apply the reduced map to the pair r of a point mod p^k, returning
         the image's canonical pair.
 
-        r is coded as one int (projective._residue_code), stepped by the
-        kernel that orbit_mod iterates, and decoded. Raises BadPrimeError
-        when p divides the resultant.
+        r is coded as one int (projective._residue_code), stepped once by
+        the kernel that orbit_mod iterates (_mod_walk), and decoded. Raises
+        BadPrimeError when p divides the resultant.
         """
-        step = self._mod_step(m)
         n = m.modulus
-        return _residue_pair(step(_residue_code(r[0], r[1], m.p, n)), n)
+        walk = self._mod_walk(m, _residue_code(r[0], r[1], m.p, n))
+        return _residue_pair(next(walk), n)
 
-    def _mod_step(self, m: PrimePowerModulus) -> Callable[[int], int]:
-        """The reduced map on int codes of points of P^1(Z/p^k).
+    def _mod_walk(self, m: PrimePowerModulus, x: int) -> Iterator[int]:
+        """Yield the int codes of phi(x), phi^2(x), ... mod p^k, without end.
 
         A code x < n = p^k is the point (x : 1), whose image is
         (F(x, 1) : G(x, 1)); a code n + y is (1 : y) with p | y, whose image
         is (F(1, y) : G(1, y)). Each value is one Horner pass in x or y,
-        with no running power of the other coordinate. When G(x, 1) == 1
-        mod n, as at every affine point of a polynomial map, the image is
-        F(x, 1) mod n with no inverse; otherwise projective._residue_code
-        takes the one inverse. The four Horner coefficient tuples are built
-        once per map (_charts); good reduction is checked and p^k computed
-        here, once per orbit, so that a loop such as orbit_mod pays only for
-        the arithmetic of each step. Raises BadPrimeError when p divides the
-        resultant; at a good prime the two image coordinates are never both
-        divisible by p.
+        started at the leading coefficient, with no running power of the
+        other coordinate. When G(x, 1) == 1 mod n the image is F(x, 1) mod n
+        with no inverse; otherwise projective._residue_code takes the one
+        inverse. The Horner coefficients are split once per map (_charts);
+        good reduction is checked, p^k computed and the chart chosen once
+        per walk, so that a loop such as orbit_mod pays only for the
+        arithmetic of each step, and resumes this generator instead of
+        calling a function. Raises BadPrimeError, at the first step, when p
+        divides the resultant; at a good prime the two image coordinates
+        are never both divisible by p.
+
+        When G(x, 1) is a constant c, as for every polynomial map, G is
+        c * Y^d and the resultant is +-(c * F(1, 0))^d, so c is a unit mod p
+        at a good prime and an affine point (x : 1) maps to the affine point
+        (F(x, 1) / c : 1). From an affine start such a walk never leaves the
+        chart, and each step is one Horner pass of F(x, 1) / c, whose
+        coefficients are reduced mod n once per walk when c != 1.
         """
         p, n = m.p, m.modulus
         if not self.is_good_prime(p):
             raise BadPrimeError(p)
-        f_aff, g_aff, f_inf, g_inf = self._charts
-
-        def step(x: int) -> int:
+        affine, at_infinity = self._charts
+        f_top, f_rest, g_top, g_rest = affine
+        if not g_rest and x < n:
+            if g_top != 1:
+                unit = pow(g_top, -1, n)
+                f_top, f_rest = f_top * unit % n, [c * unit % n for c in f_rest]
+            while True:
+                a = f_top
+                for c in f_rest:
+                    a = a * x + c
+                x = a % n
+                yield x
+        while True:
             if x < n:
-                f, g = f_aff, g_aff
+                a, f, b, g = affine
             else:
                 x -= n
-                f, g = f_inf, g_inf
-            a = 0
+                a, f, b, g = at_infinity
             for c in f:
                 a = a * x + c
-            b = 0
             for c in g:
                 b = b * x + c
             b %= n
-            if b == 1:
-                return a % n
-            return _residue_code(a, b, p, n)
-
-        return step
+            x = a % n if b == 1 else _residue_code(a, b, p, n)
+            yield x
 
     @cached_property
     def _iterates(self) -> dict[int, tuple[BinaryForm, BinaryForm]]:
@@ -880,9 +898,19 @@ def _frac_valuation(q: Fraction, p: int) -> int:
 def _real_report(
     coeffs: Sequence[Fraction], deriv: Sequence[Fraction], alpha: Fraction, iters: int
 ) -> PlaceReport:
-    coeffs = [float(c) for c in coeffs]
-    deriv = [float(c) for c in deriv]
-    x = float(alpha)
+    try:
+        coeffs = [float(c) for c in coeffs]
+        deriv = [float(c) for c in deriv]
+        x = float(alpha)
+    except OverflowError:
+        # no double holds the start or a coefficient; the exact p-adic
+        # places need no floats and still report
+        return PlaceReport("real", "undecided", {
+            "iterations": 0,
+            "final_residual": None,
+            "final_x": None,
+            "note": "start or coefficients beyond double precision",
+        })
     verdict = "undecided"
     residual = None
     note = None
@@ -976,6 +1004,23 @@ def _padic_report(
     return PlaceReport(p, verdict, detail)
 
 
+def _may_be_root(coeffs: Sequence[Fraction], alpha: Fraction) -> bool:
+    """False when the rational root theorem rules alpha out as a root of f.
+
+    With f cleared to integer coefficients c_0, ..., c_d and c_v its lowest
+    nonzero one, f = z^v * g with g(0) = c_v != 0, so a nonzero root
+    a / b in lowest terms has a | c_v and b | c_d. These two divisions cost
+    far less than evaluating f exactly at an alpha of large height.
+    """
+    a, b = alpha.numerator, alpha.denominator
+    if a == 0:
+        return True
+    ints = _clear_denominators(coeffs)
+    low = next(c for c in ints if c)
+    top = next(c for c in reversed(ints) if c)
+    return low % a == 0 and top % b == 0
+
+
 def newton_place_report(
     f_text: str,
     alpha: Union[int, str, Fraction],
@@ -995,9 +1040,12 @@ def newton_place_report(
     anything mixed stays undecided. The exact iterates grow about deg f-fold
     in bits per step, so the p-adic walk stops, undecided, at an iterate x
     with deg f * bits(x) > DEFAULT_HEIGHT_BITS, before evaluating f there.
+    A start or a coefficient past the double range leaves the real place
+    undecided, with a note, and the p-adic places still report.
     f must be squarefree of degree >= 2,
-    alpha must not already be a root, and both iteration counts must be
-    nonnegative.
+    alpha must not already be a root (f is evaluated exactly at alpha only
+    where the rational root theorem admits one, _may_be_root), and both
+    iteration counts must be nonnegative.
     """
     coeffs, deriv, common = _newton_polynomial(f_text, "Newton reports")
     if len(common) > 1:
@@ -1005,7 +1053,7 @@ def newton_place_report(
     if real_iters < 0 or p_iters < 0:
         raise ValueError("iteration counts must be nonnegative")
     alpha_f = alpha if isinstance(alpha, Fraction) else Fraction(str(alpha))
-    if _horner(coeffs, alpha_f, 1) == 0:
+    if _may_be_root(coeffs, alpha_f) and _horner(coeffs, alpha_f, 1) == 0:
         raise ValueError("alpha is already a root of f")
     reports = [_real_report(coeffs, deriv, alpha_f, real_iters)]
     for p in primes:

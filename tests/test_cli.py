@@ -322,6 +322,24 @@ def test_newton_output(capsys):
     assert verdicts["7"] == "diverges"
 
 
+def test_newton_start_beyond_double_range_leaves_the_real_place_undecided(capsys):
+    # 10^400 has no double; the real place says so, and the exact 5-adic
+    # walk still reports. Each exact Newton step doubles the bits (the
+    # default 10 steps take about 5 s), so 4 steps keep the test short
+    argv = ["newton", "--poly", "z^2-2", "--alpha", str(10 ** 400), "--primes", "5"]
+    argv += ["--p-iters", "4"]
+    code, out, err = _run(capsys, *argv)
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+    assert "real: undecided" in lines
+    assert "p=5: diverges (valuations 0,-800,-800,-800,-800)" in lines
+    code, doc, _ = _run_json(capsys, *argv)
+    real, p5 = doc["reports"]
+    assert real["verdict"] == "undecided"
+    assert real["detail"]["note"] == "start or coefficients beyond double precision"
+    assert p5["place"] == "5" and p5["detail"]["valuations"]
+
+
 def test_demo_degree_one_output(capsys):
     code, doc, _ = _run_json(capsys, "demo-degree-one", "--max-prime", "3")
     assert code == 0

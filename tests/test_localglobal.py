@@ -2,16 +2,21 @@
 search, certificates and their verification, serialization, the degree
 one demonstration, and the Newton place reports."""
 
+import functools
 import hashlib
 import json
 import math
 import random
+import sys
+import threading
 import time
 import tracemalloc
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 
+from orbitsieve import localglobal
 from orbitsieve.localglobal import (
     Budgets,
     CycleBlowupError,
@@ -234,6 +239,96 @@ def test_night_schedule_properties():
     reached = {(m.p, m.k) for m in night_schedule(plain, (), 51)}
     assert {(p, k) for p in (2, 3, 5, 7) for k in (1, 2, 3)} <= reached
     assert (7, 3) not in {(m.p, m.k) for m in night_schedule(plain, (), 50)}
+
+
+_BRUTE_LIMIT = 20_000
+
+
+@functools.cache
+def _brute_primes():
+    """The primes below _BRUTE_LIMIT, by a sieve."""
+    flags = [True] * _BRUTE_LIMIT
+    for i in range(2, math.isqrt(_BRUTE_LIMIT) + 1):
+        if flags[i]:
+            flags[i * i :: i] = [False] * len(flags[i * i :: i])
+    return [p for p in range(2, _BRUTE_LIMIT) if flags[p]]
+
+
+def _brute_schedule(phi, excluded, stages):
+    """The moduli of `stages` stages, by brute force: the first
+    stages * (stages + 1) / 2 prime powers p^k of cost below _BRUTE_LIMIT,
+    p of good reduction and not excluded, sorted by (cost, p)."""
+    allowed = [p for p in _brute_primes() if p not in excluded and phi.res % p]
+    keys = []
+    for p in allowed:
+        k = 1
+        while _cost(p, k) < _BRUTE_LIMIT:
+            keys.append((_cost(p, k), p, k))
+            k += 1
+    keys.sort()
+    count = stages * (stages + 1) // 2
+    # every prime power left out costs at least _BRUTE_LIMIT
+    assert len(keys) >= count
+    return [PrimePowerModulus(p, k) for _, p, k in keys[:count]]
+
+
+def test_night_schedule_does_not_depend_on_call_history(monkeypatch):
+    # all calls share one table of prime powers, grown on demand; from an
+    # empty table, calls with different bad primes, exclusions and stage
+    # counts (a long one, then a short one, then one that grows the table
+    # again) each get the brute-force prefix, in either order
+    calls = [
+        (parse_map("z^2+1/30"), {7, 13}, 60),  # bad at 2, 3, 5
+        (parse_map("z+1"), set(), 3),
+        (parse_map("(z^2+1)/(2z)"), {3}, 7),  # bad at 2
+        (parse_map("z^2+1/30"), set(), 1),
+        (parse_map("z^3+1/77"), {2}, 25),  # bad at 7, 11
+        (parse_map("z+1"), {2, 3, 5}, 62),
+        (parse_map("z^2-1"), set(), 4),
+    ]
+    for order in (calls, calls[::-1]):
+        monkeypatch.setattr(localglobal, "_SCHEDULE", localglobal._CostTable())
+        for phi, excluded, stages in order:
+            want = _brute_schedule(phi, excluded, stages)
+            assert night_schedule(phi, excluded, stages) == want, (str(phi), stages)
+            # each bad or excluded prime passed over is recorded once, at
+            # k = 1, however many of its powers come later
+            skips = []
+            list(islice(localglobal._stages(phi, frozenset(excluded), skips), stages))
+            last = (_cost(want[-1].p, want[-1].k), want[-1].p)
+            passed = [q for q in _brute_primes() if (q + 1, q) < last]
+            assert skips == [
+                (q, 0, "excluded" if q in excluded else "bad reduction")
+                for q in passed
+                if q in excluded or phi.res % q == 0
+            ]
+
+
+def test_night_schedule_is_the_same_on_concurrent_threads(monkeypatch):
+    # four threads grow an empty table at once, switching often; each reads
+    # a whole table at every step, so all four get the same moduli
+    monkeypatch.setattr(localglobal, "_SCHEDULE", localglobal._CostTable())
+    phi = parse_map("z^2+1/30")
+    start = threading.Barrier(4)
+    got = [None] * 4
+
+    def run(i):
+        start.wait()
+        got[i] = night_schedule(phi, {7}, 40)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert got[0] == _brute_schedule(phi, {7}, 40)
+    assert all(g == got[0] for g in got)
 
 
 def test_parity_clash_gives_an_empty_pair_intersection():
@@ -690,6 +785,53 @@ def test_newton_report_stops_when_iterates_outgrow_the_height_budget():
         "difference_valuations": [],
         "note": "iterates outgrew the height budget",
     }
+
+
+def test_newton_root_check_is_cheap_at_an_alpha_of_large_height():
+    # (2^210000 + 1) / 2^210000 is no root of z^5 + z + 3: the rational root
+    # theorem needs 2^210000 to divide the leading coefficient 1, so f is
+    # not evaluated exactly there (which took about 1 s); the reports are
+    # those of the exact check
+    start = time.perf_counter()
+    real, p5 = newton_place_report(
+        "z^5+z+3", Fraction(2 ** 210000 + 1, 2 ** 210000), [5]
+    )
+    assert time.perf_counter() - start < 0.1
+    assert (real.verdict, real.detail) == (
+        "converges",
+        {"iterations": 11, "final_residual": 0.0, "final_x": -1.1329975658850653},
+    )
+    assert (p5.verdict, p5.detail) == (
+        "undecided",
+        {
+            "valuations": [],
+            "difference_valuations": [],
+            "note": "iterates outgrew the height budget",
+        },
+    )
+
+
+def test_newton_report_rejects_exactly_the_rational_roots():
+    # f = (b z - a) (z^2 + c) (e z + 1) / s: each rational root raises, and
+    # every other start, some of which pass the divisibility pretest, runs
+    rng = random.Random(151)
+    raised = ran = 0
+    for _ in range(60):
+        a, b = rng.randint(-9, 9), rng.randint(1, 6)
+        c, e, s = rng.randint(1, 5), rng.randint(-4, 4), rng.randint(1, 7)
+        f = f"({b}z - ({a}))(z^2 + {c})({e}z + 1)/{s}"
+        roots = {Fraction(a, b)} | ({Fraction(-1, e)} if e else set())
+        if e and len(roots) == 1:
+            continue  # a double root: f is not squarefree
+        for alpha in roots | {Fraction(rng.randint(-9, 9), rng.randint(1, 6))}:
+            if alpha in roots:
+                with pytest.raises(ValueError, match="already a root"):
+                    newton_place_report(f, alpha, [], real_iters=0)
+                raised += 1
+            else:
+                newton_place_report(f, alpha, [], real_iters=0)
+                ran += 1
+    assert raised > 60 and ran > 30
 
 
 def test_newton_real_report_never_claims_divergence():

@@ -39,6 +39,29 @@ def test_is_prime_matches_trial_division_below_2000():
         assert is_prime(n) == _trial_is_prime(n), n
 
 
+def test_is_prime_matches_trial_division_across_the_small_prime_boundary():
+    # below 10^4 is_prime trial-divides by the primes below 100; from 10^4
+    # on it runs Miller-Rabin, so both sides of the boundary are compared
+    for n in range(-5, 2 * 10 ** 4 + 1):
+        assert is_prime(n) == _trial_is_prime(n), n
+
+
+def _sieve(limit):
+    flags = [True] * limit
+    flags[0] = flags[1] = False
+    for i in range(2, math.isqrt(limit) + 1):
+        if flags[i]:
+            for j in range(i * i, limit, i):
+                flags[j] = False
+    return [i for i in range(limit) if flags[i]]
+
+
+def test_good_primes_match_a_sieve():
+    # the 2,000th prime is 17,389, past the trial-division range
+    first = list(itertools.islice(good_primes(), 2000))
+    assert first == _sieve(17390)
+
+
 def test_is_prime_rejects_carmichael_numbers():
     for n in (561, 1105, 1729, 2465, 2821, 6601):
         assert not is_prime(n)

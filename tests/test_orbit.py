@@ -218,6 +218,54 @@ def test_orbit_walks_match_a_brute_force_loop():
     assert stops == {"closed", "target", "escaped", "budget", "height"}
 
 
+def _reference_walk(phi, x, steps, bits, stop=(), escape_from=None):
+    """orbit_rational's summary, rebuilt from the plain loop _brute_orbit:
+    each point is tested against the stop set, then for a repeat, then for
+    proven escape above every stop point, in that order."""
+    ref = _brute_orbit(phi, x, steps, bits)
+    top = max((_height(pt) for pt in stop), default=0)
+    for n, pt in enumerate(ref):
+        if pt in stop:
+            return OrbitSummary(tuple(ref[: n + 1]), "target", steps_done=n)
+        if pt in ref[:n]:
+            tail = ref.index(pt)
+            return OrbitSummary(tuple(ref[: n + 1]), "closed", tail, n - tail, n)
+        if (
+            escape_from is not None
+            and n >= escape_from
+            and phi.proves_escape(pt)
+            and _height(pt) >= top
+        ):
+            return OrbitSummary(tuple(ref[: n + 1]), "escaped", steps_done=n)
+    stop_reason = "height" if len(ref) <= steps else "budget"
+    return OrbitSummary(tuple(ref), stop_reason, steps_done=len(ref) - 1)
+
+
+def test_orbit_rational_matches_a_reference_walk_at_every_degree():
+    # the walk skips the stop-set test when the set is empty and the escape
+    # test at degree one; both shortcuts must leave every summary as the
+    # plain loop gives it, with and without a stop set
+    rng = random.Random(15)
+    seen = {1: set(), 2: set()}
+    for _ in range(150):
+        phi = _random_map(rng)
+        x = rng.choice([(1, 0), (rng.randint(-4, 4), rng.randint(1, 3))])
+        bits = rng.choice((16, 64, 300))
+        steps = rng.choice((3, 20))
+        ref = _brute_orbit(phi, x, steps, bits)
+        stops = [(), {normalize(rng.randint(-9, 9))}]
+        stops.append({ref[rng.randrange(len(ref))], INFINITY})
+        for stop in stops:
+            for escape_from in (None, 0, 3):
+                got = orbit_rational(phi, x, steps, bits, stop, escape_from)
+                want = _reference_walk(phi, x, steps, bits, stop, escape_from)
+                assert got == want, (str(phi), x, bits, stop, escape_from)
+                seen[min(phi.degree, 2)].add(got.stop)
+    # degree one never proves escape
+    assert seen[1] == {"closed", "target", "budget", "height"}
+    assert seen[2] == {"closed", "target", "escaped", "budget", "height"}
+
+
 def test_orbit_mod_known_values():
     # the sequence holds int codes: c for (c : 1), p^k + c2 for (1 : c2)
     phi = parse_map("z^2-1")
@@ -361,8 +409,13 @@ def test_mod_kernel_matches_a_pair_based_reference():
     # starts include inf and points whose denominator p divides
     rng = random.Random(20260)
     maps = [parse_map("(z^2+1)/(2z)"), parse_map("(z+5)/(3z-1)")]
+    # polynomials with a denominator: G = c Y^d with c != 1
+    maps += [parse_map("z^2+1/30"), parse_map("(2z^3-1)/7"), parse_map("z/3+1/2")]
     maps += _random_kernel_maps(rng, 36)
-    assert any(phi.G.coefficients[1:] == (0,) * phi.degree for phi in maps)
+    constant = [
+        phi.G.coefficients[0] for phi in maps if not any(phi.G.coefficients[1:])
+    ]
+    assert 1 in constant and any(c != 1 for c in constant)
     assert {phi.degree for phi in maps} == {1, 2, 3, 4}
     moduli = [PrimePowerModulus(p, k) for p in (2, 3, 5, 7) for k in range(1, 5)]
     bad = chart_points = near_ones = 0
@@ -456,6 +509,68 @@ def test_hit_set_membership_matches_direct_scan():
             i = n if n < len(orb.sequence) else orb.tail + (n - orb.tail) % orb.cycle
             at_n = _residue_pair(orb.sequence[i], m.modulus)
             assert hs.contains(n) == (at_n in reduced), (str(m), n)
+
+
+def _cross_hit_set(pairs, tail, cycle, targets, m):
+    """The hit set of an orbit given as canonical pairs, with membership by
+    cross-multiplication: (c1 : c2) and a target (a : b) agree mod p^k
+    exactly when c1 * b - c2 * a is 0 mod p^k."""
+    n = m.modulus
+    hits = [
+        i for i, (c1, c2) in enumerate(pairs)
+        if any((c1 * t.x2 - c2 * t.x1) % n == 0 for t in map(normalize, targets))
+    ]
+    return HitSet(
+        tail,
+        frozenset(i for i in hits if i < tail),
+        cycle,
+        tuple(sorted(i % cycle for i in hits if i >= tail)),
+    )
+
+
+def test_hit_set_matches_a_pair_based_reference():
+    # hit_set codes targets inline and finds each one's index in the
+    # sequence; here every hit set is rebuilt from the orbit's pairs. The
+    # targets include inf, points whose denominator p divides, two distinct
+    # rationals that agree mod p^k, iterates of the start (so that hits
+    # occur both in the tail and in the cycle), and ints and Fractions as
+    # well as points
+    rng = random.Random(1515)
+    moduli = [PrimePowerModulus(p, k) for p in (2, 3, 5, 7, 11, 13) for k in (1, 2, 3)]
+    seen = set()
+    for _ in range(24):
+        phi = _random_map(rng)
+        start = normalize((rng.randint(-6, 6), rng.randint(1, 4)))
+        iterates = _brute_orbit(phi, start, 6, 64)
+        for m in moduli:
+            if not phi.is_good_prime(m.p):
+                continue
+            p, n = m.p, m.modulus
+            c = rng.randint(-20, 20)
+            targets = [
+                INFINITY,
+                Fraction(1, p),
+                Fraction(rng.randint(1, 40) * p + 1, p * p),
+                c,
+                normalize(c + n),
+                rng.choice(iterates),
+                rng.choice(iterates),
+            ]
+            orb = orbit_mod(phi, start, m)
+            tail, cycle, pairs, _ = _pair_orbit(phi, start, m)
+            want = _cross_hit_set(pairs, tail, cycle, targets, m)
+            assert hit_set(orb, targets) == want, (str(phi), start, str(m))
+            # c and c + p^k reduce to one residue
+            same = _cross_hit_set(pairs, tail, cycle, [c], m)
+            assert hit_set(orb, targets[3:5]) == same
+            seen.add(phi.degree)
+            if want.exceptional:
+                seen.add("tail hit")
+            if want.residues:
+                seen.add("cycle hit")
+            if any(reduce_mod(t, m) in pairs for t in targets[:3]):
+                seen.add("inf or p in the denominator hit")
+    assert {1, 2, 3, "tail hit", "cycle hit", "inf or p in the denominator hit"} <= seen
 
 
 def test_hit_set_validation():
