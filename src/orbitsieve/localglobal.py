@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import heapq
 import math
-import threading
 from dataclasses import dataclass, fields
 from itertools import islice
 from typing import Iterable, Iterator, Optional, Sequence
@@ -225,81 +224,42 @@ def _cost(p: int, k: int) -> int:
     return (p ** k + p ** (k - 1)) * k ** 3
 
 
-class _CostTable:
-    """Every prime power p^k once, in increasing (cost, p) order: the one
-    table that the night stages of every problem walk (_stages).
-
-    It starts empty and is grown on demand, so it holds as many entries as
-    the longest schedule walked so far, by a heap of (cost, p, k) that holds
-    the next power of every prime reached so far and one prime q not yet
-    reached, at k = 1. Popping the cheapest entry pushes p^(k+1), and at
-    k = 1 also the prime after p. The cost grows with p at fixed k and with
-    k at fixed p, so every pushed entry costs more than the one popped, and
-    the prime powers come out each once, in increasing (cost, p) order. The
-    heap grows under a lock, and the table is published as a whole new
-    tuple, so a caller on another thread reads the old table or the grown
-    one, never a partial one.
-    """
-
-    def __init__(self):
-        self.moduli: tuple[PrimePowerModulus, ...] = ()
-        self._lock = threading.Lock()
-        self._heap: list[tuple[int, int, int]] = []
-        self._primes = good_primes()
-
-    def upto(self, size: int) -> tuple[PrimePowerModulus, ...]:
-        """The table, grown first to at least `size` entries if shorter."""
-        if len(self.moduli) >= size:
-            return self.moduli
-        with self._lock:
-            if len(self.moduli) < size:  # no other thread grew it meanwhile
-                grown = list(self.moduli)
-                heap = self._heap
-                if not heap:
-                    q = next(self._primes)
-                    heap.append((_cost(q, 1), q, 1))
-                while len(grown) < size:
-                    _, p, k = heapq.heappop(heap)
-                    if k == 1:
-                        q = next(self._primes)
-                        heapq.heappush(heap, (_cost(q, 1), q, 1))
-                    heapq.heappush(heap, (_cost(p, k + 1), p, k + 1))
-                    grown.append(PrimePowerModulus(p, k))
-                self.moduli = tuple(grown)
-            return self.moduli
-
-
-_SCHEDULE = _CostTable()
-
-
 def _stages(
     phi: RationalMap, excluded: frozenset[int], skips: list[tuple[int, int, str]]
 ) -> Iterator[list[PrimePowerModulus]]:
     """Yield the moduli of each stage of night_schedule in turn.
 
-    The stages walk the shared table of every prime power in (cost, p)
-    order (_CostTable), growing it only where no earlier problem has, and
-    no heap is built per problem. Entries at excluded primes and primes of
-    bad reduction are passed over: at k = 1 the prime is appended to
-    `skips` as (q, 0, reason), in the stage that needed the next good
-    prime, before that stage is yielded; its higher powers, which come
-    later in the table, are passed over silently.
+    A heap of (cost, p, k) holds the next power of every good prime reached
+    so far, and one prime q not yet checked, at k = 1. Popping the cheapest
+    entry pushes p^(k+1), and at k = 1 also the prime after p. The cost
+    grows with p at fixed k and with k at fixed p, so every pushed entry
+    costs more than the one popped, and the good prime powers come out
+    each once, in increasing (cost, p) order.
+
+    A popped prime that is excluded or of bad reduction is appended to
+    `skips` as (q, 0, reason), so a prime is passed over in the stage that
+    needed the next good prime, before that stage is yielded.
     """
-    table = _SCHEDULE.moduli
-    i = size = 0
+    primes = good_primes()
+    q = next(primes)
+    heap = [(_cost(q, 1), q, 1)]
+    size = 0
     while True:
         size += 1
         stage: list[PrimePowerModulus] = []
         while len(stage) < size:
-            if i == len(table):
-                table = _SCHEDULE.upto(i + size - len(stage))
-            m = table[i]
-            i += 1
-            p = m.p
-            if p not in excluded and phi.is_good_prime(p):
-                stage.append(m)
-            elif m.k == 1:
-                skips.append((p, 0, "excluded" if p in excluded else "bad reduction"))
+            _, p, k = heapq.heappop(heap)
+            if k == 1:
+                q = next(primes)
+                heapq.heappush(heap, (_cost(q, 1), q, 1))
+                if p in excluded:
+                    skips.append((p, 0, "excluded"))
+                    continue
+                if not phi.is_good_prime(p):
+                    skips.append((p, 0, "bad reduction"))
+                    continue
+            heapq.heappush(heap, (_cost(p, k + 1), p, k + 1))
+            stage.append(PrimePowerModulus(p, k))
         yield stage
 
 
@@ -322,11 +282,6 @@ def night_schedule(
     memory by the stage count alone: for a map of good reduction at every
     prime, 12 stages examine 78 moduli, the primes up to 373 and 2^2, 3^2,
     5^2 and 2^3, where the orbits have at most 374 points.
-
-    Every call reads one process-wide table of all prime powers in this
-    order, grown lazily (_CostTable); no heap is built per problem, and the
-    result does not depend on which calls, with which maps, exclusions or
-    stage counts, came before.
     """
     gen = _stages(phi, frozenset(excluded), [])
     return [m for stage in islice(gen, stages) for m in stage]
@@ -348,9 +303,7 @@ def decide(problem: DecisionProblem, jobs: int = 1) -> Certificate:
     Otherwise the night stages run in order, one modulus at a time, the
     cheapest moduli first (night_schedule): many primes at k = 1 before any
     deep power, because breadth over primes is what settles problems, and
-    because the stage count alone then bounds the size of every orbit. The
-    stages walk the table of prime powers that all problems share, grown
-    lazily on first use, so no schedule is built per problem. A
+    because the stage count alone then bounds the size of every orbit. A
     modulus whose own hit set is empty settles the problem by itself and is
     emitted as a singleton certificate. Of a modulus with a nonempty hit set
     only the modulus and the hit set are kept, not its orbit, so at most

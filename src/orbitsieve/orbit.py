@@ -223,26 +223,15 @@ class HitSet:
 def hit_set(orb: ModOrbit, targets: Iterable[PointLike]) -> HitSet:
     """Compute the hit set of a modular orbit against a set of targets.
 
-    p and p^k are read once per call, and each target is coded straight
-    from its coordinates (as projective._residue_code does): a point
-    (x1 : x2) with p not dividing x2 is the code x1 / x2 mod p^k, else
-    p^k + x2 / x1. The codes of the orbit are distinct, so each target code
-    has at most one index in it: one pass over the sequence finds the codes
-    that occur, and each of those few is then looked up by its index.
+    p and p^k are read once per call, and each target is reduced straight
+    to its int code (projective._residue_code). The codes of the orbit are
+    distinct, so each target code has at most one index in it: one pass
+    over the sequence finds the codes that occur, and each of those few is
+    then looked up by its index.
     """
     p = orb.modulus.p
     n = orb.modulus.modulus
-    codes = set()
-    for pt in targets:
-        if type(pt) is not ProjectivePoint:
-            pt = normalize(pt)
-        a, b = pt.x1, pt.x2
-        if b == 1:
-            codes.add(a % n)
-        elif b % p:
-            codes.add(a * pow(b, -1, n) % n)
-        else:
-            codes.add(n + b * pow(a, -1, n) % n)
+    codes = {_residue_code(pt.x1, pt.x2, p, n) for pt in map(normalize, targets)}
     seq, tail, cycle = orb.sequence, orb.tail, orb.cycle
     hits = sorted(map(seq.index, codes.intersection(seq)))
     return HitSet(

@@ -503,22 +503,17 @@ class RationalMap:
         divides the resultant; at a good prime the two image coordinates
         are never both divisible by p.
 
-        When G(x, 1) is a constant c, as for every polynomial map, G is
-        c * Y^d and the resultant is +-(c * F(1, 0))^d, so c is a unit mod p
-        at a good prime and an affine point (x : 1) maps to the affine point
-        (F(x, 1) / c : 1). From an affine start such a walk never leaves the
-        chart, and each step is one Horner pass of F(x, 1) / c, whose
-        coefficients are reduced mod n once per walk when c != 1.
+        When G(x, 1) == 1, the polynomial chart, an affine point (x : 1) maps
+        to the affine point (F(x, 1) : 1). From an affine start such a walk
+        never leaves the chart, and each step is one Horner pass of F(x, 1)
+        with no pass over G.
         """
         p, n = m.p, m.modulus
         if not self.is_good_prime(p):
             raise BadPrimeError(p)
         affine, at_infinity = self._charts
         f_top, f_rest, g_top, g_rest = affine
-        if not g_rest and x < n:
-            if g_top != 1:
-                unit = pow(g_top, -1, n)
-                f_top, f_rest = f_top * unit % n, [c * unit % n for c in f_rest]
+        if not g_rest and g_top == 1 and x < n:
             while True:
                 a = f_top
                 for c in f_rest:

@@ -7,8 +7,6 @@ import hashlib
 import json
 import math
 import random
-import sys
-import threading
 import time
 import tracemalloc
 from fractions import Fraction
@@ -272,11 +270,10 @@ def _brute_schedule(phi, excluded, stages):
     return [PrimePowerModulus(p, k) for _, p, k in keys[:count]]
 
 
-def test_night_schedule_does_not_depend_on_call_history(monkeypatch):
-    # all calls share one table of prime powers, grown on demand; from an
-    # empty table, calls with different bad primes, exclusions and stage
-    # counts (a long one, then a short one, then one that grows the table
-    # again) each get the brute-force prefix, in either order
+def test_night_schedule_does_not_depend_on_call_history():
+    # calls with different bad primes, exclusions and stage counts (a long
+    # one, then a short one, then a longer one) each get the brute-force
+    # prefix, in either order
     calls = [
         (parse_map("z^2+1/30"), {7, 13}, 60),  # bad at 2, 3, 5
         (parse_map("z+1"), set(), 3),
@@ -287,7 +284,6 @@ def test_night_schedule_does_not_depend_on_call_history(monkeypatch):
         (parse_map("z^2-1"), set(), 4),
     ]
     for order in (calls, calls[::-1]):
-        monkeypatch.setattr(localglobal, "_SCHEDULE", localglobal._CostTable())
         for phi, excluded, stages in order:
             want = _brute_schedule(phi, excluded, stages)
             assert night_schedule(phi, excluded, stages) == want, (str(phi), stages)
@@ -302,33 +298,6 @@ def test_night_schedule_does_not_depend_on_call_history(monkeypatch):
                 for q in passed
                 if q in excluded or phi.res % q == 0
             ]
-
-
-def test_night_schedule_is_the_same_on_concurrent_threads(monkeypatch):
-    # four threads grow an empty table at once, switching often; each reads
-    # a whole table at every step, so all four get the same moduli
-    monkeypatch.setattr(localglobal, "_SCHEDULE", localglobal._CostTable())
-    phi = parse_map("z^2+1/30")
-    start = threading.Barrier(4)
-    got = [None] * 4
-
-    def run(i):
-        start.wait()
-        got[i] = night_schedule(phi, {7}, 40)
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=run, args=(i,)) for i in range(4)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=30)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(t.is_alive() for t in threads)
-    assert got[0] == _brute_schedule(phi, {7}, 40)
-    assert all(g == got[0] for g in got)
 
 
 def test_parity_clash_gives_an_empty_pair_intersection():
