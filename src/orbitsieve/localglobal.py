@@ -18,7 +18,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass, fields
-from itertools import islice
+from itertools import islice, starmap
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .numtheory import good_primes, prime_set
@@ -93,9 +93,13 @@ class Budgets:
     cycle_lcm_cap: int = 10 ** 7
 
     def __post_init__(self):
-        for f in fields(self):
-            if getattr(self, f.name) < 1:
-                raise ValueError(f"budget {f.name} must be positive")
+        for name in _BUDGET_NAMES:
+            if getattr(self, name) < 1:
+                raise ValueError(f"budget {name} must be positive")
+
+
+# the field names of Budgets, in order, read once rather than per instance
+_BUDGET_NAMES = tuple(f.name for f in fields(Budgets))
 
 
 @dataclass(frozen=True)
@@ -117,11 +121,16 @@ class DecisionProblem:
         excluded_primes: Iterable[int] = (),
         budgets: Budgets = Budgets(),
     ) -> "DecisionProblem":
-        tset = sorted({normalize(t) for t in targets})
-        if not tset:
+        """Normalize the start and the targets, and keep each target once,
+        in the order of its coordinate pair (x1, x2), which is the order of
+        the points. ValueError for an empty target set or an excluded entry
+        that is not prime."""
+        pts = {(pt.x1, pt.x2): pt for pt in map(normalize, targets)}
+        if not pts:
             raise ValueError("the target set must be nonempty")
+        tset = tuple(map(pts.__getitem__, sorted(pts)))
         banned = prime_set(excluded_primes)
-        return cls(phi, normalize(start), tuple(tset), banned, budgets)
+        return cls(phi, normalize(start), tset, banned, budgets)
 
 
 @dataclass(frozen=True)
@@ -451,7 +460,6 @@ def verify_certificate(problem: DecisionProblem, cert: Certificate) -> bool:
     Exhausted certificates assert nothing and never verify.
     """
     phi = problem.phi
-    targets = frozenset(problem.targets)
     if cert.kind == "witness":
         if cert.witness_index is None or cert.witness_index < 0:
             return False
@@ -461,7 +469,7 @@ def verify_certificate(problem: DecisionProblem, cert: Certificate) -> bool:
             )
         except Exception:
             return False
-        return pt in targets
+        return pt in frozenset(problem.targets)
     if cert.kind != "empty":
         return False
     if cert.finite_orbit is not None:
@@ -473,7 +481,7 @@ def verify_certificate(problem: DecisionProblem, cert: Certificate) -> bool:
         )
         if redone != cert.finite_orbit:
             return False
-        return not (set(redone.points) & targets)
+        return frozenset(problem.targets).isdisjoint(redone.points)
     if not cert.evidence:
         return False
     for ev in cert.evidence:
@@ -503,7 +511,7 @@ def _pt(p: ProjectivePoint) -> list[str]:
 
 def _unpt(v: Sequence[str]) -> ProjectivePoint:
     a, b = v
-    return ProjectivePoint(int(a), int(b))
+    return ProjectivePoint.read(int(a), int(b))
 
 
 def problem_to_dict(problem: DecisionProblem) -> dict:
@@ -518,7 +526,7 @@ def problem_to_dict(problem: DecisionProblem) -> dict:
         "start": _pt(problem.start),
         "targets": [_pt(t) for t in problem.targets],
         "excluded_primes": [str(q) for q in sorted(problem.excluded_primes)],
-        "budgets": {f.name: str(getattr(b, f.name)) for f in fields(Budgets)},
+        "budgets": {name: str(getattr(b, name)) for name in _BUDGET_NAMES},
     }
 
 
@@ -526,32 +534,38 @@ def problem_from_dict(doc: dict) -> DecisionProblem:
     """Decode the problem block that problem_to_dict wrote, and nothing else.
 
     ValueError unless the stored map is already in the normal form of
-    RationalMap.make, with its own degree and resultant, the targets are
-    sorted without repeats, and the excluded primes are strictly increasing.
-    Without these checks a certificate whose map is stored times 2, or with
-    a wrong resultant, would decode to the normalized map and verify. The
-    parsed values are compared, not re-encoded. Budget keys outside Budgets
-    (the two of schema version 1) are ignored.
+    RationalMap.make, with its own degree and resultant, every stored point
+    is in normal form, the targets are nonempty, sorted by coordinate pair
+    and without repeats, the excluded primes are primes in strictly
+    increasing order, and every budget is positive. Without these checks a
+    certificate whose map is stored times 2, or with a wrong resultant,
+    would decode to the normalized map and verify. The parsed values are
+    compared, not re-encoded. The resultant is recomputed from the stored
+    coefficients on every call, never taken from the document or a cache.
+    Each point is decoded once, and the problem is built as decoded rather
+    than through DecisionProblem.make, which would normalize and sort again.
+    Budget keys outside Budgets (the two of schema version 1) are ignored.
     """
     m = doc["map"]
-    fc = [int(c) for c in m["f"]]
-    gc = [int(c) for c in m["g"]]
+    fc = list(map(int, m["f"]))
+    gc = list(map(int, m["g"]))
     phi = RationalMap.make(fc, gc)
     stored = (tuple(fc), tuple(gc), int(m["degree"]), int(m["resultant"]))
     if stored != (phi.F.coefficients, phi.G.coefficients, phi.degree, phi.res):
         raise ValueError("the map is not stored as RationalMap.make gives it")
     b = doc["budgets"]
-    budgets = Budgets(**{f.name: int(b[f.name]) for f in fields(Budgets)})
-    targets = [_unpt(t) for t in doc["targets"]]
-    excluded = [int(q) for q in doc["excluded_primes"]]
-    problem = DecisionProblem.make(
-        phi, _unpt(doc["start"]), targets, excluded, budgets
-    )
-    if tuple(targets) != problem.targets:
+    budgets = Budgets(*[int(b[name]) for name in _BUDGET_NAMES])
+    pairs = [(int(x1), int(x2)) for x1, x2 in doc["targets"]]
+    if not pairs:
+        raise ValueError("the target set must be nonempty")
+    if sorted(set(pairs)) != pairs:
         raise ValueError("the targets are not sorted and distinct")
-    if excluded != sorted(problem.excluded_primes):
+    targets = tuple(starmap(ProjectivePoint.read, pairs))
+    excluded = list(map(int, doc["excluded_primes"]))
+    banned = prime_set(excluded)
+    if sorted(banned) != excluded:
         raise ValueError("the excluded primes are not sorted and distinct")
-    return problem
+    return DecisionProblem(phi, _unpt(doc["start"]), targets, banned, budgets)
 
 
 def _orbit_summary_to_dict(o: OrbitSummary) -> dict:
@@ -563,7 +577,7 @@ def _orbit_summary_to_dict(o: OrbitSummary) -> dict:
 
 
 def _orbit_summary_from_dict(doc: dict) -> OrbitSummary:
-    pts = tuple(_unpt(v) for v in doc["points"])
+    pts = tuple(map(_unpt, doc["points"]))
     tail = int(doc["tail"])
     cycle = int(doc["cycle"])
     return OrbitSummary(pts, "closed", tail, cycle, len(pts) - 1)
@@ -592,14 +606,14 @@ def _evidence_to_dict(ev: ModulusEvidence) -> dict:
 def _evidence_from_dict(doc: dict) -> ModulusEvidence:
     mod = PrimePowerModulus(int(doc["p"]), int(doc["k"]))
     p, n = mod.p, mod.modulus
-    seq = tuple(_pair_code(tuple(map(int, v)), p, n) for v in doc["orbit"]["sequence"])
-    orb = ModOrbit(mod, int(doc["orbit"]["tail"]), int(doc["orbit"]["cycle"]), seq)
-    hs_doc = doc["hit_set"]
+    orb_doc, hs_doc = doc["orbit"], doc["hit_set"]
+    seq = tuple([_pair_code(int(a), int(b), p, n) for a, b in orb_doc["sequence"]])
+    orb = ModOrbit(mod, int(orb_doc["tail"]), int(orb_doc["cycle"]), seq)
     hs = HitSet(
         threshold=int(hs_doc["threshold"]),
-        exceptional=frozenset(int(n) for n in hs_doc["exceptional"]),
+        exceptional=frozenset(map(int, hs_doc["exceptional"])),
         cycle_length=int(hs_doc["cycle_length"]),
-        residues=tuple(int(r) for r in hs_doc["residues"]),
+        residues=tuple(map(int, hs_doc["residues"])),
     )
     return ModulusEvidence(orb, hs)
 
@@ -653,44 +667,34 @@ def _certificate_from_dict(doc: dict) -> tuple[DecisionProblem, Certificate]:
     if doc.get("schema_version") not in ("1", "2"):
         raise ValueError("unsupported certificate schema version")
     problem = problem_from_dict(doc["problem"])
+    kind = doc["kind"]
+    witness_index, finite_orbit, evidence = None, None, ()
+    if kind == "witness":
+        witness_index = int(doc["witness_index"])
+    elif kind == "empty":
+        if "finite_orbit" in doc:
+            finite_orbit = _orbit_summary_from_dict(doc["finite_orbit"])
+        else:
+            evidence = tuple([_evidence_from_dict(e) for e in doc.get("moduli", [])])
+    elif kind != "exhausted":
+        raise ValueError(f"unknown certificate kind {kind!r}")
     eng = doc.get("engine", {})
-    base = dict(
+    cert = Certificate(
+        kind,
+        witness_index=witness_index,
+        finite_orbit=finite_orbit,
+        evidence=evidence,
         day_steps_done=int(eng.get("day_steps_done", "0")),
         night_stages_done=int(eng.get("night_stages_done", "0")),
         day_status=eng.get("day_status", "running"),
-        examined=tuple(
+        examined=tuple([
             (int(e["p"]), int(e["k"]), bool(e["hit_set_empty"]))
             for e in eng.get("examined", [])
-        ),
-        skipped=tuple(
+        ]),
+        skipped=tuple([
             (int(e["p"]), int(e["k"]), str(e["reason"]))
             for e in eng.get("skipped", [])
-        ),
+        ]),
         warnings=tuple(eng.get("warnings", [])),
     )
-    kind = doc["kind"]
-    if kind == "witness":
-        cert = Certificate(
-            "witness", witness_index=int(doc["witness_index"]), **base
-        )
-    elif kind == "empty":
-        if "finite_orbit" in doc:
-            cert = Certificate(
-                "empty",
-                finite_orbit=_orbit_summary_from_dict(doc["finite_orbit"]),
-                **base,
-            )
-        else:
-            cert = Certificate(
-                "empty",
-                evidence=tuple(
-                    _evidence_from_dict(e) for e in doc.get("moduli", [])
-                ),
-                **base,
-            )
-    elif kind == "exhausted":
-        cert = Certificate("exhausted", **base)
-    else:
-        raise ValueError(f"unknown certificate kind {kind!r}")
     return problem, cert
-

@@ -158,16 +158,29 @@ def prime_set(entries: Iterable[int]) -> frozenset[int]:
 
 
 def valuation(n: int, p: int) -> int:
-    """Exact power of the prime p dividing n (n must be nonzero)."""
+    """Exact power of the prime p dividing n (n must be nonzero).
+
+    O(log v) divisions for valuation v, not v: the powers p^(2^i) are
+    tried while they divide n, so that 2^(m-1) <= v < 2^m when m of them
+    do, and the binary digits of v are then read off from the highest down,
+    dividing n by p^(2^i) wherever it still divides.
+    """
     if n == 0:
         raise ValueError("valuation of zero is undefined")
     if p < 2 or not is_prime(p):
         raise ValueError(f"{p} is not prime")
     n = abs(n)
+    squares = []
+    q = p
+    while n % q == 0:
+        squares.append(q)
+        q *= q
     v = 0
-    while n % p == 0:
-        n //= p
-        v += 1
+    for i in reversed(range(len(squares))):
+        quotient, rest = divmod(n, squares[i])
+        if rest == 0:
+            n = quotient
+            v += 1 << i
     return v
 
 

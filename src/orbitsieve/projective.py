@@ -45,13 +45,17 @@ class ProjectivePoint:
     x2: int
 
     def __post_init__(self):
-        if self.x1 == 0 and self.x2 == 0:
-            raise ValueError("(0, 0) is not a projective point")
-        if math.gcd(self.x1, self.x2) != 1:
-            raise ValueError("coordinates must be coprime")
-        last = self.x2 if self.x2 != 0 else self.x1
-        if last < 0:
-            raise ValueError("last nonzero coordinate must be positive")
+        _check_normal(self.x1, self.x2)
+
+    @classmethod
+    def read(cls, x1: int, x2: int) -> "ProjectivePoint":
+        """The point (x1 : x2), which must already be in normal form:
+        ValueError otherwise, as from the constructor, whose checks it runs
+        without the dataclass __init__. For points read from outside the
+        program, such as the stored points of a certificate, which are
+        rejected rather than normalized."""
+        _check_normal(x1, x2)
+        return cls._unchecked(x1, x2)
 
     @classmethod
     def _unchecked(cls, x1: int, x2: int) -> "ProjectivePoint":
@@ -63,8 +67,10 @@ class ProjectivePoint:
         checking constructor instead.
         """
         pt = object.__new__(cls)
-        object.__setattr__(pt, "x1", x1)
-        object.__setattr__(pt, "x2", x2)
+        # the instance dict directly: the frozen __setattr__ would refuse
+        coords = pt.__dict__
+        coords["x1"] = x1
+        coords["x2"] = x2
         return pt
 
     @property
@@ -78,6 +84,17 @@ class ProjectivePoint:
 
     def __str__(self) -> str:
         return format_point(self)
+
+
+def _check_normal(x1: int, x2: int) -> None:
+    """ValueError unless (x1, x2) is in normal form: gcd 1 (which rules out
+    (0, 0), whose gcd is 0), and the last nonzero coordinate positive."""
+    if math.gcd(x1, x2) != 1:
+        if x1 == 0 and x2 == 0:
+            raise ValueError("(0, 0) is not a projective point")
+        raise ValueError("coordinates must be coprime")
+    if (x2 or x1) < 0:
+        raise ValueError("last nonzero coordinate must be positive")
 
 
 INFINITY = ProjectivePoint(1, 0)
@@ -255,13 +272,12 @@ def _residue_pair(code: int, n: int) -> tuple[int, int]:
     return (code, 1) if code < n else (1, code - n)
 
 
-def _pair_code(pair: tuple[int, int], p: int, n: int) -> int:
-    """The int code of a canonical pair mod n = p^k, the inverse of
-    _residue_pair: (c, 1) with 0 <= c < n, or (1, c2) with p | c2 and
+def _pair_code(a: int, b: int, p: int, n: int) -> int:
+    """The int code of the canonical pair (a, b) mod n = p^k, the inverse
+    of _residue_pair: (c, 1) with 0 <= c < n, or (1, c2) with p | c2 and
     0 <= c2 < n. Unlike _residue_code it never canonicalizes: any other
     pair raises ValueError, so a certificate that stores one is malformed.
     """
-    a, b = pair
     if b == 1 and 0 <= a < n:
         return a
     if a == 1 and 0 <= b < n and b % p == 0:

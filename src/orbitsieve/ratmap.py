@@ -221,10 +221,6 @@ class BinaryForm:
     def degree(self) -> int:
         return len(self.coefficients) - 1
 
-    @property
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coefficients)
-
     def content(self) -> int:
         return math.gcd(*self.coefficients)
 
@@ -249,46 +245,64 @@ class BinaryForm:
 def resultant(f: BinaryForm, g: BinaryForm) -> int:
     """Homogeneous resultant of two forms of equal degree d.
 
-    Determinant of the 2d x 2d Sylvester matrix, computed fraction-free
+    The Sylvester determinant (rows: d shifts of F, then d of G, each
+    highest power of X first), computed as (-1)^(d(d-1)/2) * det B for the
+    d x d Bezout-Cayley matrix B of (f, g), ascending coefficient vectors:
+    (f(x) g(y) - f(y) g(x)) / (x - y) = sum of B[i][j] x^i y^j, so
+        B[i][j] = sum over max(0, i+j+1-d) <= k <= min(i, j) of
+                  f[i+j+1-k] * g[k] - f[k] * g[i+j+1-k].
+    Both sides are polynomials in the coefficients, so the identity holds
+    with zero end coefficients too. Along an antidiagonal the sums share all
+    but their last term, B[i][j] = B[i-1][j+1] + f[j+1] g[i] - f[i] g[j+1]
+    for i <= j, which is how B is filled. B is symmetric and half the size
+    of the Sylvester matrix; its determinant is computed fraction-free
     (Bareiss), so the result is exact for any coefficient size.
     """
-    if f.degree != g.degree:
+    fc, gc = f.coefficients, g.coefficients
+    d = len(fc) - 1
+    if len(gc) != d + 1:
         raise ValueError("resultant expects forms of equal degree")
-    d = f.degree
     if d == 0:
         raise ValueError("degree must be at least 1")
-    fd = list(reversed(f.coefficients))
-    gd = list(reversed(g.coefficients))
-    size = 2 * d
-    rows = []
-    for j in range(d):
-        rows.append([0] * j + fd + [0] * (d - 1 - j))
-    for j in range(d):
-        rows.append([0] * j + gd + [0] * (d - 1 - j))
-    return _bareiss_det(rows)
+    # one more zero row and column than B: rows[-1] stands for row -1 and
+    # column d for the entries past the edge, so the recurrence reads 0 there
+    rows = [[0] * (d + 1) for _ in range(d + 1)]
+    for i in range(d):
+        above, row = rows[i - 1], rows[i]
+        fi, gi = fc[i], gc[i]
+        for j in range(i, d):
+            row[j] = rows[j][i] = above[j + 1] + fc[j + 1] * gi - fi * gc[j + 1]
+    det = _bareiss_det(rows[:d])
+    # d(d-1)/2 is odd exactly when d = 2 or 3 mod 4
+    return -det if d & 2 else det
 
 
-def _bareiss_det(mat: list[list[int]]) -> int:
-    n = len(mat)
+def _bareiss_det(m: list[list[int]]) -> int:
+    """Determinant of the n x n integer matrix held in the first n columns
+    of the n rows of m, by fraction-free elimination (Bareiss): every
+    division is exact. Overwrites the rows."""
+    n = len(m)
     if n == 0:
         return 1
-    m = [row[:] for row in mat]
     sign = 1
     prev = 1
     for k in range(n - 1):
-        if m[k][k] == 0:
+        row_k = m[k]
+        if row_k[k] == 0:
             for i in range(k + 1, n):
                 if m[i][k] != 0:
-                    m[k], m[i] = m[i], m[k]
+                    row_k, m[i] = m[i], row_k
+                    m[k] = row_k
                     sign = -sign
                     break
             else:
                 return 0
-        pivot = m[k][k]
+        pivot = row_k[k]
         for i in range(k + 1, n):
+            row_i = m[i]
+            lead = row_i[k]
             for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * pivot - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
+                row_i[j] = (row_i[j] * pivot - lead * row_k[j]) // prev
         prev = pivot
     return sign * m[n - 1][n - 1]
 
@@ -317,14 +331,15 @@ class RationalMap:
     G: BinaryForm
     res: int = field(compare=False)
     notes: tuple[str, ...] = field(default=(), compare=False)
-    # Horner inputs of _mod_walk, for the affine chart (F(x, 1), G(x, 1))
-    # and the chart at infinity (F(1, y), G(1, y)): each polynomial, highest
-    # power first with leading zeros dropped (no form is zero), as its
-    # leading coefficient and the rest, so G(x, 1) of a polynomial map is
-    # (1, ())
-    _charts: tuple[tuple, tuple] = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
+    @cached_property
+    def _charts(self) -> tuple[tuple, tuple]:
+        """Horner inputs of _mod_walk, for the affine chart (F(x, 1), G(x, 1))
+        and the chart at infinity (F(1, y), G(1, y)): each polynomial,
+        highest power first with leading zeros dropped (no form is zero), as
+        its leading coefficient and the rest, so G(x, 1) of a polynomial map
+        is (1, ()). Built on the first walk, so a map that is never reduced
+        (a decoded witness, say) never pays for it."""
         fc, gc = self.F.coefficients, self.G.coefficients
         charts = []
         for pair in ((fc[::-1], gc[::-1]), (fc, gc)):
@@ -334,7 +349,7 @@ class RationalMap:
                     v = v[1:]
                 chart += (v[0], v[1:])
             charts.append(chart)
-        object.__setattr__(self, "_charts", tuple(charts))
+        return tuple(charts)
 
     @classmethod
     def make(
@@ -356,19 +371,22 @@ class RationalMap:
         joint = math.gcd(*f_coeffs, *g_coeffs)
         if joint == 0:
             raise DegenerateMapError("both forms are identically zero")
-        f = [c // joint for c in f_coeffs]
-        g = [c // joint for c in g_coeffs]
-        top = next((c for c in reversed(f) if c != 0), 0)
-        if top < 0:
-            f = [-c for c in f]
-            g = [-c for c in g]
-        F = BinaryForm(tuple(f))
-        G = BinaryForm(tuple(g))
-        if F.is_zero or G.is_zero:
+        f, g = tuple(f_coeffs), tuple(g_coeffs)
+        if not any(f) or not any(g):
             raise DegenerateMapError(
                 "one of the forms is identically zero; the pair does not "
                 "define a self-map"
             )
+        for top in reversed(f):
+            if top:
+                break
+        if top < 0:
+            joint = -joint
+        if joint != 1:
+            f = tuple([c // joint for c in f])
+            g = tuple([c // joint for c in g])
+        F = BinaryForm(f)
+        G = BinaryForm(g)
         r = resultant(F, G)
         if r == 0:
             raise DegenerateMapError(

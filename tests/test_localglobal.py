@@ -677,6 +677,92 @@ def test_problem_block_must_be_stored_in_normal_form():
             certificate_from_dict(bad)
 
 
+def test_problem_decoder_rejects_each_malformed_entry():
+    # one entry of the problem block at a time: a stored point out of normal
+    # form, an empty target set, a repeat kept in sorted order, a budget
+    # that is not positive, an excluded entry that is not prime, or a
+    # string that is not a decimal integer
+    problem = _problem("z^2-1", 3, [0, 5], excluded=(7, 11))
+    doc = certificate_to_dict(problem, decide(problem))
+
+    def put(*path_and_value):
+        *path, value = path_and_value
+
+        def edit(block):
+            node = block
+            for key in path[:-1]:
+                node = node[key]
+            node[path[-1]] = value
+        return edit
+
+    edits = [
+        put("targets", 0, ["2", "4"]),
+        put("targets", 0, ["0", "0"]),
+        put("targets", 0, ["1", "-2"]),
+        put("start", ["0", "2"]),
+        put("targets", []),
+        put("targets", [["0", "1"], ["0", "1"], ["5", "1"]]),
+        put("excluded_primes", ["7", "7", "11"]),
+        put("budgets", "day_steps", "0"),
+        put("excluded_primes", ["4", "7", "11"]),
+        put("map", "f", 0, "-1.0"),
+        put("targets", 1, ["5", "0x1"]),
+        put("budgets", "night_stages", "twelve"),
+        put("excluded_primes", 0, "7e0"),
+        put("map", "resultant", ""),
+    ]
+    for edit in edits:
+        bad = json.loads(json.dumps(doc))
+        edit(bad["problem"])
+        assert bad["problem"] != doc["problem"]
+        with pytest.raises(ValueError):
+            certificate_from_dict(bad)
+
+
+def _random_problem(rng):
+    """A problem of degree 1 to 4 with targets that may include inf, some
+    excluded primes and budgets away from the defaults."""
+    d = rng.randint(1, 4)
+    while True:
+        f = [rng.randint(-6, 6) for _ in range(d + 1)]
+        g = [rng.randint(-6, 6) for _ in range(d + 1)]
+        try:
+            phi = RationalMap.make(f, g)
+            break
+        except DegenerateMapError:
+            pass
+
+    def point():
+        if rng.random() < 0.1:
+            return INFINITY
+        return normalize(Fraction(rng.randint(-9, 9), rng.randint(1, 4)))
+
+    targets = [point() for _ in range(rng.randint(1, 6))]
+    excluded = rng.sample((2, 3, 5, 7, 11, 13), rng.randint(0, 3))
+    budgets = Budgets(
+        day_steps=rng.randint(1, 24),
+        night_stages=rng.randint(1, 4),
+        height_bits=rng.randint(64, 512),
+        cycle_lcm_cap=rng.randint(10, 10**5),
+    )
+    return DecisionProblem.make(phi, point(), targets, excluded, budgets)
+
+
+def test_random_certificates_survive_the_json_round_trip():
+    rng = random.Random(67)
+    kinds = set()
+    for _ in range(300):
+        problem = _random_problem(rng)
+        cert = decide(problem)
+        kinds.add(cert.kind if cert.finite_orbit is None else "closed")
+        text = json.dumps(certificate_to_dict(problem, cert), sort_keys=True, indent=2)
+        problem2, cert2 = certificate_from_dict(json.loads(text))
+        assert problem2 == problem
+        assert problem2.phi.res == problem.phi.res
+        assert cert2 == cert
+    assert kinds == {"witness", "closed", "empty", "exhausted"}, kinds
+
+
 def test_verify_rejects_finite_orbit_cert_for_other_targets():
     problem = _problem("z^2-1", 0, [5])
     cert = decide(problem)

@@ -105,6 +105,33 @@ def test_valuation():
         valuation(10, 4)
 
 
+def test_valuation_matches_the_naive_loop():
+    # c * p^v for v up to 2,000, around each power of two where the
+    # squaring stops, with signed cofactors c prime to p of up to 64 bits
+    def naive(n, p):
+        n, v = abs(n), 0
+        while n % p == 0:
+            n //= p
+            v += 1
+        return v
+
+    rng = random.Random(41)
+    edges = {2**k + e for k in range(1, 11) for e in (-1, 0, 1)}
+    vs = sorted({*range(20), *edges, 2000, *(rng.randint(0, 2000) for _ in range(20))})
+    for p in (2, 3, 5, 7919):
+        for v in vs:
+            c = rng.getrandbits(rng.randint(1, 64)) or 1
+            while c % p == 0:
+                c += 1
+            n = rng.choice((1, -1)) * c * p**v
+            assert valuation(n, p) == naive(n, p) == v, (p, v)
+        with pytest.raises(ValueError):
+            valuation(0, p)
+    for q in (-7, 0, 1, 4, 7917):
+        with pytest.raises(ValueError):
+            valuation(7**5, q)
+
+
 def test_factorial_valuation_known_values():
     assert factorial_valuation(10, 2) == 8
     assert factorial_valuation(100, 5) == 24

@@ -86,6 +86,67 @@ def test_resultant_known_values():
         resultant(x2_plus_y2, BinaryForm((1, 1)))
 
 
+
+def _sylvester_det(f, g):
+    """Determinant of the 2d x 2d Sylvester matrix of two ascending
+    coefficient vectors, each row highest power first, by elimination over
+    Fractions."""
+    d = len(f) - 1
+    size = 2 * d
+    rows = [
+        [Fraction(0)] * j + [Fraction(c) for c in v[::-1]] + [Fraction(0)] * (d - 1 - j)
+        for v in (f, g)
+        for j in range(d)
+    ]
+    det = Fraction(1)
+    for k in range(size):
+        pivot = next((i for i in range(k, size) if rows[i][k] != 0), None)
+        if pivot is None:
+            return 0
+        if pivot != k:
+            rows[k], rows[pivot] = rows[pivot], rows[k]
+            det = -det
+        det *= rows[k][k]
+        for i in range(k + 1, size):
+            factor = rows[i][k] / rows[k][k]
+            if factor:
+                for j in range(k, size):
+                    rows[i][j] -= factor * rows[k][j]
+    assert det.denominator == 1
+    return int(det)
+
+
+def test_resultant_matches_a_sylvester_determinant():
+    # random pairs of degree 1 to 6, with zero first or last coefficients,
+    # and pairs (a X + b Y) * u, (a X + b Y) * w with a common linear
+    # factor, whose resultant is 0
+    rng = random.Random(53)
+
+    def times_linear(a, b, u):
+        # ascending coefficients of (a X + b Y) * u
+        padded = [0, *u, 0]
+        return [b * padded[i + 1] + a * padded[i] for i in range(len(u) + 1)]
+
+    zeros = 0
+    for _ in range(2000):
+        d = rng.randint(1, 6)
+        if rng.random() < 0.15:
+            a, b = rng.randint(-4, 4), rng.randint(-4, 4)
+            f, g = (times_linear(a, b, [rng.randint(-9, 9) for _ in range(d)])
+                    for _ in range(2))
+        else:
+            f = [rng.randint(-9, 9) for _ in range(d + 1)]
+            g = [rng.randint(-9, 9) for _ in range(d + 1)]
+            for v in (f, g):
+                if rng.random() < 0.25:
+                    v[0] = 0
+                if rng.random() < 0.25:
+                    v[-1] = 0
+        expected = _sylvester_det(f, g)
+        zeros += expected == 0
+        assert resultant(BinaryForm(tuple(f)), BinaryForm(tuple(g))) == expected, (f, g)
+    assert zeros > 200, zeros
+
 def test_parse_map_known_values():
     phi = parse_map("z^2 - 1")
     assert phi.F.coefficients == (-1, 0, 1)
