@@ -82,9 +82,10 @@ class Budgets:
 
     day_steps caps the evaluations of the exact walk and height_bits the
     size of its coordinates; night_stages is the number of stages of the
-    night schedule; cycle_lcm_cap bounds the cycle length of a combined
-    hit set. verify_certificate re-walks the exact orbit under the same
-    day_steps and height_bits, and folds under the same cycle_lcm_cap.
+    night schedule; cycle_lcm_cap bounds the cycle length of every hit set
+    in decide's fold, the first one included, and so of their intersection.
+    verify_certificate re-walks the exact orbit under the same day_steps
+    and height_bits, and folds under the same cycle_lcm_cap.
     """
 
     day_steps: int = 256
@@ -190,6 +191,12 @@ def intersect_hit_sets(
     for hs in sets[1:]:
         acc = _intersect_pair(acc, hs, cycle_lcm_cap)
     return acc
+
+
+# The hit set of every index: the identity of intersection, from which
+# decide's fold and _minimize_family start, so that the cap is checked on
+# the first hit set folded in as on every later one.
+_EVERY_INDEX = HitSet(0, frozenset(), 1, (0,))
 
 
 def _intersect_pair(a: HitSet, b: HitSet, cap: int) -> HitSet:
@@ -312,18 +319,21 @@ def decide(problem: DecisionProblem, jobs: int = 1) -> Certificate:
     Otherwise the night stages run in order, one modulus at a time, the
     cheapest moduli first (night_schedule): many primes at k = 1 before any
     deep power, because breadth over primes is what settles problems, and
-    because the stage count alone then bounds the size of every orbit. A
-    modulus whose own hit set is empty settles the problem by itself and is
-    emitted as a singleton certificate. Of a modulus with a nonempty hit set
-    only the modulus and the hit set are kept, not its orbit, so at most
-    one orbit is held at a time. Only after the last stage is
-    their combined intersection attempted (a hit set whose cycle would push
-    the fold past `cycle_lcm_cap` is skipped), and the family that empties
-    it is minimized in one pass (_minimize_family); this
-    keeps single-modulus certificates, the strongest and cheapest to
-    verify, in front. The orbits of the family that empties the
-    intersection are walked again at the end, by the same deterministic
-    orbit_mod, for the certificate.
+    because the stage count alone then bounds the size of every orbit. Each
+    modulus goes through _evidence, as in verify_certificate. A modulus
+    whose own hit set is empty settles the problem by itself and is emitted
+    as a singleton certificate, without a fold, so its cycle is not held to
+    `cycle_lcm_cap`. Of a modulus with a nonempty hit set only the modulus
+    and the hit set are kept, not its orbit, so at most one orbit is held at
+    a time. Only after the last stage is their combined intersection
+    attempted: the fold starts from the hit set of every index and takes
+    the hit sets in order, skipping each one whose cycle would push the
+    fold past `cycle_lcm_cap`, the first one included. The family that
+    empties it is minimized in one pass (_minimize_family); this keeps
+    single-modulus certificates, the strongest and cheapest to verify, in
+    front. The orbits of the family that empties the intersection are
+    walked again at the end, by the same deterministic orbit_mod, for the
+    certificate.
 
     Deterministic for fixed budgets: the schedule, the orbit arithmetic, and
     the fold order do not depend on timing. `jobs` is ignored: the former
@@ -373,20 +383,19 @@ def decide(problem: DecisionProblem, jobs: int = 1) -> Certificate:
     stages = _stages(phi, problem.excluded_primes, skips)
     for stages_done, moduli in enumerate(islice(stages, budgets.night_stages), 1):
         for m in moduli:
-            orb = orbit_mod(phi, problem.start, m)
-            hits = hit_set(orb, problem.targets)
-            empty = hits.is_empty()
+            ev = _evidence(problem, m)
+            empty = ev.hits.is_empty()
             examined.append((m.p, m.k, empty))
             if empty:
-                return finish("empty", evidence=(ModulusEvidence(orb, hits),))
-            collected.append((m, hits))
-            del orb  # hold no orbit while the next one is walked
+                return finish("empty", evidence=(ev,))
+            collected.append((m, ev.hits))
+            del ev  # hold no orbit while the next one is walked
     # last chance: a combined intersection over everything collected
-    folded: Optional[HitSet] = None
+    folded = _EVERY_INDEX
     used: list[tuple[PrimePowerModulus, HitSet]] = []
     for m, hits in collected:
         try:
-            folded = _meet(folded, hits, budgets.cycle_lcm_cap)
+            folded = _intersect_pair(folded, hits, budgets.cycle_lcm_cap)
         except CycleBlowupError:
             skips.append((m.p, m.k, "cycle lcm past the cap"))
             continue
@@ -401,15 +410,6 @@ def decide(problem: DecisionProblem, jobs: int = 1) -> Certificate:
     return finish("exhausted")
 
 
-def _meet(a: Optional[HitSet], b: Optional[HitSet], cap: int) -> Optional[HitSet]:
-    """The intersection of two hit sets, where None means no constraint."""
-    if a is None:
-        return b
-    if b is None:
-        return a
-    return _intersect_pair(a, b, cap)
-
-
 def _minimize_family(
     family: Sequence[tuple[PrimePowerModulus, HitSet]], cap: int
 ) -> list[tuple[PrimePowerModulus, HitSet]]:
@@ -417,7 +417,9 @@ def _minimize_family(
 
     Members are tried in order; member i is dropped exactly when the members
     kept so far (their intersection is acc) and those after it (after[i],
-    the intersection of family[i + 1:]) meet in the empty set. Hit-set
+    the intersection of family[i + 1:]) meet in the empty set. Both folds
+    start from the hit set of every index, so every member, the first
+    included, is intersected under `cap`. Hit-set
     intersection is exact and does not depend on order, so this keeps the
     family that folding the rest anew for each member keeps, at a few pair
     intersections per member instead of a fold of the whole family.
@@ -431,19 +433,18 @@ def _minimize_family(
       before it folds, so every member is nonempty, and an empty
       intersection needs at least two of them.
     """
-    after: list[Optional[HitSet]] = [None]
+    after = [_EVERY_INDEX]
     for _, hits in reversed(family[1:]):
-        after.append(_meet(hits, after[-1], cap))
+        after.append(_intersect_pair(hits, after[-1], cap))
     after.reverse()
     kept: list[tuple[PrimePowerModulus, HitSet]] = []
-    acc: Optional[HitSet] = None
+    acc = _EVERY_INDEX
     for i, (m, hits) in enumerate(family):
-        rest = _meet(acc, after[i], cap)
-        if rest is not None and rest.is_empty():
+        if _intersect_pair(acc, after[i], cap).is_empty():
             continue
         kept.append((m, hits))
         if i < len(family) - 1:  # the last member's acc is never read
-            acc = _meet(acc, hits, cap)
+            acc = _intersect_pair(acc, hits, cap)
     return kept
 
 

@@ -10,8 +10,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from functools import cache
-from itertools import cycle
+from itertools import compress, cycle
 from typing import Iterable, Iterator, Optional
 
 __all__ = [
@@ -40,25 +39,24 @@ _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_EXTRA_ROUNDS = 40
 
 _SMALL_SIEVE_LIMIT = 10_000
-# The 25 primes below 100 = isqrt(_SMALL_SIEVE_LIMIT): every composite
-# n < 10^4 has a prime factor among them, so trial division decides it.
-_SMALL_PRIMES = (
-    2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67,
-    71, 73, 79, 83, 89, 97,
-)
 
 DEFAULT_RHO_STEPS = 500_000
 DEFAULT_TRIAL_BOUND = 10 ** 6
 
 
-@cache
 def _sieve_small_primes() -> tuple[int, ...]:
     flags = bytearray([1]) * _SMALL_SIEVE_LIMIT
     flags[0] = flags[1] = 0
     for i in range(2, math.isqrt(_SMALL_SIEVE_LIMIT) + 1):
         if flags[i]:
             flags[i * i :: i] = bytearray(len(flags[i * i :: i]))
-    return tuple(i for i in range(_SMALL_SIEVE_LIMIT) if flags[i])
+    return tuple(compress(range(_SMALL_SIEVE_LIMIT), flags))
+
+
+# The primes below 10^4, sieved once per process: factorize divides by them
+# in order, and is_prime looks every n < 10^4 up in the set.
+_SIEVED_PRIMES = _sieve_small_primes()
+_SIEVED_PRIME_SET = frozenset(_SIEVED_PRIMES)
 
 
 class FactorizationBudgetError(RuntimeError):
@@ -88,21 +86,15 @@ def _miller_rabin_round(n: int, a: int, d: int, s: int) -> bool:
 def is_prime(n: int) -> bool:
     """Primality test, deterministic below ~3.3e24.
 
-    n < 10^4 is decided by trial division by the primes below 100, up to
-    the square root of n; larger n by Miller-Rabin with the first 13 primes
-    as witnesses. Above ~3.3e24 the answer is probabilistic (40 extra rounds
-    with bases drawn from a PRNG seeded by n, so repeated calls agree); see
+    n < 10^4 (negative n included) is looked up in the set of primes below
+    10^4 that the module sieves once, the table factorize divides by; larger
+    n are tested by Miller-Rabin with the first 13 primes as witnesses. Above
+    ~3.3e24 the answer is probabilistic (40 extra rounds with bases drawn
+    from a PRNG seeded by n, so repeated calls agree); see
     primality_confidence().
     """
-    if n < 2:
-        return False
     if n < _SMALL_SIEVE_LIMIT:
-        for p in _SMALL_PRIMES:
-            if p * p > n:
-                return True
-            if n % p == 0:
-                return n == p
-        return True
+        return n in _SIEVED_PRIME_SET
     for p in _MR_WITNESSES:
         if n % p == 0:
             return n == p
@@ -419,7 +411,7 @@ def factorize(
         return Factorization(1, ())
     found: dict[int, int] = {}
     m = n
-    for p in _sieve_small_primes():
+    for p in _SIEVED_PRIMES:
         if p * p > m:
             break
         while m % p == 0:

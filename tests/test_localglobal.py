@@ -532,6 +532,131 @@ def test_decide_rebuilds_a_multi_modulus_family_unchanged():
     )
 
 
+def test_the_cap_bounds_the_first_hit_set_of_the_fold():
+    # problem 204 of bench survey seed 1 at cycle_lcm_cap=2: the first
+    # modulus examined, 5, has a hit set whose cycle passes the cap. The
+    # fold starts from the hit set of every index, so 5 is skipped like any
+    # later modulus, and the hit sets mod 7 and 11, of cycle 2, empty it.
+    targets = [
+        "4", "1/2", "17", "2", "3", "-16/3", "7/2", "10/3", "10", "13/2", "-19/3", "-7/2",
+    ]
+    problem = _problem(
+        "(-3*z^2+3)/(-2*z^2-z-1)", 0, targets,
+        night_stages=4, height_bits=4096, cycle_lcm_cap=2,
+    )
+    cert = decide(problem)
+    p, k, _ = cert.examined[0]
+    assert (p, k) == (5, 1)
+    assert (5, 1, "cycle lcm past the cap") in cert.skipped
+    assert cert.kind == "empty" and cert.finite_orbit is None
+    assert [(ev.modulus.p, ev.modulus.k) for ev in cert.evidence] == [(7, 1), (11, 1)]
+    text = json.dumps(certificate_to_dict(problem, cert), sort_keys=True, indent=2)
+    assert verify_certificate(*certificate_from_dict(json.loads(text)))
+    # a singleton is emitted without a fold: the orbit of 3 under z^2 - 1
+    # is 0, 2, 0, ... mod 3, an empty hit set of cycle 2 past the cap 1
+    problem = _problem("z^2-1", 3, [1], cycle_lcm_cap=1)
+    cert = decide(problem)
+    assert [ev.hits.cycle_length for ev in cert.evidence] == [2]
+    assert verify_certificate(problem, cert)
+
+
+def _oracle_step(f, g, pt):
+    """phi(pt) by plain evaluation of the forms and a full gcd."""
+    x, y = pt
+    d = len(f) - 1
+    a = sum(c * x ** i * y ** (d - i) for i, c in enumerate(f))
+    b = sum(c * x ** i * y ** (d - i) for i, c in enumerate(g))
+    k = math.gcd(a, b)
+    a, b = a // k, b // k
+    return (-a, -b) if (b if b else a) < 0 else (a, b)
+
+
+def _oracle_first_meeting(f, g, start, targets):
+    """The first n with phi^n(start) in targets, or None for an orbit that
+    repeats or escapes above every target first.
+
+    Escape by Hadamard's inequality: the cofactors of the Sylvester
+    identities A*F + B*G = R*Y^(2d-1) and A'*F + B'*G = R*X^(2d-1) have 2d
+    coefficients, each a (2d-1)-minor of the Sylvester matrix, so at most
+    s^((2d-1)/2) with s the larger squared norm of f and g. For coprime
+    (x, y) of height h this gives H(phi(x : y)) >= h^d / C, C = 2d *
+    s^((2d-1)/2), so from a point with h^(d-1) > C and h at least every
+    target's height the heights rise strictly past every target.
+    """
+    d = len(f) - 1
+    s = max(sum(c * c for c in f), sum(c * c for c in g))
+    c_squared = (2 * d) ** 2 * s ** (2 * d - 1)
+    top = max(max(map(abs, t)) for t in targets)
+    seen = set()
+    pt = start
+    for n in range(10_000):
+        if pt in targets:
+            return n
+        if pt in seen:
+            return None
+        seen.add(pt)
+        h = max(map(abs, pt))
+        if h >= top and h ** (2 * (d - 1)) > c_squared:
+            return None
+        pt = _oracle_step(f, g, pt)
+    raise AssertionError("the oracle walk did not settle")
+
+
+def test_decide_agrees_with_a_brute_force_oracle():
+    # random maps of degree 2 and 3 with coefficients in [-3, 3], a third
+    # of them polynomial, at the survey's budgets; some targets are taken
+    # from the start's first iterates so that witnesses occur
+    rng = random.Random(2027)
+    budgets = dict(height_bits=4096, night_stages=4)
+    day_steps = Budgets().day_steps
+    seen = set()
+    for _ in range(2000):
+        d = rng.choice((2, 3))
+        while True:
+            f = [rng.randint(-3, 3) for _ in range(d + 1)]
+            if rng.random() < 1 / 3:
+                g = [1] + [0] * d
+            else:
+                g = [rng.randint(-3, 3) for _ in range(d + 1)]
+            try:
+                phi = RationalMap.make(f, g)
+                break
+            except DegenerateMapError:
+                pass
+
+        def point():
+            if rng.random() < 0.1:
+                return (1, 0)
+            pt = normalize(Fraction(rng.randint(-9, 9), rng.randint(1, 4)))
+            return (pt.x1, pt.x2)
+
+        start = point()
+        orbit = [start]
+        for _ in range(3):
+            orbit.append(_oracle_step(f, g, orbit[-1]))
+        targets = set()
+        for _ in range(rng.randint(1, 6)):
+            targets.add(rng.choice(orbit) if rng.random() < 0.1 else point())
+        problem = DecisionProblem.make(phi, start, targets, budgets=Budgets(**budgets))
+        want = _oracle_first_meeting(f, g, start, targets)
+        cert = decide(problem)
+        if cert.kind == "witness":
+            assert cert.witness_index == want, (f, g, start, targets)
+        if cert.kind == "empty":
+            assert want is None, (f, g, start, targets)
+        if want is not None and want <= day_steps:
+            assert (cert.kind, cert.witness_index) == ("witness", want)
+        if cert.is_definitive:
+            assert verify_certificate(problem, cert), (f, g, start, targets)
+        if cert.finite_orbit is not None:
+            seen.add("closed")
+        elif cert.kind == "empty":
+            seen.add("single modulus" if len(cert.evidence) == 1 else "family")
+        else:
+            seen.add(cert.kind)
+    assert seen >= {"witness", "closed", "single modulus", "family"}, seen
+
+
 def test_decide_is_deterministic_and_jobs_independent():
     certs = [decide(_problem("z^2-1", 3, [0])) for _ in range(2)]
     assert certs[0] == certs[1]

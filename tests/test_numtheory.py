@@ -40,7 +40,7 @@ def test_is_prime_matches_trial_division_below_2000():
 
 
 def test_is_prime_matches_trial_division_across_the_small_prime_boundary():
-    # below 10^4 is_prime trial-divides by the primes below 100; from 10^4
+    # below 10^4 is_prime looks n up in the sieved primes; from 10^4
     # on it runs Miller-Rabin, so both sides of the boundary are compared
     for n in range(-5, 2 * 10 ** 4 + 1):
         assert is_prime(n) == _trial_is_prime(n), n
