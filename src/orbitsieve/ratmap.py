@@ -671,9 +671,9 @@ def _tokenize(text: str) -> list[tuple[str, Optional[int]]]:
         if ch.isspace():
             i += 1
             continue
-        if ch.isdigit():
+        if "0" <= ch <= "9":
             j = i
-            while j < len(text) and text[j].isdigit():
+            while j < len(text) and "0" <= text[j] <= "9":
                 j += 1
             toks.append(("int", int(text[i:j])))
             i = j
@@ -690,118 +690,85 @@ def _tokenize(text: str) -> list[tuple[str, Optional[int]]]:
     return toks
 
 
-class _MapParser:
-    """Recursive-descent parser producing an uncancelled (num, den) pair.
+def _parse_rational(text: str) -> tuple[list[int], list[int]]:
+    """Parse map text (the grammar of parse_map) into an uncancelled
+    (num, den) pair of integer coefficient lists, both trimmed.
 
-    Arithmetic is done on integer coefficient lists; division builds a
-    rational function without cancelling, so a degenerate input like
-    (z^2-1)/(z-1) stays degenerate and is reported via the resultant.
+    Recursive descent with one nested function per precedence level: each
+    takes a token index and returns (num, den, next index), and a
+    (None, None) sentinel ends the token list. The denominator is never
+    zero, since a zero divisor is rejected. Division builds a rational
+    function without cancelling, so a degenerate input like (z^2-1)/(z-1)
+    stays degenerate and is reported via the resultant.
     """
+    toks = _tokenize(text) + [(None, None)]
 
-    def __init__(self, text: str):
-        self.toks = _tokenize(text)
-        self.pos = 0
-
-    def peek(self) -> Optional[str]:
-        return self.toks[self.pos][0] if self.pos < len(self.toks) else None
-
-    def take(self) -> tuple[str, Optional[int]]:
-        tok = self.toks[self.pos]
-        self.pos += 1
-        return tok
-
-    def parse(self) -> tuple[list[int], list[int]]:
-        """The whole input as (num, den), both with trailing zeros trimmed."""
-        num, den = self.expr()
-        if self.pos < len(self.toks):
-            raise ValueError(f"trailing input at token {self.pos}")
-        return _ptrim(num), _ptrim(den)
-
-    def expr(self) -> tuple[list[int], list[int]]:
-        left = self.term()
-        while self.peek() in ("+", "-"):
-            op, _ = self.take()
-            right = self.term()
-            a, b = left
-            c, d = right
+    def sum_(i):
+        a, b, i = product(i)
+        while toks[i][0] in ("+", "-"):
+            op = toks[i][0]
+            c, d, i = product(i + 1)
             if op == "-":
                 c = _pneg(c)
-            left = (_padd(_pmul(a, d), _pmul(c, b)), _pmul(b, d))
-        return left
+            a, b = _padd(_pmul(a, d), _pmul(c, b)), _pmul(b, d)
+        return a, b, i
 
-    def term(self) -> tuple[list[int], list[int]]:
-        left = self.factor()
-        while True:
-            nxt = self.peek()
-            if nxt in ("*", "/"):
-                op, _ = self.take()
-                right = self.factor()
-                a, b = left
-                c, d = right
-                if op == "*":
-                    left = (_pmul(a, c), _pmul(b, d))
-                else:
-                    if not _ptrim(list(c)):
-                        raise ValueError("division by the zero polynomial")
-                    left = (_pmul(a, d), _pmul(b, c))
-            elif nxt in ("z", "int", "("):
-                # juxtaposition means multiplication: 2z, 3(z+1), z(z-2)
-                right = self.factor()
-                a, b = left
-                c, d = right
-                left = (_pmul(a, c), _pmul(b, d))
-            else:
-                return left
+    def product(i):
+        a, b, i = signed_power(i)
+        # juxtaposition means multiplication: 2z, 3(z+1), z(z-2)
+        while toks[i][0] in ("*", "/", "z", "int", "("):
+            op = toks[i][0]
+            c, d, i = signed_power(i + (op in ("*", "/")))
+            if op == "/":
+                if not any(c):
+                    raise ValueError("division by the zero polynomial")
+                c, d = d, c
+            a, b = _pmul(a, c), _pmul(b, d)
+        return a, b, i
 
-    def factor(self) -> tuple[list[int], list[int]]:
+    def signed_power(i):
         neg = False
-        while self.peek() in ("+", "-"):
-            op, _ = self.take()
-            if op == "-":
-                neg = not neg
-        num, den = self.power()
-        if neg:
-            num = _pneg(num)
-        return num, den
-
-    def power(self) -> tuple[list[int], list[int]]:
-        base = self.atom()
-        if self.peek() == "^":
-            self.take()
-            kind, val = self.take() if self.pos < len(self.toks) else (None, None)
+        while toks[i][0] in ("+", "-"):
+            neg ^= toks[i][0] == "-"
+            i += 1
+        kind, val = toks[i]
+        if kind == "int":
+            num, den = ([val] if val else []), [1]
+        elif kind == "z":
+            num, den = [0, 1], [1]
+        elif kind == "(":
+            num, den, i = sum_(i + 1)
+            if toks[i][0] != ")":
+                raise ValueError("missing closing parenthesis")
+        elif kind is None:
+            raise ValueError("unexpected end of input")
+        else:
+            raise ValueError(f"unexpected token {kind!r}")
+        i += 1
+        if toks[i][0] == "^":
+            kind, k = toks[i + 1]
             if kind != "int":
                 raise ValueError("exponent must be a nonnegative integer")
-            a, b = base
-            return _ppow(a, val), _ppow(b, val)
-        return base
+            num, den, i = _ppow(num, k), _ppow(den, k), i + 2
+        return (_pneg(num) if neg else num), den, i
 
-    def atom(self) -> tuple[list[int], list[int]]:
-        if self.peek() is None:
-            raise ValueError("unexpected end of input")
-        kind, val = self.take()
-        if kind == "int":
-            return ([val] if val else [], [1])
-        if kind == "z":
-            return [0, 1], [1]
-        if kind == "(":
-            inner = self.expr()
-            if self.peek() != ")":
-                raise ValueError("missing closing parenthesis")
-            self.take()
-            return inner
-        raise ValueError(f"unexpected token {kind!r}")
+    num, den, i = sum_(0)
+    if toks[i][0] is not None:
+        raise ValueError(f"trailing input at token {i}")
+    return _ptrim(num), _ptrim(den)
 
 
 def parse_map(text: str) -> RationalMap:
     """Parse an affine rational function in z into a map on P^1.
 
-    Accepts integer coefficients, + - * / ^, parentheses, and juxtaposition
-    (2z). The numerator/denominator pair is homogenized without cancellation,
-    so inputs sharing a root raise DegenerateMapError.
+    The grammar: ASCII integer literals, z (or Z), + - * / and parentheses,
+    with juxtaposition as a product (2z, 3(z+1), z(z-2)). A base takes at
+    most one ^, followed by a nonnegative integer literal, so z^2^3 and
+    z^(2) are errors. Unary signs bind looser than ^: -z^2 is -(z^2). The
+    numerator/denominator pair is homogenized without cancellation, so
+    inputs sharing a root raise DegenerateMapError.
     """
-    num, den = _MapParser(text).parse()
-    if not den:
-        raise ValueError("denominator is identically zero")
+    num, den = _parse_rational(text)
     if not num:
         raise DegenerateMapError("the zero map does not define a self-map of P^1")
     d = max(len(num), len(den)) - 1
@@ -818,7 +785,7 @@ def parse_polynomial(text: str) -> list[Fraction]:
     The same grammar as parse_map, except the result must be a polynomial:
     a denominator other than a nonzero constant is rejected.
     """
-    num, den = _MapParser(text).parse()
+    num, den = _parse_rational(text)
     if len(den) != 1:
         raise ValueError("expected a polynomial, not a rational function")
     return [Fraction(c, den[0]) for c in num]
@@ -1167,8 +1134,6 @@ def dynatomic(
         )
     num: list[int] = [1]
     den: list[int] = [1]
-    num_deg = 0
-    den_deg = 0
     for e in range(1, n + 1):
         if n % e:
             continue
@@ -1183,16 +1148,16 @@ def dynatomic(
             )
         if mu == 1:
             num = _pmul(num, pe)
-            num_deg += len(pe) - 1
         else:
             den = _pmul(den, pe)
-            den_deg += len(pe) - 1
     quotient, rem = _poly_divmod(num, den)
     if rem:
         raise DynatomicDivisionError(
             f"period-{n} product division left a remainder"
         )
-    target_degree = num_deg - den_deg
+    # each pe has degree d^e + 1, and sum_{e|n} mu(n/e) (d^e + 1) is
+    # dynatomic_degree because sum_{e|n} mu(n/e) is 1 at n = 1, else 0
+    target_degree = dynatomic_degree(phi.degree, n)
     ints = _clear_denominators(quotient)
     if len(ints) - 1 > target_degree:
         raise DynatomicDivisionError(

@@ -216,6 +216,19 @@ def test_degenerate_map_is_a_usage_error(capsys):
     assert err.startswith("error:")
 
 
+# Map text takes ASCII digits only. str.isdigit also accepts superscripts,
+# which int() then rejects with its own message, and other scripts' digits,
+# which int() reads: "z^٢-1" used to parse as z^2-1.
+@pytest.mark.parametrize(
+    "text, position", [("z²+1", 1), ("z^٢-1", 2), ("٣z+1", 0)]
+)
+def test_map_text_with_a_non_ascii_digit_is_a_usage_error(capsys, text, position):
+    code, out, err = _run(capsys, "orbit", "--map", text, "--point", "1")
+    assert code == 1
+    assert out == ""
+    assert err == f"error: unexpected character {text[position]!r} at position {position}\n"
+
+
 def test_orbit_rational_output(capsys):
     code, doc, _ = _run_json(
         capsys, "orbit", "--map", "z^2-1", "--point", "3", "--max-steps", "3"

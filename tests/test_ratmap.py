@@ -1,6 +1,7 @@
 """Tests for rational map models: parsing, resultants, evaluation,
 iteration, Newton maps, dynatomic forms, and periodic points."""
 
+import hashlib
 import math
 import random
 from fractions import Fraction
@@ -234,6 +235,65 @@ def test_parse_map_unit_factor_shortcut_changes_no_output(monkeypatch):
     monkeypatch.setattr(ratmap, "_pmul", _reference_pmul)
     assert parse_all(texts) == fast
     assert sum(len(entry) == 3 for entry in fast) > 400
+
+
+# Inputs at the corners of the map grammar: a second exponent, a
+# parenthesized exponent, juxtaposed integers, stacked signs, division by a
+# polynomial that cancels to zero, a dangling operator, empty input.
+PARSE_EDGE_CASES = [
+    "z^2^3", "z^(2)", "2 3", "z(z-2)", "--z", "1/(z-z)", "z^", "", " ",
+    "(", ")", "()", "(z+1", "z+1)", "z^-1", "z^z", "z^ 2", "0^0z", "z^0",
+    "0", "z", "+z", "z+", "z*", "*z", "z//z", "z/0", "z/(0z)", "z/(z^0-1)",
+    "2z^2/3z", "-z^2", "z^2z", "z^2 3", "((z))", "(z)(z)", "Z^2-1",
+    "z^10/z^9", "3(z+1)z^2-1",
+]
+
+# sha256 of the outcomes below as the earlier class-based parser produced
+# them: values, exception types and messages.
+PINNED_PARSE_OUTCOMES_SHA256 = (
+    "8267a68f9b032784f7232bc83a985274be276ed4afd0bc112f9cac1b0fb463a4"
+)
+
+
+def _parse_outcome(text):
+    """(F, G, resultant) of parse_map and the coefficients of
+    parse_polynomial, or the exception type and message of each."""
+    out = []
+    try:
+        phi = parse_map(text)
+        out.append((phi.F.coefficients, phi.G.coefficients, phi.res))
+    except ValueError as exc:
+        out.append((type(exc).__name__, str(exc)))
+    try:
+        out.append(tuple(parse_polynomial(text)))
+    except ValueError as exc:
+        out.append((type(exc).__name__, str(exc)))
+    return out
+
+
+def test_parse_outcomes_match_their_pinned_digest():
+    rng = random.Random(18)
+    texts = [_random_map_text(rng) for _ in range(2000)]
+    texts += [
+        "".join(rng.choice("z123+-*/^() ") for _ in range(rng.randint(1, 10)))
+        for _ in range(20000)
+    ]
+    texts += PARSE_EDGE_CASES
+    outcomes = [_parse_outcome(text) for text in texts]
+    digest = hashlib.sha256(repr(list(zip(texts, outcomes))).encode())
+    assert digest.hexdigest() == PINNED_PARSE_OUTCOMES_SHA256
+    # the corpus reaches every error message of the grammar
+    messages = {o[0][1] for o in outcomes if isinstance(o[0][0], str)}
+    for message in (
+        "unexpected end of input",
+        "missing closing parenthesis",
+        "exponent must be a nonnegative integer",
+        "division by the zero polynomial",
+        "trailing input at token 3",
+        "unexpected token ')'",
+    ):
+        assert message in messages
+    assert sum(isinstance(o[0][0], tuple) for o in outcomes) > 2500
 
 
 def test_make_clears_joint_content_and_fixes_sign():
