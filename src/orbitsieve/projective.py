@@ -102,13 +102,18 @@ ZERO = ProjectivePoint(0, 1)
 
 
 def normalize(value: PointLike) -> ProjectivePoint:
-    """Coerce ints, Fractions, strings, or raw coordinate pairs to a point."""
+    """Coerce ints, Fractions, strings, or raw coordinate pairs to a point.
+
+    An int v is (v : 1) and a Fraction is (numerator : denominator), both
+    in normal form already (a Fraction is kept in lowest terms with a
+    positive denominator), so neither goes through the constructor's checks.
+    """
     if isinstance(value, ProjectivePoint):
         return value
     if isinstance(value, int):
-        return ProjectivePoint(value, 1)
+        return ProjectivePoint._unchecked(value, 1)
     if isinstance(value, Fraction):
-        return ProjectivePoint(value.numerator, value.denominator)
+        return ProjectivePoint._unchecked(value.numerator, value.denominator)
     if isinstance(value, str):
         return parse_point(value)
     if isinstance(value, tuple) and len(value) == 2:

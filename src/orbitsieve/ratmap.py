@@ -67,6 +67,12 @@ __all__ = [
 DEFAULT_HEIGHT_BITS = 1 << 20
 DEFAULT_COMPOSE_DEGREE = 8192
 
+# Map and polynomial text may build no power or product of degree above
+# this: the resultant of a degree-d map is a d x d determinant and _ppow
+# multiplies schoolbook, so a short text such as z^9999+1 would otherwise
+# keep the parser busy for hours.
+_MAX_TEXT_DEGREE = 256
+
 
 class DegenerateMapError(ValueError):
     """The form pair has resultant zero (a common factor was not cancelled)."""
@@ -351,6 +357,13 @@ class RationalMap:
             charts.append(chart)
         return tuple(charts)
 
+    @cached_property
+    def _pairs(self) -> tuple:
+        """Horner input of evaluate: (F_d, G_d) and the pairs (F_i, G_i) for
+        i = d-1, ..., 0, so that one pass computes F and G together."""
+        fc, gc = self.F.coefficients, self.G.coefficients
+        return fc[-1], gc[-1], tuple(zip(fc[-2::-1], gc[-2::-1]))
+
     @classmethod
     def make(
         cls,
@@ -476,10 +489,18 @@ class RationalMap:
         gcd(R, G(x), F(x)), a gcd against the small resultant rather than
         between the two big coordinates, and dividing by it leaves them
         coprime. R != 0 (make rejects it), so the image is never (0, 0).
+
+        F(x) and G(x) are summed in one Horner pass in x1 over the
+        coefficient pairs of _pairs, sharing one running power of x2.
         """
         pt = x if type(x) is ProjectivePoint else normalize(x)
-        a = _horner(self.F.coefficients, pt.x1, pt.x2)
-        b = _horner(self.G.coefficients, pt.x1, pt.x2)
+        x1, x2 = pt.x1, pt.x2
+        a, b, pairs = self._pairs
+        x2_pow = 1
+        for cf, cg in pairs:
+            x2_pow *= x2
+            a = a * x1 + cf * x2_pow
+            b = b * x1 + cg * x2_pow
         # b first: for a polynomial map at an integer point b = 1.
         g = math.gcd(self.res, b)
         if g != 1:
@@ -700,8 +721,20 @@ def _parse_rational(text: str) -> tuple[list[int], list[int]]:
     zero, since a zero divisor is rejected. Division builds a rational
     function without cancelling, so a degenerate input like (z^2-1)/(z-1)
     stays degenerate and is reported via the resultant.
+
+    A power or product whose degree would pass _MAX_TEXT_DEGREE is never
+    built: the descent reads on with its operands as they are, so that a
+    grammar error later in the text is still the one reported, and then
+    raises ValueError naming the first such degree.
     """
     toks = _tokenize(text) + [(None, None)]
+    too_high: list[int] = []
+
+    def within_limit(degree):
+        if degree <= _MAX_TEXT_DEGREE:
+            return True
+        too_high.append(degree)
+        return False
 
     def sum_(i):
         a, b, i = product(i)
@@ -710,7 +743,11 @@ def _parse_rational(text: str) -> tuple[list[int], list[int]]:
             c, d, i = product(i + 1)
             if op == "-":
                 c = _pneg(c)
-            a, b = _padd(_pmul(a, d), _pmul(c, b)), _pmul(b, d)
+            # lists of lengths m and n have a product of degree m + n - 2
+            if within_limit(
+                max(len(a) + len(d), len(c) + len(b), len(b) + len(d)) - 2
+            ):
+                a, b = _padd(_pmul(a, d), _pmul(c, b)), _pmul(b, d)
         return a, b, i
 
     def product(i):
@@ -723,7 +760,8 @@ def _parse_rational(text: str) -> tuple[list[int], list[int]]:
                 if not any(c):
                     raise ValueError("division by the zero polynomial")
                 c, d = d, c
-            a, b = _pmul(a, c), _pmul(b, d)
+            if within_limit(max(len(a) + len(c), len(b) + len(d)) - 2):
+                a, b = _pmul(a, c), _pmul(b, d)
         return a, b, i
 
     def signed_power(i):
@@ -749,12 +787,18 @@ def _parse_rational(text: str) -> tuple[list[int], list[int]]:
             kind, k = toks[i + 1]
             if kind != "int":
                 raise ValueError("exponent must be a nonnegative integer")
-            num, den, i = _ppow(num, k), _ppow(den, k), i + 2
+            if within_limit(k * (max(len(num), len(den)) - 1)):
+                num, den = _ppow(num, k), _ppow(den, k)
+            i += 2
         return (_pneg(num) if neg else num), den, i
 
     num, den, i = sum_(0)
     if toks[i][0] is not None:
         raise ValueError(f"trailing input at token {i}")
+    if too_high:
+        raise ValueError(
+            f"degree {too_high[0]} exceeds the limit {_MAX_TEXT_DEGREE}"
+        )
     return _ptrim(num), _ptrim(den)
 
 

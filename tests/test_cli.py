@@ -229,6 +229,14 @@ def test_map_text_with_a_non_ascii_digit_is_a_usage_error(capsys, text, position
     assert err == f"error: unexpected character {text[position]!r} at position {position}\n"
 
 
+def test_map_text_past_the_degree_limit_is_a_usage_error(capsys):
+    # without the limit, parsing z^9999+1 alone would run for hours
+    code, out, err = _run(capsys, "orbit", "--map", "z^9999+1", "--point", "1")
+    assert code == 1
+    assert out == ""
+    assert err == "error: degree 9999 exceeds the limit 256\n"
+
+
 def test_orbit_rational_output(capsys):
     code, doc, _ = _run_json(
         capsys, "orbit", "--map", "z^2-1", "--point", "3", "--max-steps", "3"

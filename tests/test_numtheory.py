@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from orbitsieve import numtheory
 from orbitsieve.numtheory import (
     Factorization,
     FactorizationBudgetError,
@@ -74,6 +75,74 @@ def test_is_prime_large_values():
     # past the deterministic witness bound, the probabilistic branch runs
     assert is_prime(2 ** 89 - 1)
     assert not is_prime((2 ** 89 - 1) * (2 ** 61 - 1))
+
+
+_FIRST_13_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
+def _strong_probable_prime(n, a):
+    """Whether odd n > a passes the Miller-Rabin round for the base a."""
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    x = pow(a, d, n)
+    if x in (1, n - 1):
+        return True
+    for _ in range(s - 1):
+        x = x * x % n
+        if x == n - 1:
+            return True
+    return False
+
+
+def _thirteen_round_is_prime(n):
+    """The primality test with all 13 witnesses for every n >= 10^4, the
+    reference that the range-sized witness sets must agree with. From
+    3,317,044,064,679,887,385,961,981 on, 40 rounds with bases drawn from
+    a PRNG seeded by n follow, as in is_prime."""
+    assert n >= 10 ** 4
+    if any(n % p == 0 for p in _FIRST_13_PRIMES):
+        return False
+    if not all(_strong_probable_prime(n, a) for a in _FIRST_13_PRIMES):
+        return False
+    if n < numtheory._MR_DETERMINISTIC_BOUND:
+        return True
+    rng = random.Random(n)
+    return all(_strong_probable_prime(n, rng.randrange(2, n - 1)) for _ in range(40))
+
+
+def test_witness_bounds_are_the_least_strong_pseudoprimes():
+    # each bound B passes the Miller-Rabin rounds of its first k primes
+    # and is composite, so the first k primes cannot serve up to B itself
+    for bound, k in numtheory._MR_WITNESS_BOUNDS:
+        witnesses = _FIRST_13_PRIMES[:k]
+        assert all(_strong_probable_prime(bound, a) for a in witnesses)
+        assert not is_prime(bound), bound
+
+
+def test_range_sized_witness_sets_agree_with_thirteen_rounds():
+    # 82-bit n reach past the last bound, where nothing changed
+    rng = random.Random(1901)
+    corpus = []
+    while len(corpus) < 20000:
+        n = rng.getrandbits(rng.randint(14, 82)) | 1
+        if n >= 10 ** 4:
+            corpus.append(n)
+    for bound, _ in numtheory._MR_WITNESS_BOUNDS:
+        corpus += [bound - 2, bound + 2]
+        # products of two primes near sqrt(B), on both sides of B
+        root = math.isqrt(bound)
+        for offset in (-200, -40, 0, 40):
+            p = next_prime(max(root + offset, 2))
+            corpus += [p * next_prime(p), p * p]
+    # strong pseudoprimes to the base 2 past the table of primes below 10^4
+    corpus += [15841, 29341, 42799, 49141, 52633, 65281, 74665, 80581]
+    corpus = [n for n in corpus if n >= 10 ** 4]
+    assert sum(map(is_prime, corpus)) > 300
+    assert sum(n >= numtheory._MR_DETERMINISTIC_BOUND for n in corpus) > 50
+    for n in corpus:
+        assert is_prime(n) == _thirteen_round_is_prime(n), n
 
 
 def test_primality_confidence_bound():

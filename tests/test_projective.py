@@ -63,6 +63,24 @@ def test_normalize_idempotent():
         assert (pt.x2 if pt.x2 != 0 else pt.x1) > 0
 
 
+def test_normalize_of_ints_and_fractions_matches_the_constructor():
+    # normalize builds these points without the constructor's checks
+    rng = random.Random(1907)
+    ints = [0, 1, -1, 2 ** 521 - 1, -(2 ** 607)]
+    for _ in range(200):
+        ints.append(rng.choice((1, -1)) * rng.getrandbits(rng.randint(1, 300)))
+    for v in ints:
+        pt = normalize(v)
+        assert type(pt) is ProjectivePoint
+        assert pt == ProjectivePoint(v, 1)
+    for _ in range(200):
+        den = rng.getrandbits(rng.randint(1, 300)) or 1
+        f = Fraction(rng.choice((1, -1)) * rng.getrandbits(rng.randint(0, 300)), den)
+        pt = normalize(f)
+        assert type(pt) is ProjectivePoint
+        assert pt == ProjectivePoint(f.numerator, f.denominator)
+
+
 def test_parse_and_format_round_trip():
     assert parse_point("inf") == INFINITY
     assert parse_point("3/5") == ProjectivePoint(3, 5)

@@ -4,6 +4,7 @@ iteration, Newton maps, dynatomic forms, and periodic points."""
 import hashlib
 import math
 import random
+import time
 from fractions import Fraction
 from math import gcd
 
@@ -296,6 +297,37 @@ def test_parse_outcomes_match_their_pinned_digest():
     assert sum(isinstance(o[0][0], tuple) for o in outcomes) > 2500
 
 
+@pytest.mark.parametrize(
+    "text, degree",
+    [("z^257+1", 257), ("(z+1)^300", 300), ("z^200*z^100", 300),
+     ("z^300-z^300+z", 300), ("1/z^200+1/z^100", 300), ("z^9999+1", 9999)],
+)
+def test_parse_rejects_text_past_the_degree_limit(text, degree):
+    # each is refused before the power or product is built; the bound on
+    # the time is far above the microseconds that takes
+    for parse in (parse_map, parse_polynomial):
+        start = time.perf_counter()
+        with pytest.raises(ValueError) as info:
+            parse(text)
+        assert time.perf_counter() - start < 1.0
+        assert str(info.value) == f"degree {degree} exceeds the limit 256"
+
+
+def test_a_grammar_error_is_reported_before_the_degree_limit():
+    # z^312 is not built, and the parse reads on to the stray parenthesis
+    with pytest.raises(ValueError, match="^trailing input at token 6$"):
+        parse_map("(1)z^312)")
+    with pytest.raises(ValueError, match="^division by the zero polynomial$"):
+        parse_map("z^300/(z-z)")
+
+
+def test_parse_accepts_text_at_the_degree_limit():
+    phi = parse_map("z^256+1")
+    assert phi.degree == 256
+    assert phi.F.coefficients == (1,) + (0,) * 255 + (1,)
+    assert parse_polynomial("(z+1)^128(z-1)^128")[-1] == 1
+
+
 def test_make_clears_joint_content_and_fixes_sign():
     phi = RationalMap.make([2, 0, 2], [0, 4, 0])
     assert phi.F.coefficients == (1, 0, 1)
@@ -388,6 +420,45 @@ def test_evaluate_matches_a_full_gcd_reduction():
             expected = ProjectivePoint(*coprime_pair(a, b))
             assert phi.evaluate(ProjectivePoint(x1, x2)) == expected, (phi, x1, x2)
     assert divided >= 100
+
+
+def test_evaluate_matches_the_single_form_values():
+    # evaluate sums F and G in one Horner pass; BinaryForm.evaluate sums
+    # each form alone. Maps of degree 1-6 with zero end coefficients and
+    # with G of lower degree than F (G's top coefficient zero).
+    rng = random.Random(1906)
+
+    def draw(d):
+        v = [rng.randint(-50, 50) for _ in range(d + 1)]
+        if rng.random() < 0.3:
+            v[0] = 0
+        if rng.random() < 0.3:
+            v[-1] = 0
+        return v
+
+    maps = []
+    while len(maps) < 60:
+        d = 1 + len(maps) % 6
+        f, g = draw(d), draw(d)
+        if len(maps) % 4 == 0:
+            g[d] = 0
+        try:
+            maps.append(RationalMap.make(f, g))
+        except DegenerateMapError:
+            continue
+    assert any(phi.F.coefficients[0] == 0 for phi in maps)
+    assert any(phi.G.coefficients[-1] == 0 for phi in maps)
+    points = [(0, 1), (1, 0), (1, 1), (-1, 1)]
+    while len(points) < 40:
+        bits = rng.randint(1, 256)
+        a = rng.choice((1, -1)) * rng.getrandbits(bits)
+        b = rng.getrandbits(rng.randint(1, 256))
+        if b and gcd(a, b) == 1:
+            points.append((a, b))
+    for phi in maps:
+        for x1, x2 in points:
+            expected = normalize((phi.F.evaluate(x1, x2), phi.G.evaluate(x1, x2)))
+            assert phi.evaluate(ProjectivePoint(x1, x2)) == expected, (phi, x1, x2)
 
 
 def test_height_loss_bits_bounds_the_image_height():
