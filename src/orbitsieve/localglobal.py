@@ -40,12 +40,6 @@ from .projective import (
 )
 from .ratmap import DEFAULT_HEIGHT_BITS, RationalMap, iterate_point
 
-# The degree-one rows and the Newton place reports live in numtheory and
-# ratmap; they are re-exported here so that imports from this module keep
-# working.
-from .numtheory import FactorialDepthRow, degree_one_demo
-from .ratmap import PlaceReport, newton_place_report
-
 __all__ = [
     "Budgets",
     "DecisionProblem",
@@ -60,10 +54,6 @@ __all__ = [
     "certificate_from_dict",
     "problem_to_dict",
     "problem_from_dict",
-    "FactorialDepthRow",
-    "degree_one_demo",
-    "PlaceReport",
-    "newton_place_report",
 ]
 
 
@@ -303,6 +293,13 @@ def night_schedule(
     return [m for stage in islice(gen, stages) for m in stage]
 
 
+_DEGREE_ONE = (
+    "degree-one map: modular hit sets can stay nonempty at every "
+    "modulus even for orbits that miss the targets, so only a "
+    "witness or a closed orbit can settle this problem",
+)
+
+
 def decide(problem: DecisionProblem, jobs: int = 1) -> Certificate:
     """Run the exact walk, then the night stages, under the problem's budgets.
 
@@ -323,17 +320,18 @@ def decide(problem: DecisionProblem, jobs: int = 1) -> Certificate:
     modulus goes through _evidence, as in verify_certificate. A modulus
     whose own hit set is empty settles the problem by itself and is emitted
     as a singleton certificate, without a fold, so its cycle is not held to
-    `cycle_lcm_cap`. Of a modulus with a nonempty hit set only the modulus
-    and the hit set are kept, not its orbit, so at most one orbit is held at
-    a time. Only after the last stage is their combined intersection
-    attempted: the fold starts from the hit set of every index and takes
-    the hit sets in order, skipping each one whose cycle would push the
-    fold past `cycle_lcm_cap`, the first one included. The family that
-    empties it is minimized in one pass (_minimize_family); this keeps
-    single-modulus certificates, the strongest and cheapest to verify, in
-    front. The orbits of the family that empties the intersection are
-    walked again at the end, by the same deterministic orbit_mod, for the
-    certificate.
+    `cycle_lcm_cap`. The evidence of every examined modulus is kept, so
+    each orbit is walked once and the memory held is bounded by the orbits
+    of the stages run. Only after the last stage is their combined
+    intersection attempted: the fold starts from the hit set of every index
+    and takes the hit sets in order, skipping each one whose cycle would
+    push the fold past `cycle_lcm_cap`, the first one included. The family
+    that empties it is minimized in one pass (_minimize_family) and emitted
+    with the evidence already held; this keeps single-modulus certificates,
+    the strongest and cheapest to verify, in front.
+
+    A degree-one map carries a warning that only a witness or a closed orbit
+    can settle it, unless a modulus settles it.
 
     Deterministic for fixed budgets: the schedule, the orbit arithmetic, and
     the fold order do not depend on timing. `jobs` is ignored: the former
@@ -343,13 +341,6 @@ def decide(problem: DecisionProblem, jobs: int = 1) -> Certificate:
     phi = problem.phi
     budgets = problem.budgets
     targets = frozenset(problem.targets)
-    warnings: list[str] = []
-    if phi.degree < 2:
-        warnings.append(
-            "degree-one map: modular hit sets can stay nonempty at every "
-            "modulus even for orbits that miss the targets, so only a "
-            "witness or a closed orbit can settle this problem"
-        )
     walk = orbit_rational(
         phi,
         problem.start,
@@ -364,6 +355,7 @@ def decide(problem: DecisionProblem, jobs: int = 1) -> Certificate:
     day_status = "running" if walk.stop == "target" else walk.stop
 
     def finish(kind: str, **kw) -> Certificate:
+        warnings = () if phi.degree > 1 or "evidence" in kw else _DEGREE_ONE
         return Certificate(
             kind,
             day_steps_done=walk.steps_done,
@@ -371,7 +363,7 @@ def decide(problem: DecisionProblem, jobs: int = 1) -> Certificate:
             day_status=day_status,
             examined=tuple(examined),
             skipped=tuple(skips),
-            warnings=tuple(warnings),
+            warnings=warnings,
             **kw,
         )
 
@@ -379,7 +371,7 @@ def decide(problem: DecisionProblem, jobs: int = 1) -> Certificate:
         return finish("empty", finite_orbit=walk)
     if walk.stop == "target":
         return finish("witness", witness_index=walk.steps_done)
-    collected: list[tuple[PrimePowerModulus, HitSet]] = []
+    collected: list[ModulusEvidence] = []
     stages = _stages(phi, problem.excluded_primes, skips)
     for stages_done, moduli in enumerate(islice(stages, budgets.night_stages), 1):
         for m in moduli:
@@ -388,32 +380,28 @@ def decide(problem: DecisionProblem, jobs: int = 1) -> Certificate:
             examined.append((m.p, m.k, empty))
             if empty:
                 return finish("empty", evidence=(ev,))
-            collected.append((m, ev.hits))
-            del ev  # hold no orbit while the next one is walked
+            collected.append(ev)
     # last chance: a combined intersection over everything collected
     folded = _EVERY_INDEX
-    used: list[tuple[PrimePowerModulus, HitSet]] = []
-    for m, hits in collected:
+    used: list[tuple[ModulusEvidence, HitSet]] = []
+    for ev in collected:
         try:
-            folded = _intersect_pair(folded, hits, budgets.cycle_lcm_cap)
+            folded = _intersect_pair(folded, ev.hits, budgets.cycle_lcm_cap)
         except CycleBlowupError:
-            skips.append((m.p, m.k, "cycle lcm past the cap"))
+            skips.append((ev.modulus.p, ev.modulus.k, "cycle lcm past the cap"))
             continue
-        used.append((m, hits))
+        used.append((ev, ev.hits))
         if folded.is_empty():
             family = _minimize_family(used, budgets.cycle_lcm_cap)
-            evidence = tuple(
-                ModulusEvidence(orbit_mod(phi, problem.start, m), hits)
-                for m, hits in family
-            )
-            return finish("empty", evidence=evidence)
+            return finish("empty", evidence=tuple(ev for ev, _ in family))
     return finish("exhausted")
 
 
 def _minimize_family(
-    family: Sequence[tuple[PrimePowerModulus, HitSet]], cap: int
-) -> list[tuple[PrimePowerModulus, HitSet]]:
-    """Greedily drop moduli whose removal keeps the intersection empty.
+    family: Sequence[tuple[object, HitSet]], cap: int
+) -> list[tuple[object, HitSet]]:
+    """Greedily drop (key, hit set) members whose removal keeps the
+    intersection empty; decide's keys are the members' evidence.
 
     Members are tried in order; member i is dropped exactly when the members
     kept so far (their intersection is acc) and those after it (after[i],
@@ -437,12 +425,12 @@ def _minimize_family(
     for _, hits in reversed(family[1:]):
         after.append(_intersect_pair(hits, after[-1], cap))
     after.reverse()
-    kept: list[tuple[PrimePowerModulus, HitSet]] = []
+    kept: list[tuple[object, HitSet]] = []
     acc = _EVERY_INDEX
-    for i, (m, hits) in enumerate(family):
+    for i, (key, hits) in enumerate(family):
         if _intersect_pair(acc, after[i], cap).is_empty():
             continue
-        kept.append((m, hits))
+        kept.append((key, hits))
         if i < len(family) - 1:  # the last member's acc is never read
             acc = _intersect_pair(acc, hits, cap)
     return kept

@@ -70,8 +70,10 @@ DEFAULT_COMPOSE_DEGREE = 8192
 # Map and polynomial text may build no power or product of degree above
 # this: the resultant of a degree-d map is a d x d determinant and _ppow
 # multiplies schoolbook, so a short text such as z^9999+1 would otherwise
-# keep the parser busy for hours.
+# keep the parser busy for hours. Nor may it build a coefficient of more
+# bits than _MAX_TEXT_BITS: 9^99999999 names a 317-million-bit integer.
 _MAX_TEXT_DEGREE = 256
+_MAX_TEXT_BITS = DEFAULT_HEIGHT_BITS
 
 
 class DegenerateMapError(ValueError):
@@ -532,20 +534,20 @@ class RationalMap:
         (F(x, 1) : G(x, 1)); a code n + y is (1 : y) with p | y, whose image
         is (F(1, y) : G(1, y)). Each value is one Horner pass in x or y,
         started at the leading coefficient, with no running power of the
-        other coordinate. When G(x, 1) == 1 mod n the image is F(x, 1) mod n
-        with no inverse; otherwise projective._residue_code takes the one
-        inverse. The Horner coefficients are split once per map (_charts);
-        good reduction is checked, p^k computed and the chart chosen once
-        per walk, so that a loop such as orbit_mod pays only for the
-        arithmetic of each step, and resumes this generator instead of
-        calling a function. Raises BadPrimeError, at the first step, when p
-        divides the resultant; at a good prime the two image coordinates
-        are never both divisible by p.
+        other coordinate. projective._residue_code reduces both values mod n
+        and takes the one inverse. The Horner coefficients are split once
+        per map (_charts); good reduction is checked, p^k computed and the
+        chart chosen once per walk, so that a loop such as orbit_mod pays
+        only for the arithmetic of each step, and resumes this generator
+        instead of calling a function. Raises BadPrimeError, at the first
+        step, when p divides the resultant; at a good prime the two image
+        coordinates are never both divisible by p.
 
         When G(x, 1) == 1, the polynomial chart, an affine point (x : 1) maps
         to the affine point (F(x, 1) : 1). From an affine start such a walk
         never leaves the chart, and each step is one Horner pass of F(x, 1)
-        with no pass over G.
+        with no pass over G. Every other walk takes the general loop, where
+        G == 1 mod n holds only by chance, so its steps do not test for it.
         """
         p, n = m.p, m.modulus
         if not self.is_good_prime(p):
@@ -569,13 +571,8 @@ class RationalMap:
                 a = a * x + c
             for c in g:
                 b = b * x + c
-            b %= n
-            x = a % n if b == 1 else _residue_code(a, b, p, n)
+            x = _residue_code(a, b, p, n)
             yield x
-
-    @cached_property
-    def _iterates(self) -> dict[int, tuple[BinaryForm, BinaryForm]]:
-        return {1: (self.F, self.G)}
 
     def iterate_forms(
         self, n: int, max_degree: int = DEFAULT_COMPOSE_DEGREE
@@ -583,29 +580,24 @@ class RationalMap:
         """The form pair of the n-th iterate, jointly content-cleared.
 
         Degree grows like d^n, so this refuses to compose past `max_degree`.
+        Each call composes from (F, G) anew and keeps nothing.
         """
         if n < 1:
             raise ValueError("iterate index must be >= 1")
-        if self.degree ** n > max_degree:
+        d = self.degree
+        if d ** n > max_degree:
             raise ValueError(
-                f"iterate degree {self.degree}^{n} exceeds the limit {max_degree}"
+                f"iterate degree {d}^{n} exceeds the limit {max_degree}"
             )
-        cache = self._iterates
-        top = max(cache)
-        while top < n:
-            fk, gk = cache[top]
-            fpow = [[1]]
-            gpow = [[1]]
-            for _ in range(self.degree):
+        fk, gk = self.F, self.G
+        for _ in range(n - 1):
+            fpow, gpow = [[1]], [[1]]
+            for _ in range(d):
                 fpow.append(_pmul(fpow[-1], fk.coefficients))
                 gpow.append(_pmul(gpow[-1], gk.coefficients))
-            d = self.degree
-            deg_next = d * fk.degree
-            fv = [0] * (deg_next + 1)
-            gv = [0] * (deg_next + 1)
-            for i in range(d + 1):
-                cf = self.F.coefficients[i]
-                cg = self.G.coefficients[i]
+            fv, gv = [0] * (d * fk.degree + 1), [0] * (d * fk.degree + 1)
+            pairs = zip(self.F.coefficients, self.G.coefficients)
+            for i, (cf, cg) in enumerate(pairs):
                 if cf == 0 and cg == 0:
                     continue
                 mono = _pmul(fpow[i], gpow[d - i])
@@ -617,9 +609,8 @@ class RationalMap:
             if joint > 1:
                 fv = [c // joint for c in fv]
                 gv = [c // joint for c in gv]
-            top += 1
-            cache[top] = (BinaryForm(tuple(fv)), BinaryForm(tuple(gv)))
-        return cache[n]
+            fk, gk = BinaryForm(tuple(fv)), BinaryForm(tuple(gv))
+        return fk, gk
 
     def __str__(self) -> str:
         num = _poly_text([c for c in self.F.coefficients])
@@ -722,18 +713,27 @@ def _parse_rational(text: str) -> tuple[list[int], list[int]]:
     function without cancelling, so a degenerate input like (z^2-1)/(z-1)
     stays degenerate and is reported via the resultant.
 
-    A power or product whose degree would pass _MAX_TEXT_DEGREE is never
-    built: the descent reads on with its operands as they are, so that a
-    grammar error later in the text is still the one reported, and then
-    raises ValueError naming the first such degree.
+    A power or product whose degree would pass _MAX_TEXT_DEGREE, or whose
+    coefficients could pass _MAX_TEXT_BITS bits, is never built: the descent
+    reads on with its operands as they are, so that a grammar error later in
+    the text is still the one reported, and then raises ValueError naming
+    the first limit passed. The bits of a power u^k are taken as k times
+    the bits of u's largest coefficient, and those of a product u * v as
+    the sum of the operands' largest bits plus the bits of the shorter
+    length (_product_bits); both are read before anything is multiplied.
     """
     toks = _tokenize(text) + [(None, None)]
-    too_high: list[int] = []
+    refused: list[str] = []
 
-    def within_limit(degree):
-        if degree <= _MAX_TEXT_DEGREE:
+    def within_limits(degree, bits):
+        if degree > _MAX_TEXT_DEGREE:
+            refused.append(f"degree {degree} exceeds the limit {_MAX_TEXT_DEGREE}")
+        elif bits > _MAX_TEXT_BITS:
+            refused.append(
+                f"coefficient of {bits} bits exceeds the limit {_MAX_TEXT_BITS}"
+            )
+        else:
             return True
-        too_high.append(degree)
         return False
 
     def sum_(i):
@@ -744,8 +744,9 @@ def _parse_rational(text: str) -> tuple[list[int], list[int]]:
             if op == "-":
                 c = _pneg(c)
             # lists of lengths m and n have a product of degree m + n - 2
-            if within_limit(
-                max(len(a) + len(d), len(c) + len(b), len(b) + len(d)) - 2
+            if within_limits(
+                max(len(a) + len(d), len(c) + len(b), len(b) + len(d)) - 2,
+                max(_product_bits(a, d), _product_bits(c, b), _product_bits(b, d)),
             ):
                 a, b = _padd(_pmul(a, d), _pmul(c, b)), _pmul(b, d)
         return a, b, i
@@ -760,7 +761,10 @@ def _parse_rational(text: str) -> tuple[list[int], list[int]]:
                 if not any(c):
                     raise ValueError("division by the zero polynomial")
                 c, d = d, c
-            if within_limit(max(len(a) + len(c), len(b) + len(d)) - 2):
+            if within_limits(
+                max(len(a) + len(c), len(b) + len(d)) - 2,
+                max(_product_bits(a, c), _product_bits(b, d)),
+            ):
                 a, b = _pmul(a, c), _pmul(b, d)
         return a, b, i
 
@@ -787,7 +791,10 @@ def _parse_rational(text: str) -> tuple[list[int], list[int]]:
             kind, k = toks[i + 1]
             if kind != "int":
                 raise ValueError("exponent must be a nonnegative integer")
-            if within_limit(k * (max(len(num), len(den)) - 1)):
+            if within_limits(
+                k * (max(len(num), len(den)) - 1),
+                k * max(_top_bits(num), _top_bits(den)),
+            ):
                 num, den = _ppow(num, k), _ppow(den, k)
             i += 2
         return (_pneg(num) if neg else num), den, i
@@ -795,11 +802,25 @@ def _parse_rational(text: str) -> tuple[list[int], list[int]]:
     num, den, i = sum_(0)
     if toks[i][0] is not None:
         raise ValueError(f"trailing input at token {i}")
-    if too_high:
-        raise ValueError(
-            f"degree {too_high[0]} exceeds the limit {_MAX_TEXT_DEGREE}"
-        )
+    if refused:
+        raise ValueError(refused[0])
     return _ptrim(num), _ptrim(den)
+
+
+def _top_bits(v: Sequence[int]) -> int:
+    """The bits of the largest coefficient of v, 0 for the empty list."""
+    return max(map(abs, v)).bit_length() if v else 0
+
+
+def _product_bits(u: Sequence[int], v: Sequence[int]) -> int:
+    """A bound on the bits of the coefficients that _pmul(u, v) computes:
+    each is a sum of at most min(len(u), len(v)) products of one coefficient
+    each. 0 when u or v is the unit [1], the denominator of every polynomial
+    operand, since _pmul then copies the other list and multiplies nothing.
+    """
+    if u == [1] or v == [1]:
+        return 0
+    return _top_bits(u) + _top_bits(v) + min(len(u), len(v)).bit_length()
 
 
 def parse_map(text: str) -> RationalMap:

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .numtheory import factorize, prime_set, DEFAULT_RHO_STEPS, DEFAULT_TRIAL_BOUND
+from .numtheory import factorize, prime_set
 from .orbit import orbit_rational
 from .projective import PointLike, ProjectivePoint, normalize
 from .ratmap import (
@@ -63,8 +63,6 @@ def difference_support(
     gamma: PointLike,
     m: int,
     height_bits: int = DEFAULT_HEIGHT_BITS,
-    trial_bound: int = DEFAULT_TRIAL_BOUND,
-    rho_steps: int = DEFAULT_RHO_STEPS,
 ) -> tuple[int, tuple[tuple[int, int], ...]]:
     """Cross term of phi^m(beta) against gamma and its full factorization.
 
@@ -73,11 +71,11 @@ def difference_support(
     factoring or height budget errors propagate.
     """
     x = iterate_point(phi, beta, m, height_bits)
-    return _factored_term(x, normalize(gamma), m, trial_bound, rho_steps)
+    return _factored_term(x, normalize(gamma), m)
 
 
 def _factored_term(
-    x: ProjectivePoint, g: ProjectivePoint, m: int, trial_bound: int, rho_steps: int
+    x: ProjectivePoint, g: ProjectivePoint, m: int
 ) -> tuple[int, tuple[tuple[int, int], ...]]:
     """The term of x = phi^m(beta) against g, factored as in difference_support."""
     term = abs(x.x1 * g.x2 - x.x2 * g.x1)
@@ -87,7 +85,7 @@ def _factored_term(
         )
     if term == 1:
         return 1, ()
-    fac = factorize(term, trial_bound, rho_steps)
+    fac = factorize(term)
     return term, fac.factors
 
 
@@ -98,8 +96,6 @@ def primitive_divisors(
     m_max: int,
     excluded: Iterable[int] = (),
     height_bits: int = DEFAULT_HEIGHT_BITS,
-    trial_bound: int = DEFAULT_TRIAL_BOUND,
-    rho_steps: int = DEFAULT_RHO_STEPS,
 ) -> PrimitiveDivisorRun:
     """Support and primitive-prime reports for m = 1..m_max.
 
@@ -161,7 +157,7 @@ def primitive_divisors(
         else:
             # the scan stopped at the height budget, just as iterating would
             raise HeightBudgetError(beta_scan.steps_done, height_bits)
-        term, factors = _factored_term(x, g, m, trial_bound, rho_steps)
+        term, factors = _factored_term(x, g, m)
         kept = tuple((p, e) for p, e in factors if p not in banned)
         support = {p for p, _ in kept}
         primitive = frozenset(support - seen)

@@ -18,10 +18,9 @@ from orbitsieve.localglobal import (
     certificate_from_dict,
     certificate_to_dict,
     decide,
-    degree_one_demo,
-    newton_place_report,
     verify_certificate,
 )
+from orbitsieve.numtheory import degree_one_demo
 from orbitsieve.orbit import orbit_rational
 from orbitsieve.projective import (
     INFINITY,
@@ -35,6 +34,7 @@ from orbitsieve.ratmap import (
     dynatomic,
     is_polynomial_type,
     iterate_point,
+    newton_place_report,
     parse_map,
     rational_periodic_points,
 )

@@ -2,6 +2,7 @@
 search, certificates and their verification, serialization, the degree
 one demonstration, and the Newton place reports."""
 
+import dataclasses
 import functools
 import hashlib
 import json
@@ -17,24 +18,29 @@ import pytest
 from orbitsieve import localglobal
 from orbitsieve.localglobal import (
     Budgets,
+    Certificate,
     CycleBlowupError,
     DecisionProblem,
+    ModulusEvidence,
     _minimize_family,
     certificate_from_dict,
     certificate_to_dict,
     decide,
-    degree_one_demo,
     intersect_hit_sets,
-    newton_place_report,
     night_schedule,
     problem_from_dict,
     problem_to_dict,
     verify_certificate,
 )
-from orbitsieve.numtheory import factorial_valuation
-from orbitsieve.orbit import HitSet, hit_set, orbit_mod, orbit_rational
+from orbitsieve.numtheory import degree_one_demo, factorial_valuation
+from orbitsieve.orbit import HitSet, ModOrbit, hit_set, orbit_mod, orbit_rational
 from orbitsieve.projective import INFINITY, PrimePowerModulus, normalize
-from orbitsieve.ratmap import DegenerateMapError, RationalMap, parse_map
+from orbitsieve.ratmap import (
+    DegenerateMapError,
+    RationalMap,
+    newton_place_report,
+    parse_map,
+)
 
 
 def _hs(threshold, exceptional, cycle, residues):
@@ -486,6 +492,49 @@ def test_decide_degree_one_exhausts():
     assert not verify_certificate(problem, cert)
 
 
+def test_degree_one_warning_is_left_off_when_a_modulus_settles():
+    # `decide --map z+2 --point 1 --targets 0`: the orbit 1, 3, 5, ... is
+    # fixed at 1 mod 2, so its empty hit set there settles the problem and
+    # the warning "only a witness or a closed orbit can settle this
+    # problem" would be false
+    problem = _problem("z+2", 1, [0])
+    cert = decide(problem)
+    assert cert.kind == "empty"
+    assert [str(ev.modulus) for ev in cert.evidence] == ["2"]
+    assert cert.evidence[0].hits.is_empty()
+    assert cert.warnings == ()
+    assert verify_certificate(problem, cert)
+    # an exhausted problem and a closed orbit keep the warning
+    warned = [
+        decide(_problem("z+1", 1, [0, "inf"], night_stages=2)),
+        decide(_problem("(z+5)/(3z-1)", 2, [0])),
+    ]
+    assert [c.kind for c in warned] == ["exhausted", "empty"]
+    assert warned[1].finite_orbit is not None
+    assert all(len(c.warnings) == 1 for c in warned)
+    assert warned[0].warnings[0].startswith("degree-one map: ")
+
+
+def test_decide_walks_each_examined_modulus_once(monkeypatch):
+    # the pinned family problem: six moduli are examined and the family
+    # {3, 5} is emitted with the evidence already walked, not walked again
+    calls = []
+    walk = localglobal.orbit_mod
+
+    def counting_orbit_mod(phi, start, m):
+        calls.append((m.p, m.k))
+        return walk(phi, start, m)
+
+    monkeypatch.setattr(localglobal, "orbit_mod", counting_orbit_mod)
+    problem = _problem(
+        "z^2-1", 5, [0, 3], day_steps=4, night_stages=3, height_bits=256
+    )
+    cert = decide(problem)
+    assert [(ev.modulus.p, ev.modulus.k) for ev in cert.evidence] == [(3, 1), (5, 1)]
+    assert calls == [(p, k) for p, k, _ in cert.examined]
+    assert len(calls) == 6
+
+
 def _traced_peak(fn):
     """fn() and the tracemalloc peak of the call, in bytes."""
     tracemalloc.start()
@@ -888,6 +937,44 @@ def test_random_certificates_survive_the_json_round_trip():
     assert kinds == {"witness", "closed", "empty", "exhausted"}, kinds
 
 
+def test_verify_rejects_a_witness_it_cannot_reach():
+    # 2, 4, 16, ..., 2^64 under z^2: index 6 is a true witness, but past a
+    # 64-bit height budget; index -1 names no iterate
+    problem = _problem("z^2", 2, [2 ** 64])
+    assert verify_certificate(problem, Certificate("witness", witness_index=6))
+    assert not verify_certificate(problem, Certificate("witness", witness_index=-1))
+    tight = _problem("z^2", 2, [2 ** 64], height_bits=64)
+    assert not verify_certificate(tight, Certificate("witness", witness_index=6))
+
+
+def test_verify_rejects_an_empty_certificate_without_evidence():
+    problem = _problem("z^2-1", 3, [0])
+    assert not verify_certificate(problem, Certificate("empty"))
+
+
+def test_verify_rejects_a_modulus_of_bad_reduction():
+    # 2 divides the resultant of (z^2+1)/(2z); an empty hit set stored for
+    # it must not settle the problem
+    problem = _problem("(z^2+1)/(2z)", 2, [-1])
+    assert not problem.phi.is_good_prime(2)
+    bad = ModulusEvidence(ModOrbit(PrimePowerModulus(2, 1), 0, 1, (0,)), NO_INDICES)
+    assert not verify_certificate(problem, Certificate("empty", evidence=(bad,)))
+
+
+def test_verify_rejects_a_family_past_an_edited_cycle_lcm_cap():
+    # the pinned family {3, 5}: both hit sets have cycle length 2
+    problem = _problem(
+        "z^2-1", 5, [0, 3], day_steps=4, night_stages=3, height_bits=256
+    )
+    cert = decide(problem)
+    assert [ev.hits.cycle_length for ev in cert.evidence] == [2, 2]
+    assert verify_certificate(problem, cert)
+    capped = dataclasses.replace(
+        problem, budgets=dataclasses.replace(problem.budgets, cycle_lcm_cap=1)
+    )
+    assert not verify_certificate(capped, cert)
+
+
 def test_verify_rejects_finite_orbit_cert_for_other_targets():
     problem = _problem("z^2-1", 0, [5])
     cert = decide(problem)
@@ -929,6 +1016,26 @@ def test_newton_reports_known_verdicts():
     vals = p5.detail["valuations"]
     assert all(a < b for a, b in zip(vals, vals[1:]))
     assert p7.place == 7 and p7.verdict == "diverges"
+
+
+def test_padic_report_verdicts():
+    # from -1/2, z^3 - z has f = 3/8 (3-adic valuation 1), and one Newton
+    # step lands exactly on the root 1
+    _, p3 = newton_place_report("z^3-z", Fraction(-1, 2), [3])
+    assert p3.verdict == "converges"
+    assert p3.detail["valuations"] == [1]
+    assert p3.detail["note"] == "landed exactly on a rational root"
+    # from 1/2, z^2 + 1 escapes 2-adically: the valuations fall strictly
+    _, p2 = newton_place_report("z^2+1", Fraction(1, 2), [2])
+    assert p2.verdict == "diverges"
+    assert p2.detail["valuations"] == list(range(-2, -23, -2))
+    assert "note" not in p2.detail
+    # from 1, z^3 - 2 cycles 2-adically through 0, 1, -9, -6, -3: the
+    # window neither rises, nor stays flat, nor falls
+    _, p2 = newton_place_report("z^3-2", 1, [2])
+    assert p2.verdict == "undecided"
+    assert p2.detail["valuations"][:6] == [0, 1, -9, -6, -3, 0]
+    assert "note" not in p2.detail
 
 
 def test_newton_report_validation():

@@ -115,6 +115,24 @@ def test_congruent_mod_known_values():
     assert congruent_mod(INFINITY, Fraction(1, 5), PrimePowerModulus(5, 1))
 
 
+def test_at_most_agrees_with_congruent_mod_sampled():
+    # congruent_mod(x, y, p^k) is chordal(x, y, p).at_most(k) without the
+    # valuation loop; pairs that agree to a high power of p come from
+    # y = x + p^j * t, and equal points from j = None
+    rng = random.Random(17)
+    seen = set()
+    for _ in range(300):
+        p = rng.choice((2, 3, 5, 7))
+        x = normalize((rng.randrange(-99, 100), rng.randrange(1, 50)))
+        j = rng.choice((None, 0, 1, 2, 3, 4))
+        y = x if j is None else normalize(x.as_fraction() + p ** j * rng.randrange(1, 30))
+        for k in range(1, 7):
+            got = chordal(x, y, p).at_most(k)
+            assert got == congruent_mod(x, y, PrimePowerModulus(p, k)), (x, y, p, k)
+            seen.add(got)
+    assert seen == {True, False}
+
+
 def test_chordal_metric_axioms_sampled():
     rng = random.Random(11)
     primes = (2, 3, 5, 7, 11)

@@ -321,6 +321,41 @@ def test_a_grammar_error_is_reported_before_the_degree_limit():
         parse_map("z^300/(z-z)")
 
 
+@pytest.mark.parametrize(
+    "text, bits",
+    [("9^99999999*z", 399999996), ("9^4000000*z+z^2", 16000000),
+     ("(9^300000)(9^300000)z+z^2", 1200000),
+     ("(9^200000)(9^200000)z+z^2", 1267973),
+     ("9^200000+1/(9^200000z)", 1267973)],
+)
+def test_parse_rejects_coefficients_past_the_bit_limit(text, bits):
+    # a power is refused at k times the bits of its base's largest
+    # coefficient, a product (the fourth) and a cross product of a sum (the
+    # fifth) at the sum of their operands' largest bits plus the bits of
+    # the shorter length (9^200000 has 633,986 bits), before anything is
+    # multiplied
+    for parse in (parse_map, parse_polynomial):
+        start = time.perf_counter()
+        with pytest.raises(ValueError) as info:
+            parse(text)
+        assert time.perf_counter() - start < 1.0
+        assert str(info.value) == (
+            f"coefficient of {bits} bits exceeds the limit 1048576"
+        )
+
+
+def test_a_grammar_error_is_reported_before_the_bit_limit():
+    with pytest.raises(ValueError, match="^trailing input at token 3$"):
+        parse_map("9^99999999)")
+    with pytest.raises(ValueError, match="^missing closing parenthesis$"):
+        parse_polynomial("(9^4000000*z+z^2")
+
+
+def test_parse_accepts_coefficients_under_the_bit_limit():
+    assert parse_map("9^100000*z+z^2").F.coefficients == (0, 9 ** 100000, 1)
+    assert parse_polynomial("9^100000*z+z^2") == [0, 9 ** 100000, 1]
+
+
 def test_parse_accepts_text_at_the_degree_limit():
     phi = parse_map("z^256+1")
     assert phi.degree == 256

@@ -150,11 +150,11 @@ def test_support_agrees_with_modular_orbit_hits():
             assert hs.contains(m) == (q in support_by_m[m]), (q, m)
 
 
-def _reference_rows(phi, beta, gamma, m_max, bits, trial, rho):
+def _reference_rows(phi, beta, gamma, m_max, bits):
     """Per-m path: re-iterate from beta for every m and factor its term."""
     seen, rows = set(), []
     for m in range(1, m_max + 1):
-        term, factors = difference_support(phi, beta, gamma, m, bits, trial, rho)
+        term, factors = difference_support(phi, beta, gamma, m, bits)
         support = {p for p, _ in factors}
         rows.append((m, term.bit_length(), factors, frozenset(support - seen)))
         seen |= support
@@ -184,9 +184,9 @@ def test_primitive_divisors_match_the_per_m_reference(monkeypatch):
     factored = []
     factorize = zsigmondy.factorize
 
-    def counting_factorize(n, *args):
+    def counting_factorize(n):
         factored.append(n)
-        return factorize(n, *args)
+        return factorize(n, 1000, 2000)
 
     monkeypatch.setattr(zsigmondy, "factorize", counting_factorize)
 
@@ -220,7 +220,7 @@ def test_primitive_divisors_match_the_per_m_reference(monkeypatch):
     errors, warned = set(), set()
     for phi, beta, gamma, m_max, bits in cases:
         def rows_and_warnings():
-            run = primitive_divisors(phi, beta, gamma, m_max, (), bits, 1000, 2000)
+            run = primitive_divisors(phi, beta, gamma, m_max, (), bits)
             rows = [
                 (r.m, r.term_bits, r.term_valuations, r.primitive)
                 for r in run.reports
@@ -231,7 +231,7 @@ def test_primitive_divisors_match_the_per_m_reference(monkeypatch):
         got = outcome(rows_and_warnings)
         want = outcome(
             lambda: (
-                _reference_rows(phi, beta, gamma, m_max, bits, 1000, 2000),
+                _reference_rows(phi, beta, gamma, m_max, bits),
                 _reference_warnings(phi, beta, gamma, m_max, bits),
             )
         )
