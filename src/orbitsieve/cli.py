@@ -30,6 +30,7 @@ from .orbit import orbit_mod, orbit_rational
 from .projective import _residue_pair, format_point, parse_modulus, parse_point
 from .ratmap import (
     DEFAULT_HEIGHT_BITS,
+    _MAX_TEXT_DIGITS,
     dynatomic,
     is_polynomial_type,
     newton_map,
@@ -481,14 +482,25 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command. Integers within the tool's 2^20-bit bounds print
+    and parse in full: CPython converts at most 4,300 digits by default, so
+    the interpreter's limit, where one is set, is raised to the digits of a
+    2^20-bit integer while the command runs, and restored afterwards."""
     parser = build_parser()
     args = parser.parse_args(argv)
+    # 0 where the limit is off, or absent (CPython before 3.10.7): no change
+    saved = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if saved:
+        sys.set_int_max_str_digits(_MAX_TEXT_DIGITS)
     try:
         return args.func(args)
     # json.JSONDecodeError is a ValueError
     except (OSError, ValueError, ArithmeticError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        if saved:
+            sys.set_int_max_str_digits(saved)
 
 
 if __name__ == "__main__":

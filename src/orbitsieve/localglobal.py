@@ -38,7 +38,13 @@ from .projective import (
     _residue_pair,
     normalize,
 )
-from .ratmap import DEFAULT_HEIGHT_BITS, RationalMap, iterate_point
+from .ratmap import (
+    DEFAULT_HEIGHT_BITS,
+    HeightBudgetError,
+    RationalMap,
+    iterate_point,  # unused here; bench/tracing.py wraps this binding
+    orbit_points,
+)
 
 __all__ = [
     "Budgets",
@@ -186,7 +192,7 @@ def intersect_hit_sets(
 # The hit set of every index: the identity of intersection, from which
 # decide's fold and _minimize_family start, so that the cap is checked on
 # the first hit set folded in as on every later one.
-_EVERY_INDEX = HitSet(0, frozenset(), 1, (0,))
+_EVERY_INDEX = HitSet(0, (), 1, (0,))
 
 
 def _intersect_pair(a: HitSet, b: HitSet, cap: int) -> HitSet:
@@ -213,9 +219,7 @@ def _intersect_pair(a: HitSet, b: HitSet, cap: int) -> HitSet:
             diff = rb - ra
             if diff % g == 0:
                 combined.add(ra + ca * (diff // g * inverse % mb))
-    exceptional = frozenset(
-        n for n in range(t) if a.contains(n) and b.contains(n)
-    )
+    exceptional = tuple(n for n in range(t) if a.contains(n) and b.contains(n))
     return HitSet(t, exceptional, c, tuple(sorted(combined)))
 
 
@@ -439,39 +443,49 @@ def _minimize_family(
 def verify_certificate(problem: DecisionProblem, cert: Certificate) -> bool:
     """Re-check a certificate from scratch; True only for a sound one.
 
-    Witness: re-iterate to the claimed index and compare against the
-    targets. Empty with a finite orbit: re-run the orbit, require it to
-    equal the stored closed orbit, and require disjointness from the
-    targets.
-    Empty with moduli: require each modulus to be an allowed good prime
-    power, recompute its orbit and hit set, compare both with the stored
-    ones, and intersect the hit sets.
+    Each claim is accepted in one form only:
+    - Witness: the index lies within the problem's day_steps, as every
+      witness that decide writes does, and the exact orbit, walked from the
+      start under the height budget, meets the targets first at that index.
+      An index past day_steps is refused before any walk, and a later
+      meeting once the first is reached. The walk is orbit_points with one
+      set lookup per iterate, not decide's orbit_rational.
+    - Empty with a finite orbit: re-run the orbit, require it to equal the
+      stored closed orbit, and require disjointness from the targets.
+    - Empty with moduli: each modulus is named once, in any order (documents
+      of the former triangle schedule list them in examination order), and
+      is an allowed good prime power; its orbit and hit set are recomputed
+      and compared with the stored ones, and the hit sets must intersect in
+      the empty set.
     Exhausted certificates assert nothing and never verify.
     """
     phi = problem.phi
+    budgets = problem.budgets
     if cert.kind == "witness":
-        if cert.witness_index is None or cert.witness_index < 0:
+        index = cert.witness_index
+        if index is None or not 0 <= index <= budgets.day_steps:
             return False
+        targets = frozenset(problem.targets)
+        walk = orbit_points(phi, problem.start, budgets.height_bits)
         try:
-            pt = iterate_point(
-                phi, problem.start, cert.witness_index, problem.budgets.height_bits
-            )
-        except Exception:
-            return False
-        return pt in frozenset(problem.targets)
+            for n, pt in enumerate(islice(walk, index + 1)):
+                if pt in targets:
+                    return n == index
+        except HeightBudgetError:
+            pass
+        return False
     if cert.kind != "empty":
         return False
     if cert.finite_orbit is not None:
         redone = orbit_rational(
-            phi,
-            problem.start,
-            problem.budgets.day_steps,
-            problem.budgets.height_bits,
+            phi, problem.start, budgets.day_steps, budgets.height_bits
         )
         if redone != cert.finite_orbit:
             return False
         return frozenset(problem.targets).isdisjoint(redone.points)
     if not cert.evidence:
+        return False
+    if len({ev.modulus for ev in cert.evidence}) != len(cert.evidence):
         return False
     for ev in cert.evidence:
         if ev.modulus.p in problem.excluded_primes:
@@ -483,7 +497,7 @@ def verify_certificate(problem: DecisionProblem, cert: Certificate) -> bool:
             return False
     try:
         combined = intersect_hit_sets(
-            [ev.hits for ev in cert.evidence], problem.budgets.cycle_lcm_cap
+            [ev.hits for ev in cert.evidence], budgets.cycle_lcm_cap
         )
     except CycleBlowupError:
         return False
@@ -585,7 +599,7 @@ def _evidence_to_dict(ev: ModulusEvidence) -> dict:
         },
         "hit_set": {
             "threshold": str(ev.hits.threshold),
-            "exceptional": [str(n) for n in sorted(ev.hits.exceptional)],
+            "exceptional": [str(n) for n in ev.hits.exceptional],
             "cycle_length": str(ev.hits.cycle_length),
             "residues": [str(r) for r in ev.hits.residues],
         },
@@ -600,7 +614,7 @@ def _evidence_from_dict(doc: dict) -> ModulusEvidence:
     orb = ModOrbit(mod, int(orb_doc["tail"]), int(orb_doc["cycle"]), seq)
     hs = HitSet(
         threshold=int(hs_doc["threshold"]),
-        exceptional=frozenset(map(int, hs_doc["exceptional"])),
+        exceptional=tuple(map(int, hs_doc["exceptional"])),
         cycle_length=int(hs_doc["cycle_length"]),
         residues=tuple(map(int, hs_doc["residues"])),
     )

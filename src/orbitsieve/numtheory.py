@@ -181,7 +181,7 @@ def valuation(n: int, p: int) -> int:
     """
     if n == 0:
         raise ValueError("valuation of zero is undefined")
-    if p < 2 or not is_prime(p):
+    if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     n = abs(n)
     squares = []
@@ -202,7 +202,7 @@ def factorial_valuation(n: int, p: int) -> int:
     """v_p(n!) by Legendre's sum of floor(n / p^i); n! is never formed."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    if p < 2 or not is_prime(p):
+    if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     total = 0
     q = p
@@ -246,8 +246,6 @@ def mobius(n: int) -> int:
     """Moebius function: 0 on squareful n, else (-1)^(number of prime factors)."""
     if n < 1:
         raise ValueError("mobius is defined for positive integers")
-    if n == 1:
-        return 1
     fac = factorize(n)
     for _, e in fac.factors:
         if e > 1:
@@ -267,7 +265,7 @@ def crt_pair(r1: int, m1: int, r2: int, m2: int) -> Optional[tuple[int, int]]:
     if (r2 - r1) % g != 0:
         return None
     l = m1 // g * m2
-    t = ((r2 - r1) // g * pow(m1 // g, -1, m2 // g)) % (m2 // g) if m2 != g else 0
+    t = ((r2 - r1) // g * pow(m1 // g, -1, m2 // g)) % (m2 // g)
     return (r1 + m1 * t) % l, l
 
 
@@ -332,13 +330,13 @@ def _perfect_power(n: int) -> Optional[tuple[int, int]]:
 
 
 def _pollard_brent(n: int, budget: int) -> tuple[Optional[int], int]:
-    """Brent-cycle rho with a fixed (c, m) schedule.
+    """Brent-cycle rho with a fixed (c, m) schedule, on an odd composite n.
 
     Returns (nontrivial factor or None, steps consumed). Deterministic: the
     polynomial constant c walks 1, 2, 3, ... and the starting value is 2.
+    factorize passes only odd composites: its trial division removes 2 from
+    every cofactor, and the factors it splits off odd numbers are odd.
     """
-    if n % 2 == 0:
-        return 2, 0
     steps = 0
     m = 128
     for c in range(1, 10_000):
@@ -426,11 +424,16 @@ def factorize(
     Inputs whose prime factors all lie below `trial_bound` always succeed.
     Raises FactorizationBudgetError carrying the composite cofactor
     otherwise.
+
+    Every cofactor put on the stack is at least 2: the first one is the part
+    left by trial division when that is above 1, perfect-power bases are at
+    least 2, and rho splits v into 1 < g < v and v / g. The composites that
+    reach _pollard_brent are odd, as it requires: trial division has taken
+    out every 2 of any n >= 4, and factors of odd numbers are odd. n = 1
+    leaves an empty stack and factors as ().
     """
     if n < 1:
         raise ValueError("factorize expects a positive integer")
-    if n == 1:
-        return Factorization(1, ())
     found: dict[int, int] = {}
     m = n
     for p in _SIEVED_PRIMES:
@@ -444,8 +447,6 @@ def factorize(
     stuck: list[int] = []
     while stack:
         v = stack.pop()
-        if v == 1:
-            continue
         if is_prime(v):
             found[v] = found.get(v, 0) + 1
             continue

@@ -151,6 +151,12 @@ class ModOrbit:
     sequence: tuple[int, ...]
 
 
+# The most steps orbit_mod walks where P^1(Z/p^k) has more points than this:
+# the orbit's set and list hold about 67 B per step, so 2^20 steps stay near
+# 70 MB, while 1000003^2 has 10^12 points.
+_MAX_MOD_STEPS = 1 << 20
+
+
 def orbit_mod(phi: RationalMap, start: PointLike, m: PrimePowerModulus) -> ModOrbit:
     """Iterate the start point mod p^k until the first repeat.
 
@@ -162,6 +168,12 @@ def orbit_mod(phi: RationalMap, start: PointLike, m: PrimePowerModulus) -> ModOr
     dict from code to index would find the tail without the list, but holds
     more memory per step than the set and the list together.
 
+    Where |P^1(Z/p^k)| passes 2^20 (_MAX_MOD_STEPS), the walk is bounded:
+    an orbit that has not repeated after 2^20 steps raises ValueError. At
+    smaller moduli the point count bounds the walk, and the loop is the same.
+    decide's schedule first reaches such a modulus at night stage 405 (for
+    a map of good reduction at every prime).
+
     Raises BadPrimeError at primes dividing the resultant, where reduction
     and iteration do not commute.
     """
@@ -171,11 +183,18 @@ def orbit_mod(phi: RationalMap, start: PointLike, m: PrimePowerModulus) -> ModOr
     seq = [cur]
     seen = {cur}
     add, append = seen.add, seq.append
-    for cur in phi._mod_walk(m, cur):
+    walk = phi._mod_walk(m, cur)
+    if m.point_count() > _MAX_MOD_STEPS:
+        walk = islice(walk, _MAX_MOD_STEPS)
+    for cur in walk:
         if cur in seen:
             break
         add(cur)
         append(cur)
+    else:
+        raise ValueError(
+            f"the orbit mod {m} passes {_MAX_MOD_STEPS} steps without repeating"
+        )
     del seen, add  # free the set before the sequence is copied
     tail = seq.index(cur)
     return ModOrbit(m, tail, len(seq) - tail, tuple(seq))
@@ -186,28 +205,29 @@ class HitSet:
     """Indices n with phi^n(start) in the reduced target set, mod p^k.
 
     Exact description: n is a hit iff (n < threshold and n in exceptional)
-    or (n >= threshold and n mod cycle_length in residues). residues is
-    strictly increasing inside [0, cycle_length), and cycle_length >= 1.
+    or (n >= threshold and n mod cycle_length in residues). Both index lists
+    are strictly increasing tuples, exceptional inside [0, threshold) and
+    residues inside [0, cycle_length), and cycle_length >= 1; so a hit set
+    has one form, and so has the certificate that stores it.
     """
 
     threshold: int
-    exceptional: frozenset[int]
+    exceptional: tuple[int, ...]
     cycle_length: int
     residues: tuple[int, ...]
 
     def __post_init__(self):
         if self.cycle_length < 1:
             raise ValueError("cycle length must be positive")
-        last = -1
-        for r in self.residues:
-            if not 0 <= r < self.cycle_length:
-                raise ValueError(f"residue {r} out of range mod {self.cycle_length}")
-            if r <= last:
-                raise ValueError("residues must be strictly increasing")
-            last = r
-        for n in self.exceptional:
-            if not 0 <= n < self.threshold:
-                raise ValueError("exceptional indices must lie below the threshold")
+        for indices, bound in (
+            (self.exceptional, self.threshold),
+            (self.residues, self.cycle_length),
+        ):
+            last = -1
+            for n in indices:
+                if not last < n < bound:
+                    raise ValueError(f"indices must increase strictly below {bound}")
+                last = n
 
     def contains(self, n: int) -> bool:
         if n < 0:
@@ -236,7 +256,7 @@ def hit_set(orb: ModOrbit, targets: Iterable[PointLike]) -> HitSet:
     hits = sorted(map(seq.index, codes.intersection(seq)))
     return HitSet(
         threshold=tail,
-        exceptional=frozenset(i for i in hits if i < tail),
+        exceptional=tuple(i for i in hits if i < tail),
         cycle_length=cycle,
         residues=tuple(sorted(i % cycle for i in hits if i >= tail)),
     )

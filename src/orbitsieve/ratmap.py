@@ -74,6 +74,10 @@ DEFAULT_COMPOSE_DEGREE = 8192
 # bits than _MAX_TEXT_BITS: 9^99999999 names a 317-million-bit integer.
 _MAX_TEXT_DEGREE = 256
 _MAX_TEXT_BITS = DEFAULT_HEIGHT_BITS
+# The decimal digits of a _MAX_TEXT_BITS-bit integer (315,653): no literal
+# may have more, and the CLI raises the interpreter's int-to-str limit
+# (4,300 digits by default) to this for the duration of a command.
+_MAX_TEXT_DIGITS = int(_MAX_TEXT_BITS * math.log10(2)) + 1
 
 
 class DegenerateMapError(ValueError):
@@ -288,10 +292,9 @@ def resultant(f: BinaryForm, g: BinaryForm) -> int:
 def _bareiss_det(m: list[list[int]]) -> int:
     """Determinant of the n x n integer matrix held in the first n columns
     of the n rows of m, by fraction-free elimination (Bareiss): every
-    division is exact. Overwrites the rows."""
+    division is exact. Overwrites the rows. n >= 1: resultant refuses
+    degree 0."""
     n = len(m)
-    if n == 0:
-        return 1
     sign = 1
     prev = 1
     for k in range(n - 1):
@@ -453,11 +456,10 @@ class RationalMap:
         same test. Heights therefore rise strictly from pt on, and no later
         iterate equals pt or any earlier one: a repeat x_(n+k) = x_j would
         make x_n recur. An orbit walked without closing up to an iterate for
-        which this holds never closes. Degree-one maps never pass.
+        which this holds never closes. Degree-one maps never pass: the test
+        reads 0 >= L there, and L >= 2.
         """
         d = self.degree
-        if d < 2:
-            return False
         bits = max(abs(pt.x1).bit_length(), abs(pt.x2).bit_length())
         return (d - 1) * (bits - 1) >= self.height_loss_bits
 
@@ -687,6 +689,11 @@ def _tokenize(text: str) -> list[tuple[str, Optional[int]]]:
             j = i
             while j < len(text) and "0" <= text[j] <= "9":
                 j += 1
+            if j - i > _MAX_TEXT_DIGITS:
+                raise ValueError(
+                    f"integer literal of {j - i} digits exceeds the limit "
+                    f"{_MAX_TEXT_DIGITS}"
+                )
             toks.append(("int", int(text[i:j])))
             i = j
             continue
@@ -1027,7 +1034,7 @@ def _padic_report(
     else:
         w = min(len(vals), max(3, (iters + 1) // 2))
         tail = vals[-w:]
-        dtail = diffs[-min(len(diffs), w):] if diffs else []
+        dtail = diffs[-w:]  # w >= 1 here, so this is never diffs[-0:]
         increasing = all(a < b for a, b in zip(tail, tail[1:])) and all(
             a < b for a, b in zip(dtail, dtail[1:])
         )
@@ -1157,13 +1164,12 @@ class DynatomicForm:
 
 
 def dynatomic_degree(d: int, n: int) -> int:
-    """Expected degree of the period-n form of a degree-d map."""
-    if n == 1:
-        return d + 1
+    """Expected degree of the period-n form of a degree-d map: the sum over
+    e | n of mobius(n / e) * (d^e + 1), the degree of each Y*F_e - X*G_e."""
     total = 0
     for e in range(1, n + 1):
         if n % e == 0:
-            total += mobius(n // e) * d ** e
+            total += mobius(n // e) * (d ** e + 1)
     return total
 
 
@@ -1220,8 +1226,7 @@ def dynatomic(
         raise DynatomicDivisionError(
             f"period-{n} product division left a remainder"
         )
-    # each pe has degree d^e + 1, and sum_{e|n} mu(n/e) (d^e + 1) is
-    # dynatomic_degree because sum_{e|n} mu(n/e) is 1 at n = 1, else 0
+    # each pe has degree d^e + 1, so the quotient's is dynatomic_degree
     target_degree = dynatomic_degree(phi.degree, n)
     ints = _clear_denominators(quotient)
     if len(ints) - 1 > target_degree:
@@ -1256,9 +1261,10 @@ def rational_periodic_points(phi: RationalMap, n: int) -> set[ProjectivePoint]:
         candidates.add(INFINITY)
     if v[0] == 0:
         candidates.add(ZERO)
-    lo = next((i for i in range(deg + 1) if v[i] != 0), None)
-    hi = next((i for i in range(deg, -1, -1) if v[i] != 0), None)
-    if lo is not None and hi is not None and lo < hi:
+    # the form is primitive, hence nonzero, so both ends exist
+    lo = next(i for i in range(deg + 1) if v[i] != 0)
+    hi = next(i for i in range(deg, -1, -1) if v[i] != 0)
+    if lo < hi:
         r_divs = factorize(abs(v[lo])).divisors()
         s_divs = factorize(abs(v[hi])).divisors()
         for r in r_divs:

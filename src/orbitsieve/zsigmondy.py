@@ -83,10 +83,7 @@ def _factored_term(
         raise ValueError(
             f"phi^{m}(beta) equals gamma exactly; the difference term vanishes"
         )
-    if term == 1:
-        return 1, ()
-    fac = factorize(term)
-    return term, fac.factors
+    return term, factorize(term).factors
 
 
 def primitive_divisors(

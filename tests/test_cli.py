@@ -8,8 +8,11 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import re
 import shlex
+import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -237,6 +240,37 @@ def test_map_text_past_the_degree_limit_is_a_usage_error(capsys):
     assert err == "error: degree 9999 exceeds the limit 256\n"
 
 
+def test_a_literal_past_the_digit_limit_is_a_usage_error(capsys):
+    # 315,653 digits hold any 2^20-bit integer, the coefficient limit
+    t0 = time.perf_counter()
+    code, out, err = _run(capsys, "orbit", "--map", "z+" + "9" * 400_000, "--point", "1")
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 1
+    assert out == ""
+    assert err == "error: integer literal of 400000 digits exceeds the limit 315653\n"
+
+
+def test_integers_within_the_bounds_print_in_full(tmp_path, capsys):
+    # CPython converts at most 4,300 digits between int and str unless told
+    # otherwise; main raises that limit for the command, and only for it
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    code, out, _ = _run(capsys, "orbit", "--map", "z^2", "--point", "3", "--max-steps", "20")
+    assert code == 0
+    lines = out.splitlines()
+    # 3^(2^20) would pass the 2^20-bit height budget
+    assert lines[0] == "orbit of 3: truncated after 19 steps"
+    assert len(lines[-1].split()[-1]) == int(2 ** 19 * math.log10(3)) + 1
+    cert_file = tmp_path / "big.json"
+    code, out, _ = _run(
+        capsys, "decide", "--map", "9^5000*z+z^2", "--point", "1", "--targets", "0",
+        "--output", str(cert_file),
+    )
+    assert code == 0
+    code, out, _ = _run(capsys, "verify", str(cert_file))
+    assert (code, out) == (0, "certificate kind: empty\nverifies: yes\n")
+    assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+
+
 def test_orbit_rational_output(capsys):
     code, doc, _ = _run_json(
         capsys, "orbit", "--map", "z^2-1", "--point", "3", "--max-steps", "3"
@@ -258,6 +292,18 @@ def test_orbit_mod_output(capsys):
     assert doc["tail"] == "2"
     assert doc["cycle"] == "2"
     assert doc["sequence"] == [["3", "1"], ["1", "1"], ["0", "1"], ["6", "1"]]
+
+
+def test_orbit_mod_stops_past_the_step_limit(capsys):
+    # z+1 mod 1000003^2 would walk through 10^12 points
+    code, out, err = _run(capsys, "orbit", "--map", "z+1", "--point", "1", "--mod", "1000003^2")
+    assert code == 1
+    assert out == ""
+    assert err == "error: the orbit mod 1000003^2 passes 1048576 steps without repeating\n"
+    # a short orbit at the same modulus is walked as before
+    code, out, _ = _run(capsys, "orbit", "--map", "z^2-1", "--point", "0", "--mod", "1000003^2")
+    assert code == 0
+    assert out.splitlines()[0] == "orbit of 0 mod 1000003^2: tail=0 cycle=2"
 
 
 def test_badprimes_output(capsys):

@@ -44,7 +44,7 @@ from orbitsieve.ratmap import (
 
 
 def _hs(threshold, exceptional, cycle, residues):
-    return HitSet(threshold, frozenset(exceptional), cycle, tuple(sorted(residues)))
+    return HitSet(threshold, tuple(sorted(exceptional)), cycle, tuple(sorted(residues)))
 
 
 ALL_INDICES = _hs(0, (), 1, (0,))
@@ -761,6 +761,183 @@ def test_verify_rejects_shifted_witness_index():
     doc["witness_index"] = "3"
     problem2, tampered = certificate_from_dict(doc)
     assert not verify_certificate(problem2, tampered)
+
+
+def test_verify_accepts_a_witness_only_at_the_first_meeting_within_day_steps():
+    # z+1 never meets 0, and 10^9 lies past day_steps: refused before any
+    # walk, which would take hours
+    problem = _problem("z+1", 1, [0])
+    t0 = time.perf_counter()
+    assert not verify_certificate(problem, Certificate("witness", witness_index=10**9))
+    assert time.perf_counter() - t0 < 1.0
+    # 0, -1, 0, -1, ... under z^2-1: -1 is met at 1, again at 3
+    problem = _problem("z^2-1", 0, [-1])
+    assert decide(problem).witness_index == 1
+    assert verify_certificate(problem, Certificate("witness", witness_index=1))
+    assert not verify_certificate(problem, Certificate("witness", witness_index=3))
+    # a true first meeting past day_steps is refused as well
+    late = _problem("z+1", 1, [30], day_steps=28)
+    assert not verify_certificate(late, Certificate("witness", witness_index=29))
+    assert verify_certificate(_problem("z+1", 1, [30], day_steps=29),
+                              Certificate("witness", witness_index=29))
+
+
+def test_verify_accepts_a_family_that_names_each_modulus_once_in_any_order():
+    problem = _problem(
+        "z^2-3", 5, [-2, 0], day_steps=4, night_stages=3, height_bits=256
+    )
+    cert = decide(problem)
+    assert len(cert.evidence) == 3
+    # documents of the former triangle schedule list families in the order
+    # examined, so the order is not part of the claim
+    reordered = dataclasses.replace(cert, evidence=cert.evidence[::-1])
+    assert verify_certificate(problem, reordered)
+    repeated = dataclasses.replace(cert, evidence=cert.evidence + cert.evidence[-1:])
+    assert not verify_certificate(problem, repeated)
+    doc = certificate_to_dict(problem, cert)
+    doc["moduli"].append(doc["moduli"][-1])
+    assert not verify_certificate(*certificate_from_dict(doc))
+
+
+def test_verify_rejects_a_family_past_the_modular_step_limit_quickly():
+    # 1000003^2 has about 10^12 points, and z+1 walks through all of them
+    problem = _problem("z+1", 1, [0])
+    forged = ModulusEvidence(
+        ModOrbit(PrimePowerModulus(1000003, 2), 0, 1, (0,)), NO_INDICES
+    )
+    t0 = time.perf_counter()
+    assert not verify_certificate(problem, Certificate("empty", evidence=(forged,)))
+    assert time.perf_counter() - t0 < 1.0
+
+
+def test_decoder_refuses_a_repeated_or_reordered_exceptional_list():
+    # z^2-1 from 3 mod 7 runs 3, 1, then cycles 0, 6: the targets 10 and 8
+    # reduce to the two tail points, so the exceptional list is [0, 1]
+    problem = _problem("z^2-1", 3, [8, 10])
+    orb = orbit_mod(problem.phi, problem.start, PrimePowerModulus(7, 1))
+    ev = ModulusEvidence(orb, hit_set(orb, problem.targets))
+    assert ev.hits.exceptional == (0, 1)
+    doc = certificate_to_dict(problem, Certificate("empty", evidence=(ev,)))
+    assert certificate_from_dict(doc)[1].evidence == (ev,)
+    for edit in (["0", "1", "1"], ["1", "0"], ["0", "0", "1"]):
+        bad = json.loads(json.dumps(doc))
+        bad["moduli"][0]["hit_set"]["exceptional"] = edit
+        with pytest.raises(ValueError):
+            certificate_from_dict(bad)
+
+
+def _edits(node):
+    """Every value one edit away from node: a decimal leaf plus 1, minus 1,
+    times 2 or negated; a list without its first or its last entry, with
+    its last entry repeated, or reversed; or one such edit below."""
+    if isinstance(node, str):
+        if node.lstrip("-").isdigit():
+            v = int(node)
+            yield from dict.fromkeys(str(w) for w in (v + 1, v - 1, 2 * v, -v) if w != v)
+    elif isinstance(node, list):
+        if node:
+            yield from (node[1:], node[:-1], node + node[-1:])
+        if node[::-1] != node:
+            yield node[::-1]
+        for i, child in enumerate(node):
+            for edit in _edits(child):
+                yield node[:i] + [edit] + node[i + 1:]
+    elif isinstance(node, dict):
+        for key, child in node.items():
+            for edit in _edits(child):
+                yield {**node, key: edit}
+
+
+def _claim(cert):
+    """What a certificate asserts, its family taken in modulus order."""
+    family = sorted(cert.evidence, key=lambda ev: (ev.modulus.p, ev.modulus.k))
+    return cert.kind, cert.witness_index, cert.finite_orbit, family
+
+
+def _oracle_family_misses(problem, moduli):
+    """True when no index n has phi^n(start) congruent to a target modulo
+    every p^k of `moduli`, by plain arithmetic: each orbit is walked as
+    canonical pairs, (x / y : 1) or (1 : y / x) when p | y, with the forms
+    evaluated term by term, until a pair repeats; every index below the
+    largest tail plus the lcm of the cycles is then compared with the
+    targets by cross-multiplication."""
+    f, g = problem.phi.F.coefficients, problem.phi.G.coefficients
+    d = len(f) - 1
+    orbits = []
+    for p, k in moduli:
+        n = p ** k
+        x, y = problem.start.x1, problem.start.x2
+        index, seq = {}, []
+        while True:
+            pt = (x * pow(y, -1, n) % n, 1) if y % p else (1, y * pow(x, -1, n) % n)
+            if pt in index:
+                break
+            index[pt] = len(seq)
+            seq.append(pt)
+            x = sum(c * pt[0] ** i * pt[1] ** (d - i) for i, c in enumerate(f))
+            y = sum(c * pt[0] ** i * pt[1] ** (d - i) for i, c in enumerate(g))
+        tail = index[pt]
+        orbits.append((n, seq, tail, len(seq) - tail))
+    horizon = max(o[2] for o in orbits) + math.lcm(*(o[3] for o in orbits))
+
+    def meets(orbit, i):
+        n, seq, tail, cycle = orbit
+        a, b = seq[i] if i < len(seq) else seq[tail + (i - tail) % cycle]
+        return any((a * t.x2 - b * t.x1) % n == 0 for t in problem.targets)
+
+    return not any(all(meets(o, i) for o in orbits) for i in range(horizon))
+
+
+def test_tamper_fuzzer_finds_no_second_form_of_a_claim():
+    # Each certificate is edited one field at a time, everywhere outside
+    # engine, problem, schema_version and kind (the problem block has its
+    # own tests above). An edit that both decodes and verifies must decode
+    # to the claim of the original, up to the order of the family, or to a
+    # family of other moduli that a plain checker confirms: an orbit fixed
+    # at one point mod 2 and mod 2^2 alike makes k = 1 edited to k = 2
+    # another true claim, not another form of the same one (8 under
+    # (2z^2-5z-4)/(-z^2+2z-3) stays at 0, -3 under (5z^2-4z-2)/(-4z^2-2z+1)
+    # at 1). Edits
+    # of spelling ("+0", " 1", "0_5", non-ASCII digits) are left out:
+    # int() reads them as the same value, and refusing them costs a
+    # canonical check per decoded value that is not yet paid.
+    problems = [
+        _problem("z^2-1", 3, [0]),
+        _problem("z^2-1", 3, [63]),
+        _problem("z^2-1", 0, [5]),
+        _problem("z^2-1", 0, [-1]),
+        _problem("z^2-3", 5, [-2, 0], day_steps=4, night_stages=3, height_bits=256),
+        _problem("z^2-2", -2, [5]),
+    ]
+    rng = random.Random(2121)
+    while len(problems) < 100:
+        problem = _random_problem(rng)
+        if decide(problem).is_definitive:
+            problems.append(problem)
+    edits = accepted = reordered = other = 0
+    for problem in problems:
+        cert = decide(problem)
+        doc = certificate_to_dict(problem, cert)
+        for key in doc.keys() - {"engine", "problem", "schema_version", "kind"}:
+            for edit in _edits(doc[key]):
+                edits += 1
+                try:
+                    problem2, cert2 = certificate_from_dict({**doc, key: edit})
+                except ValueError:
+                    continue
+                if not verify_certificate(problem2, cert2):
+                    continue
+                accepted += 1
+                if _claim(cert2) == _claim(cert):
+                    reordered += cert2.evidence != cert.evidence
+                    continue
+                moduli = {(ev.modulus.p, ev.modulus.k) for ev in cert2.evidence}
+                assert cert2.kind == "empty" and cert2.finite_orbit is None, edit
+                assert len(moduli) == len(cert2.evidence), edit
+                assert moduli != {(ev.modulus.p, ev.modulus.k) for ev in cert.evidence}
+                assert _oracle_family_misses(problem2, moduli), (key, edit)
+                other += 1
+    assert edits > 5000 and reordered > 0, (edits, accepted, reordered, other)
 
 
 def _int_leaf_paths(node, path):

@@ -481,7 +481,7 @@ def test_hit_set_known_values():
     orb7 = orbit_mod(phi, 3, PrimePowerModulus(7, 1))
     hs = hit_set(orb7, [normalize(0)])
     assert hs.threshold == 2
-    assert hs.exceptional == frozenset()
+    assert hs.exceptional == ()
     assert hs.cycle_length == 2
     assert hs.residues == (0,)
     assert [n for n in range(10) if hs.contains(n)] == [2, 4, 6, 8]
@@ -519,7 +519,7 @@ def _cross_hit_set(pairs, tail, cycle, targets, m):
     ]
     return HitSet(
         tail,
-        frozenset(i for i in hits if i < tail),
+        tuple(i for i in hits if i < tail),
         cycle,
         tuple(sorted(i % cycle for i in hits if i >= tail)),
     )
