@@ -38,10 +38,8 @@ from .projective import (
 from .ratmap import (
     BadPrimeError,
     BadPrimeReport,
-    BinaryForm,
     DegenerateMapError,
     DynatomicDivisionError,
-    DynatomicForm,
     HeightBudgetError,
     PlaceReport,
     RationalMap,

@@ -25,9 +25,9 @@ from .localglobal import (
     decide,
     verify_certificate,
 )
-from .numtheory import degree_one_demo
+from .numtheory import DEFAULT_RHO_STEPS, DEFAULT_TRIAL_BOUND, degree_one_demo
 from .orbit import orbit_mod, orbit_rational
-from .projective import _residue_pair, format_point, parse_modulus, parse_point
+from .projective import _number_text, _residue_pair, format_point, parse_modulus, parse_point
 from .ratmap import (
     DEFAULT_HEIGHT_BITS,
     _MAX_TEXT_DIGITS,
@@ -61,7 +61,7 @@ def _report(args, doc: dict, table_lines: list[str]) -> None:
 def _parse_int_list(text: Optional[str]) -> list[int]:
     if not text:
         return []
-    return [int(part.strip()) for part in text.split(",") if part.strip()]
+    return [int(part.strip()) for part in _number_text(text).split(",") if part.strip()]
 
 
 def _parse_point_list(text: str) -> list:
@@ -69,7 +69,7 @@ def _parse_point_list(text: str) -> list:
 
 
 def _positive(value: str) -> int:
-    n = int(value)
+    n = int(_number_text(value))
     if n < 1:
         raise argparse.ArgumentTypeError("must be a positive integer")
     return n
@@ -147,13 +147,13 @@ def _cmd_periodic(args) -> int:
     form = dynatomic(phi, args.period)
     doc = {
         "period": str(args.period),
-        "dynatomic_coefficients": [str(c) for c in form.form.coefficients],
+        "dynatomic_coefficients": [str(c) for c in form],
         "points": [[str(p.x1), str(p.x2)] for p in pts],
     }
     body = ", ".join(format_point(p) for p in pts) or "(none)"
     lines = [
         f"rational points of exact period {args.period}: {body}",
-        f"dynatomic form degree: {form.degree}",
+        f"dynatomic form degree: {len(form) - 1}",
     ]
     _report(args, doc, lines)
     return 0
@@ -291,15 +291,15 @@ def _cmd_newton(args) -> int:
     phi = newton_map(args.poly)
     reports = newton_place_report(
         args.poly,
-        Fraction(args.alpha),
+        Fraction(_number_text(args.alpha)),
         _parse_int_list(args.primes),
         args.real_iters,
         args.p_iters,
     )
     doc = {
         "map": {
-            "f": [str(c) for c in phi.F.coefficients],
-            "g": [str(c) for c in phi.G.coefficients],
+            "f": [str(c) for c in phi.F],
+            "g": [str(c) for c in phi.G],
             "text": str(phi),
         },
         "notes": list(phi.notes),
@@ -401,8 +401,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("badprimes", help="resultant and primes of bad reduction")
     p.add_argument("--map", required=True)
-    p.add_argument("--trial-bound", type=_positive, default=10 ** 6)
-    p.add_argument("--factor-steps", type=_positive, default=500_000)
+    p.add_argument("--trial-bound", type=_positive, default=DEFAULT_TRIAL_BOUND)
+    p.add_argument("--factor-steps", type=_positive, default=DEFAULT_RHO_STEPS)
     add_format(p)
     p.set_defaults(func=_cmd_badprimes)
 

@@ -521,8 +521,8 @@ def problem_to_dict(problem: DecisionProblem) -> dict:
     b = problem.budgets
     return {
         "map": {
-            "f": [str(c) for c in problem.phi.F.coefficients],
-            "g": [str(c) for c in problem.phi.G.coefficients],
+            "f": [str(c) for c in problem.phi.F],
+            "g": [str(c) for c in problem.phi.G],
             "degree": str(problem.phi.degree),
             "resultant": str(problem.phi.res),
         },
@@ -554,7 +554,7 @@ def problem_from_dict(doc: dict) -> DecisionProblem:
     gc = list(map(int, m["g"]))
     phi = RationalMap.make(fc, gc)
     stored = (tuple(fc), tuple(gc), int(m["degree"]), int(m["resultant"]))
-    if stored != (phi.F.coefficients, phi.G.coefficients, phi.degree, phi.res):
+    if stored != (phi.F, phi.G, phi.degree, phi.res):
         raise ValueError("the map is not stored as RationalMap.make gives it")
     b = doc["budgets"]
     budgets = Budgets(*[int(b[name]) for name in _BUDGET_NAMES])

@@ -129,9 +129,20 @@ def normalize(value: PointLike) -> ProjectivePoint:
     raise TypeError(f"cannot interpret {value!r} as a projective point")
 
 
+def _number_text(text: str) -> str:
+    """text itself, if it is ASCII without underscores; ValueError otherwise.
+    int() alone would read '1_0' as 10 and digits of other scripts, such as
+    the Arabic-Indic five, as ASCII ones. Map text admits ASCII digits only."""
+    if not text.isascii() or "_" in text:
+        raise ValueError(
+            f"numbers are written in ASCII digits without underscores: {text!r}"
+        )
+    return text
+
+
 def parse_point(text: str) -> ProjectivePoint:
     """Parse 'inf', an integer, 'a/b', or bracket form '[a:b]'."""
-    s = text.strip()
+    s = _number_text(text).strip()
     if s.lower() in ("inf", "infinity", "oo"):
         return INFINITY
     if s.startswith("[") and s.endswith("]"):
@@ -236,7 +247,7 @@ class PrimePowerModulus:
 
 def parse_modulus(text: str) -> PrimePowerModulus:
     """Parse 'p' or 'p^k'."""
-    s = text.strip()
+    s = _number_text(text).strip()
     if "^" in s:
         base, exp = s.split("^", 1)
         return PrimePowerModulus(int(base.strip()), int(exp.strip()))

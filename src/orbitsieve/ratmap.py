@@ -2,8 +2,9 @@
 
 A degree-d map is stored as a pair of degree-d homogeneous integer forms
 (F, G) with nonzero resultant, jointly primitive, the highest nonzero
-coefficient of F positive. Coefficient vectors are ascending in the first
-variable: index i holds the coefficient of X^i Y^(d-i).
+coefficient of F positive. A form is a plain tuple of its integer
+coefficients, ascending in the first variable: index i holds the
+coefficient of X^i Y^(d-i).
 
 Newton's iteration for a polynomial f lives here too, both as the map
 z - f/f' (newton_map) and as per-place convergence reports
@@ -44,7 +45,6 @@ __all__ = [
     "BadPrimeError",
     "HeightBudgetError",
     "DynatomicDivisionError",
-    "BinaryForm",
     "BadPrimeReport",
     "RationalMap",
     "resultant",
@@ -56,7 +56,6 @@ __all__ = [
     "orbit_points",
     "iterate_point",
     "is_polynomial_type",
-    "DynatomicForm",
     "dynatomic",
     "dynatomic_degree",
     "rational_periodic_points",
@@ -216,46 +215,27 @@ def _horner(coeffs: Sequence, a, b):
 
 
 # ---------------------------------------------------------------------------
-# binary forms
+# binary forms: ascending coefficient tuples
 
 
-@dataclass(frozen=True)
-class BinaryForm:
-    """Homogeneous integer form; coefficients[i] multiplies X^i Y^(degree-i)."""
-
-    coefficients: tuple[int, ...]
-
-    def __post_init__(self):
-        if not self.coefficients:
-            raise ValueError("a form needs at least one coefficient")
-
-    @property
-    def degree(self) -> int:
-        return len(self.coefficients) - 1
-
-    def content(self) -> int:
-        return math.gcd(*self.coefficients)
-
-    def evaluate(self, a: int, b: int) -> int:
-        """The sum of c_i * a^i * b^(d-i), computed in Horner order."""
-        return _horner(self.coefficients, a, b)
-
-    def primitive_signed(self) -> "BinaryForm":
-        """Divide by the content and make the highest nonzero coefficient positive."""
-        c = self.content()
-        if c == 0:
-            raise ValueError("the zero form has no primitive part")
-        v = [x // c for x in self.coefficients]
-        for x in reversed(v):
-            if x != 0:
-                if x < 0:
-                    v = [-y for y in v]
-                break
-        return BinaryForm(tuple(v))
+def _primitive(v: Sequence[int]) -> tuple[int, ...]:
+    """The normal form of an integer form, or of a form pair written as one
+    vector: v divided by its content, and negated when its last nonzero
+    entry is negative. ValueError on the zero vector."""
+    c = math.gcd(*v)
+    if c == 0:
+        raise ValueError("the zero form has no primitive part")
+    for top in reversed(v):
+        if top:
+            break
+    if top < 0:
+        c = -c
+    return tuple(v) if c == 1 else tuple([x // c for x in v])
 
 
-def resultant(f: BinaryForm, g: BinaryForm) -> int:
-    """Homogeneous resultant of two forms of equal degree d.
+def resultant(fc: Sequence[int], gc: Sequence[int]) -> int:
+    """Homogeneous resultant of two forms of equal degree d, given as their
+    ascending coefficient sequences.
 
     The Sylvester determinant (rows: d shifts of F, then d of G, each
     highest power of X first), computed as (-1)^(d(d-1)/2) * det B for the
@@ -270,7 +250,6 @@ def resultant(f: BinaryForm, g: BinaryForm) -> int:
     of the Sylvester matrix; its determinant is computed fraction-free
     (Bareiss), so the result is exact for any coefficient size.
     """
-    fc, gc = f.coefficients, g.coefficients
     d = len(fc) - 1
     if len(gc) != d + 1:
         raise ValueError("resultant expects forms of equal degree")
@@ -338,8 +317,8 @@ class BadPrimeReport:
 class RationalMap:
     """A self-map of P^1(Q) given by a jointly primitive form pair."""
 
-    F: BinaryForm
-    G: BinaryForm
+    F: tuple[int, ...]
+    G: tuple[int, ...]
     res: int = field(compare=False)
     notes: tuple[str, ...] = field(default=(), compare=False)
 
@@ -351,9 +330,8 @@ class RationalMap:
         its leading coefficient and the rest, so G(x, 1) of a polynomial map
         is (1, ()). Built on the first walk, so a map that is never reduced
         (a decoded witness, say) never pays for it."""
-        fc, gc = self.F.coefficients, self.G.coefficients
         charts = []
-        for pair in ((fc[::-1], gc[::-1]), (fc, gc)):
+        for pair in ((self.F[::-1], self.G[::-1]), (self.F, self.G)):
             chart: tuple = ()
             for v in pair:
                 while not v[0]:
@@ -366,7 +344,7 @@ class RationalMap:
     def _pairs(self) -> tuple:
         """Horner input of evaluate: (F_d, G_d) and the pairs (F_i, G_i) for
         i = d-1, ..., 0, so that one pass computes F and G together."""
-        fc, gc = self.F.coefficients, self.G.coefficients
+        fc, gc = self.F, self.G
         return fc[-1], gc[-1], tuple(zip(fc[-2::-1], gc[-2::-1]))
 
     @classmethod
@@ -380,31 +358,22 @@ class RationalMap:
 
         Clears the joint content, fixes the sign so the highest nonzero
         coefficient of F is positive, and computes the resultant eagerly.
-        Raises DegenerateMapError when the resultant vanishes.
+        Raises DegenerateMapError when a form is zero or the resultant
+        vanishes.
         """
-        if len(f_coeffs) != len(g_coeffs):
+        n = len(g_coeffs)
+        if len(f_coeffs) != n:
             raise ValueError("form vectors must have equal length")
-        if len(f_coeffs) < 2:
+        if n < 2:
             raise ValueError("maps must have degree at least 1")
-        joint = math.gcd(*f_coeffs, *g_coeffs)
-        if joint == 0:
-            raise DegenerateMapError("both forms are identically zero")
-        f, g = tuple(f_coeffs), tuple(g_coeffs)
-        if not any(f) or not any(g):
+        if not any(f_coeffs) or not any(g_coeffs):
             raise DegenerateMapError(
                 "one of the forms is identically zero; the pair does not "
                 "define a self-map"
             )
-        for top in reversed(f):
-            if top:
-                break
-        if top < 0:
-            joint = -joint
-        if joint != 1:
-            f = tuple([c // joint for c in f])
-            g = tuple([c // joint for c in g])
-        F = BinaryForm(f)
-        G = BinaryForm(g)
+        # F is nonzero, so the last nonzero entry of G + F is F's top one
+        v = _primitive((*g_coeffs, *f_coeffs))
+        F, G = v[n:], v[:n]
         r = resultant(F, G)
         if r == 0:
             raise DegenerateMapError(
@@ -415,7 +384,7 @@ class RationalMap:
 
     @property
     def degree(self) -> int:
-        return self.F.degree
+        return len(self.F) - 1
 
     def is_good_prime(self, p: int) -> bool:
         """Good reduction at p: p does not divide the resultant."""
@@ -442,8 +411,7 @@ class RationalMap:
         Systems, section 3.4).
         """
         d = self.degree
-        s = max(sum(c * c for c in self.F.coefficients),
-                sum(c * c for c in self.G.coefficients))
+        s = max(sum(c * c for c in self.F), sum(c * c for c in self.G))
         return (2 * d).bit_length() + (s.bit_length() * (2 * d - 1) + 1) // 2
 
     def proves_escape(self, pt: ProjectivePoint) -> bool:
@@ -578,8 +546,10 @@ class RationalMap:
 
     def iterate_forms(
         self, n: int, max_degree: int = DEFAULT_COMPOSE_DEGREE
-    ) -> tuple[BinaryForm, BinaryForm]:
-        """The form pair of the n-th iterate, jointly content-cleared.
+    ) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """The coefficient tuples (F_n, G_n) of the n-th iterate, in the
+        normal form of make: jointly primitive, the highest nonzero
+        coefficient of F_n positive. iterate_forms(1) is (F, G).
 
         Degree grows like d^n, so this refuses to compose past `max_degree`.
         Each call composes from (F, G) anew and keeps nothing.
@@ -595,11 +565,11 @@ class RationalMap:
         for _ in range(n - 1):
             fpow, gpow = [[1]], [[1]]
             for _ in range(d):
-                fpow.append(_pmul(fpow[-1], fk.coefficients))
-                gpow.append(_pmul(gpow[-1], gk.coefficients))
-            fv, gv = [0] * (d * fk.degree + 1), [0] * (d * fk.degree + 1)
-            pairs = zip(self.F.coefficients, self.G.coefficients)
-            for i, (cf, cg) in enumerate(pairs):
+                fpow.append(_pmul(fpow[-1], fk))
+                gpow.append(_pmul(gpow[-1], gk))
+            size = d * (len(fk) - 1) + 1
+            fv, gv = [0] * size, [0] * size
+            for i, (cf, cg) in enumerate(zip(self.F, self.G)):
                 if cf == 0 and cg == 0:
                     continue
                 mono = _pmul(fpow[i], gpow[d - i])
@@ -607,16 +577,12 @@ class RationalMap:
                     if c:
                         fv[j] += cf * c
                         gv[j] += cg * c
-            joint = math.gcd(*fv, *gv)
-            if joint > 1:
-                fv = [c // joint for c in fv]
-                gv = [c // joint for c in gv]
-            fk, gk = BinaryForm(tuple(fv)), BinaryForm(tuple(gv))
+            v = _primitive(gv + fv)
+            fk, gk = v[size:], v[:size]
         return fk, gk
 
     def __str__(self) -> str:
-        num = _poly_text([c for c in self.F.coefficients])
-        den = _poly_text([c for c in self.G.coefficients])
+        num, den = _poly_text(self.F), _poly_text(self.G)
         if den == "1":
             return num
         return f"({num})/({den})"
@@ -1139,28 +1105,11 @@ def is_polynomial_type(
         if next(walk) != pt:
             continue
         fk, gk = phi.iterate_forms(k)
-        fiber = [
-            pt.x2 * fk.coefficients[i] - pt.x1 * gk.coefficients[i]
-            for i in range(len(fk.coefficients))
-        ]
-        fiber_form = BinaryForm(tuple(fiber)).primitive_signed()
+        fiber = [pt.x2 * cf - pt.x1 * cg for cf, cg in zip(fk, gk)]
         line = (-pt.x1, pt.x2)
-        target = BinaryForm(tuple(_ppow(line, phi.degree ** k))).primitive_signed()
-        if fiber_form == target:
+        if _primitive(fiber) == _primitive(_ppow(line, phi.degree ** k)):
             return k
     return None
-
-
-@dataclass(frozen=True)
-class DynatomicForm:
-    """The primitive integer form whose roots have formal exact period n."""
-
-    n: int
-    form: BinaryForm
-
-    @property
-    def degree(self) -> int:
-        return self.form.degree
 
 
 def dynatomic_degree(d: int, n: int) -> int:
@@ -1176,23 +1125,22 @@ def dynatomic_degree(d: int, n: int) -> int:
 def _period_form(phi: RationalMap, e: int, max_degree: int) -> list[int]:
     """Coefficient vector of Y*F_e - X*G_e (roots: points of period dividing e)."""
     fe, ge = phi.iterate_forms(e, max_degree)
-    deg = fe.degree + 1
-    out = [0] * (deg + 1)
-    for i, c in enumerate(fe.coefficients):
-        out[i] += c
-    for i, c in enumerate(ge.coefficients):
+    out = [*fe, 0]
+    for i, c in enumerate(ge):
         out[i + 1] -= c
     return out
 
 
 def dynatomic(
     phi: RationalMap, n: int, max_degree: int = DEFAULT_COMPOSE_DEGREE
-) -> DynatomicForm:
+) -> tuple[int, ...]:
     """Period-n dynatomic form by the Moebius product over divisors of n.
 
     Numerator and denominator products are assembled separately and divided
     once, exactly; a nonzero remainder raises DynatomicDivisionError. The
-    result is primitive with positive highest nonzero coefficient. A map
+    result is the form's ascending coefficient tuple, of length
+    dynatomic_degree(d, n) + 1, primitive with positive highest nonzero
+    coefficient. A map
     with an iterate phi^e = id (e dividing n) has Y*F_e - X*G_e = 0 and
     every point periodic, so it has no such form: ValueError.
     """
@@ -1233,8 +1181,7 @@ def dynatomic(
         raise DynatomicDivisionError(
             f"period-{n} quotient degree exceeds the homogeneous degree"
         )
-    vec = ints + [0] * (target_degree + 1 - len(ints))
-    return DynatomicForm(n, BinaryForm(tuple(vec)).primitive_signed())
+    return _primitive(ints + [0] * (target_degree + 1 - len(ints)))
 
 
 # ---------------------------------------------------------------------------
@@ -1253,9 +1200,8 @@ def rational_periodic_points(phi: RationalMap, n: int) -> set[ProjectivePoint]:
     (HeightBudgetError as there); the dynatomic form is composed under
     dynatomic's default degree limit.
     """
-    form = dynatomic(phi, n).form
-    v = list(form.coefficients)
-    deg = form.degree
+    v = dynatomic(phi, n)
+    deg = len(v) - 1
     candidates: set[ProjectivePoint] = set()
     if v[deg] == 0:
         candidates.add(INFINITY)
@@ -1272,7 +1218,7 @@ def rational_periodic_points(phi: RationalMap, n: int) -> set[ProjectivePoint]:
                 if math.gcd(r, s) != 1:
                     continue
                 for signed in (r, -r):
-                    if form.evaluate(signed, s) == 0:
+                    if _horner(v, signed, s) == 0:
                         candidates.add(normalize((signed, s)))
     verified: set[ProjectivePoint] = set()
     for pt in candidates:

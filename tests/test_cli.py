@@ -232,6 +232,44 @@ def test_map_text_with_a_non_ascii_digit_is_a_usage_error(capsys, text, position
     assert err == f"error: unexpected character {text[position]!r} at position {position}\n"
 
 
+# Point, modulus and list text take ASCII digits without underscores, as map
+# text does: int() reads "1_0" as 10 and other scripts' digits as ASCII ones.
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["orbit", "--map", "z+1", "--point", "1_0"],
+        ["decide", "--map", "z^2", "--point", "3", "--targets", "٠"],
+        ["decide", "--map", "z^2", "--point", "3", "--targets", "0", "--exclude-primes", "٥"],
+        ["orbit", "--map", "z+1", "--point", "1", "--mod", "7^١"],
+        ["newton", "--poly", "z^2-2", "--alpha", "١/٢"],
+    ],
+)
+def test_number_text_outside_ascii_digits_is_a_usage_error(capsys, argv):
+    code, out, err = _run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err == (
+        "error: numbers are written in ASCII digits without underscores: "
+        f"{argv[-1]!r}\n"
+    )
+
+
+def test_integer_options_take_ascii_digits_only(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["orbit", "--map", "z+1", "--point", "1", "--max-steps", "١"])
+    assert info.value.code == 2
+    assert "--max-steps" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "text, shown", [(" -3/4 ", "-3/4"), ("[1:-2]", "-1/2"), ("+5", "5")]
+)
+def test_point_text_with_spaces_signs_and_brackets_parses(capsys, text, shown):
+    code, out, err = _run(capsys, "orbit", "--map", "z+1", "--point", text, "--max-steps", "1")
+    assert (code, err) == (0, "")
+    assert out.splitlines()[1] == f"  n=0: {shown}"
+
+
 def test_map_text_past_the_degree_limit_is_a_usage_error(capsys):
     # without the limit, parsing z^9999+1 alone would run for hours
     code, out, err = _run(capsys, "orbit", "--map", "z^9999+1", "--point", "1")

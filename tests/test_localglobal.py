@@ -861,7 +861,7 @@ def _oracle_family_misses(problem, moduli):
     evaluated term by term, until a pair repeats; every index below the
     largest tail plus the lcm of the cycles is then compared with the
     targets by cross-multiplication."""
-    f, g = problem.phi.F.coefficients, problem.phi.G.coefficients
+    f, g = problem.phi.F, problem.phi.G
     d = len(f) - 1
     orbits = []
     for p, k in moduli:

@@ -325,13 +325,16 @@ def _naive_mod_orbit(phi, start, m):
         inv = pow(a, -1, mod)
         return 1, (b * inv) % mod
 
+    d = phi.degree
     pt = normalize(start)
     cur = canon(pt.x1, pt.x2)
     seq = [cur]
     seen = {cur: 0}
     while True:
         a, b = cur
-        cur = canon(phi.F.evaluate(a, b) % mod, phi.G.evaluate(a, b) % mod)
+        fa = sum(c * a**i * b ** (d - i) for i, c in enumerate(phi.F))
+        ga = sum(c * a**i * b ** (d - i) for i, c in enumerate(phi.G))
+        cur = canon(fa, ga)
         if cur in seen:
             return seen[cur], len(seq) - seen[cur], seq
         seen[cur] = len(seq)
@@ -367,8 +370,8 @@ def _pair_step(phi, pair, m):
     but not mod p^k."""
     c1, c2 = pair
     d = phi.degree
-    a = sum(c * c1**i * c2 ** (d - i) for i, c in enumerate(phi.F.coefficients))
-    b = sum(c * c1**i * c2 ** (d - i) for i, c in enumerate(phi.G.coefficients))
+    a = sum(c * c1**i * c2 ** (d - i) for i, c in enumerate(phi.F))
+    b = sum(c * c1**i * c2 ** (d - i) for i, c in enumerate(phi.G))
     near_one = b % m.p == 1 % m.p and b % m.modulus != 1
     return canonical_residue(a, b, m), near_one
 
@@ -412,7 +415,7 @@ def test_mod_kernel_matches_a_pair_based_reference():
     # polynomials with a denominator, G = c Y^d with c != 1, take the general loop
     maps += [parse_map("z^2+1/30"), parse_map("(2z^3-1)/7"), parse_map("z/3+1/2")]
     maps += _random_kernel_maps(rng, 36)
-    assert any(phi.G.coefficients[1:] == (0,) * phi.degree for phi in maps)
+    assert any(phi.G[1:] == (0,) * phi.degree for phi in maps)
     assert {phi.degree for phi in maps} == {1, 2, 3, 4}
     moduli = [PrimePowerModulus(p, k) for p in (2, 3, 5, 7) for k in range(1, 5)]
     bad = chart_points = near_ones = 0

@@ -92,6 +92,20 @@ def test_parse_and_format_round_trip():
         parse_point("[0:0]")
 
 
+def test_number_text_takes_ascii_digits_without_underscores():
+    # int() alone reads "1_0" as 10 and "\u0665" (Arabic-Indic five) as 5
+    for text in ("1_0", "\u0665", "[1:\u0662]", "1/2_0", "\uff17"):
+        with pytest.raises(ValueError, match="ASCII digits without underscores"):
+            parse_point(text)
+    for text in ("7^\u0661", "1_1", "\u0667"):
+        with pytest.raises(ValueError, match="ASCII digits without underscores"):
+            parse_modulus(text)
+    assert parse_point(" -3/4 ") == ProjectivePoint(-3, 4)
+    assert parse_point("[1:-2]") == ProjectivePoint(-1, 2)
+    assert parse_point("+5") == ProjectivePoint(5, 1)
+    assert parse_modulus(" 7 ^ 2 ") == PrimePowerModulus(7, 2)
+
+
 def test_as_fraction():
     assert ProjectivePoint(3, 5).as_fraction() == Fraction(3, 5)
     assert INFINITY.is_infinity

@@ -20,7 +20,6 @@ from orbitsieve.projective import (
 from orbitsieve import ratmap
 from orbitsieve.ratmap import (
     BadPrimeError,
-    BinaryForm,
     DegenerateMapError,
     DynatomicDivisionError,
     HeightBudgetError,
@@ -42,14 +41,12 @@ from orbitsieve.ratmap import (
 
 
 def test_binary_form_basics():
-    f = BinaryForm((-1, 0, 1))  # X^2 - Y^2
-    assert f.degree == 2
-    assert f.evaluate(3, 1) == 8
-    assert BinaryForm((2, 4, 6)).content() == 2
-    assert BinaryForm((2, 4, 6)).primitive_signed() == BinaryForm((1, 2, 3))
-    assert BinaryForm((1, 0, -2)).primitive_signed() == BinaryForm((-1, 0, 2))
+    f = (-1, 0, 1)  # X^2 - Y^2
+    assert ratmap._horner(f, 3, 1) == 8
+    assert ratmap._primitive((2, 4, 6)) == (1, 2, 3)
+    assert ratmap._primitive((1, 0, -2)) == (-1, 0, 2)
     with pytest.raises(ValueError):
-        BinaryForm(())
+        ratmap._primitive(())
 
 
 def test_binary_form_evaluate_matches_the_monomial_sum():
@@ -73,19 +70,19 @@ def test_binary_form_evaluate_matches_the_monomial_sum():
             coeffs[0] = 0
         a, b = draw(), draw()
         expected = sum(c * a**i * b ** (d - i) for i, c in enumerate(coeffs))
-        assert BinaryForm(tuple(coeffs)).evaluate(a, b) == expected, (coeffs, a, b)
+        assert ratmap._horner(coeffs, a, b) == expected, (coeffs, a, b)
 
 
 def test_resultant_known_values():
-    x2_minus_y2 = BinaryForm((-1, 0, 1))
-    y2 = BinaryForm((1, 0, 0))
+    x2_minus_y2 = (-1, 0, 1)
+    y2 = (1, 0, 0)
     assert resultant(x2_minus_y2, y2) == 1
-    x2_plus_y2 = BinaryForm((1, 0, 1))
-    two_xy = BinaryForm((0, 2, 0))
+    x2_plus_y2 = (1, 0, 1)
+    two_xy = (0, 2, 0)
     assert abs(resultant(x2_plus_y2, two_xy)) == 4
     assert resultant(x2_plus_y2, x2_plus_y2) == 0
     with pytest.raises(ValueError):
-        resultant(x2_plus_y2, BinaryForm((1, 1)))
+        resultant(x2_plus_y2, (1, 1))
 
 
 
@@ -146,24 +143,24 @@ def test_resultant_matches_a_sylvester_determinant():
                     v[-1] = 0
         expected = _sylvester_det(f, g)
         zeros += expected == 0
-        assert resultant(BinaryForm(tuple(f)), BinaryForm(tuple(g))) == expected, (f, g)
+        assert resultant(f, g) == expected, (f, g)
     assert zeros > 200, zeros
 
 def test_parse_map_known_values():
     phi = parse_map("z^2 - 1")
-    assert phi.F.coefficients == (-1, 0, 1)
-    assert phi.G.coefficients == (1, 0, 0)
+    assert phi.F == (-1, 0, 1)
+    assert phi.G == (1, 0, 0)
     assert phi.degree == 2
     assert phi.res == 1
 
     phi = parse_map("(z^2+1)/(2z)")
-    assert phi.F.coefficients == (1, 0, 1)
-    assert phi.G.coefficients == (0, 2, 0)
+    assert phi.F == (1, 0, 1)
+    assert phi.G == (0, 2, 0)
     assert abs(phi.res) == 4
 
     phi = parse_map("z^2 + 1/3")
-    assert phi.F.coefficients == (1, 0, 3)
-    assert phi.G.coefficients == (3, 0, 0)
+    assert phi.F == (1, 0, 3)
+    assert phi.G == (3, 0, 0)
     assert phi.res == 81
 
     phi = parse_map("-z^2+1")
@@ -262,7 +259,7 @@ def _parse_outcome(text):
     out = []
     try:
         phi = parse_map(text)
-        out.append((phi.F.coefficients, phi.G.coefficients, phi.res))
+        out.append((phi.F, phi.G, phi.res))
     except ValueError as exc:
         out.append((type(exc).__name__, str(exc)))
     try:
@@ -352,23 +349,74 @@ def test_a_grammar_error_is_reported_before_the_bit_limit():
 
 
 def test_parse_accepts_coefficients_under_the_bit_limit():
-    assert parse_map("9^100000*z+z^2").F.coefficients == (0, 9 ** 100000, 1)
+    assert parse_map("9^100000*z+z^2").F == (0, 9 ** 100000, 1)
     assert parse_polynomial("9^100000*z+z^2") == [0, 9 ** 100000, 1]
 
 
 def test_parse_accepts_text_at_the_degree_limit():
     phi = parse_map("z^256+1")
     assert phi.degree == 256
-    assert phi.F.coefficients == (1,) + (0,) * 255 + (1,)
+    assert phi.F == (1,) + (0,) * 255 + (1,)
     assert parse_polynomial("(z+1)^128(z-1)^128")[-1] == 1
 
 
 def test_make_clears_joint_content_and_fixes_sign():
     phi = RationalMap.make([2, 0, 2], [0, 4, 0])
-    assert phi.F.coefficients == (1, 0, 1)
-    assert phi.G.coefficients == (0, 2, 0)
+    assert phi.F == (1, 0, 1)
+    assert phi.G == (0, 2, 0)
     phi = RationalMap.make([1, 0, -1], [-1, 0, 0])
-    assert phi.F.coefficients[-1] > 0
+    assert phi.F[-1] > 0
+
+
+def test_primitive_known_values():
+    # content above 1, zero end entries, a negative last nonzero entry
+    assert ratmap._primitive((0, 6, -4, 0)) == (0, -3, 2, 0)
+    assert ratmap._primitive((0, -4, 6, 0)) == (0, -2, 3, 0)
+    assert ratmap._primitive((-3, 0, 0)) == (1, 0, 0)
+    assert ratmap._primitive((5, -7)) == (-5, 7)
+    assert ratmap._primitive([1, 2]) == (1, 2)
+    for zero in ((), (0,), (0, 0, 0)):
+        with pytest.raises(ValueError, match="zero form"):
+            ratmap._primitive(zero)
+
+
+def _small_maps(rng, count, degrees, bound):
+    maps = []
+    while len(maps) < count:
+        d = degrees[len(maps) % len(degrees)]
+        f = [rng.randint(-bound, bound) for _ in range(d + 1)]
+        g = [rng.randint(-bound, bound) for _ in range(d + 1)]
+        try:
+            maps.append(RationalMap.make(f, g))
+        except DegenerateMapError:
+            continue
+    return maps
+
+
+def test_make_returns_forms_in_its_normal_form_unchanged():
+    rng = random.Random(2207)
+    for phi in _small_maps(rng, 200, (1, 2, 3, 4), 20):
+        assert type(phi.F) is tuple and type(phi.G) is tuple
+        again = RationalMap.make(phi.F, phi.G)
+        assert (again.F, again.G, again.res) == (phi.F, phi.G, phi.res)
+        # a scaled copy, of either sign, comes back to the same forms
+        k = rng.choice((-3, -1, 2, 5))
+        scaled = RationalMap.make([k * c for c in phi.F], [k * c for c in phi.G])
+        assert (scaled.F, scaled.G) == (phi.F, phi.G)
+
+
+def test_iterate_forms_are_in_the_normal_form_of_make():
+    # composing (z^2-3z+1)/(2z^2-3z-2) once gives an F_2 whose highest
+    # coefficient is negative before normalization
+    phi = parse_map("(z^2-3z+1)/(2z^2-3z-2)")
+    assert phi.iterate_forms(2) == ((-11, 3, 15, -9, 1), (0, 45, 7, -39, 12))
+    rng = random.Random(3000)
+    for phi in [phi] + _small_maps(rng, 60, (1, 2, 3), 3):
+        assert phi.iterate_forms(1) == (phi.F, phi.G)
+        for n in (2, 3):
+            fn, gn = phi.iterate_forms(n)
+            again = RationalMap.make(fn, gn)
+            assert (again.F, again.G) == (fn, gn), (str(phi), n)
 
 
 def test_bad_primes():
@@ -447,8 +495,8 @@ def test_evaluate_matches_a_full_gcd_reduction():
     for phi in maps:
         for _ in range(40):
             x1, x2 = draw_point()
-            a = form_value(phi.F.coefficients, x1, x2)
-            b = form_value(phi.G.coefficients, x1, x2)
+            a = form_value(phi.F, x1, x2)
+            b = form_value(phi.G, x1, x2)
             common = gcd(a, b)
             assert phi.res % common == 0, (phi, x1, x2)
             divided += common > 1
@@ -458,8 +506,8 @@ def test_evaluate_matches_a_full_gcd_reduction():
 
 
 def test_evaluate_matches_the_single_form_values():
-    # evaluate sums F and G in one Horner pass; BinaryForm.evaluate sums
-    # each form alone. Maps of degree 1-6 with zero end coefficients and
+    # evaluate sums F and G in one Horner pass; _horner sums each form
+    # alone. Maps of degree 1-6 with zero end coefficients and
     # with G of lower degree than F (G's top coefficient zero).
     rng = random.Random(1906)
 
@@ -481,8 +529,8 @@ def test_evaluate_matches_the_single_form_values():
             maps.append(RationalMap.make(f, g))
         except DegenerateMapError:
             continue
-    assert any(phi.F.coefficients[0] == 0 for phi in maps)
-    assert any(phi.G.coefficients[-1] == 0 for phi in maps)
+    assert any(phi.F[0] == 0 for phi in maps)
+    assert any(phi.G[-1] == 0 for phi in maps)
     points = [(0, 1), (1, 0), (1, 1), (-1, 1)]
     while len(points) < 40:
         bits = rng.randint(1, 256)
@@ -492,7 +540,8 @@ def test_evaluate_matches_the_single_form_values():
             points.append((a, b))
     for phi in maps:
         for x1, x2 in points:
-            expected = normalize((phi.F.evaluate(x1, x2), phi.G.evaluate(x1, x2)))
+            a, b = ratmap._horner(phi.F, x1, x2), ratmap._horner(phi.G, x1, x2)
+            expected = normalize((a, b))
             assert phi.evaluate(ProjectivePoint(x1, x2)) == expected, (phi, x1, x2)
 
 
@@ -634,6 +683,7 @@ def test_iterate_forms_agree_with_pointwise_iteration():
         phi = parse_map(text)
         for n in range(1, 5):
             fn, gn = phi.iterate_forms(n)
+            d = len(fn) - 1
             for _ in range(5):
                 a = rng.randrange(-9, 10)
                 b = rng.randrange(-9, 10)
@@ -641,16 +691,18 @@ def test_iterate_forms_agree_with_pointwise_iteration():
                     continue
                 pt = normalize((a, b))
                 want = iterate_point(phi, pt, n)
-                got = normalize((fn.evaluate(pt.x1, pt.x2), gn.evaluate(pt.x1, pt.x2)))
+                a = sum(c * pt.x1**i * pt.x2 ** (d - i) for i, c in enumerate(fn))
+                b = sum(c * pt.x1**i * pt.x2 ** (d - i) for i, c in enumerate(gn))
+                got = normalize((a, b))
                 assert got == want, (text, n, pt)
 
 
 def test_newton_map_known_values():
     phi = newton_map("z^3-2")
-    assert phi.F.coefficients == (2, 0, 0, 2)  # 2z^3 + 2 over
-    assert phi.G.coefficients == (0, 0, 3, 0)  # 3z^2
-    assert newton_map("z^2-1").F.coefficients == (1, 0, 1)
-    assert newton_map("z^2-1").G.coefficients == (0, 2, 0)
+    assert phi.F == (2, 0, 0, 2)  # 2z^3 + 2 over
+    assert phi.G == (0, 0, 3, 0)  # 3z^2
+    assert newton_map("z^2-1").F == (1, 0, 1)
+    assert newton_map("z^2-1").G == (0, 2, 0)
     with pytest.raises(ValueError):
         newton_map("5")
 
@@ -697,8 +749,8 @@ def test_newton_map_is_z_minus_f_over_f_prime():
         fp = [i * c for i, c in enumerate(f)][1:]
         phi = newton_map(text)
         assert bool(phi.notes) or not squared, text
-        assert gcd(*phi.F.coefficients, *phi.G.coefficients) == 1
-        assert next(c for c in reversed(phi.F.coefficients) if c) > 0
+        assert gcd(*phi.F, *phi.G) == 1
+        assert next(c for c in reversed(phi.F) if c) > 0
         for x in xs:
             dfx = _poly_at(fp, x)
             if dfx:
@@ -799,13 +851,13 @@ def test_is_polynomial_type():
 def test_dynatomic_known_forms():
     phi = parse_map("z^2-1")
     # period 1: the full fixed point form Y*F - X*G of degree 3
-    assert dynatomic(phi, 1).form.coefficients == (-1, -1, 1, 0)
-    assert dynatomic(phi, 1).degree == 3
+    assert dynatomic(phi, 1) == (-1, -1, 1, 0)
+    assert len(dynatomic(phi, 1)) - 1 == 3
     # period 2: z^2 + z, as the form X^2 + X Y
-    assert dynatomic(phi, 2).form.coefficients == (0, 1, 1)
-    assert dynatomic(parse_map("z^2-2"), 2).form.coefficients == (-1, 1, 1)
+    assert dynatomic(phi, 2) == (0, 1, 1)
+    assert dynatomic(parse_map("z^2-2"), 2) == (-1, 1, 1)
     # the double root case: z^2 - 3/4 has period 2 form (2z + 1)^2
-    assert dynatomic(parse_map("z^2-3/4"), 2).form.coefficients == (1, 4, 4)
+    assert dynatomic(parse_map("z^2-3/4"), 2) == (1, 4, 4)
 
 
 def test_dynatomic_degree_identity():
@@ -813,7 +865,7 @@ def test_dynatomic_degree_identity():
         phi = parse_map(text)
         for n in range(1, 7):
             form = dynatomic(phi, n, max_degree=1 << 14)
-            assert form.degree == dynatomic_degree(phi.degree, n), (text, n)
+            assert len(form) - 1 == dynatomic_degree(phi.degree, n), (text, n)
 
 
 def test_rational_periodic_points_known_values():
