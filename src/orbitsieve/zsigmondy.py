@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .numtheory import factorize, prime_set
+from .numtheory import FactorizationBudgetError, factorize, prime_set
 from .orbit import orbit_rational
 from .projective import PointLike, ProjectivePoint, normalize
 from .ratmap import (
@@ -75,15 +75,36 @@ def difference_support(
 
 
 def _factored_term(
-    x: ProjectivePoint, g: ProjectivePoint, m: int
+    x: ProjectivePoint, g: ProjectivePoint, m: int, known: Iterable[int] = ()
 ) -> tuple[int, tuple[tuple[int, int], ...]]:
-    """The term of x = phi^m(beta) against g, factored as in difference_support."""
+    """The term of x = phi^m(beta) against g, factored as in difference_support.
+
+    The known primes are divided out first, with their exact valuations;
+    only what is left goes to factorize. When that runs out of budget, the
+    FactorizationBudgetError raised carries the new part's cofactor and
+    every prime found in the term, known ones included.
+    """
     term = abs(x.x1 * g.x2 - x.x2 * g.x1)
     if term == 0:
         raise ValueError(
             f"phi^{m}(beta) equals gamma exactly; the difference term vanishes"
         )
-    return term, factorize(term).factors
+    rest = term
+    found: list[tuple[int, int]] = []
+    for p in known:
+        e = 0
+        while rest % p == 0:
+            rest //= p
+            e += 1
+        if e:
+            found.append((p, e))
+    try:
+        new = factorize(rest).factors
+    except FactorizationBudgetError as exc:
+        raise FactorizationBudgetError(
+            exc.cofactor, sorted([*found, *exc.partial])
+        ) from None
+    return term, tuple(sorted([*found, *new]))
 
 
 def primitive_divisors(
@@ -109,6 +130,10 @@ def primitive_divisors(
     both also end at the height budget. A scan ended at escape could never
     have closed, so the warnings are those of the full-length scans, and a
     beta scan ended at escape holds every phi^m(beta) with m <= m_max.
+
+    A prime of a term that is not primitive divides an earlier term, so
+    each term is first divided by every prime of the earlier terms (excluded
+    ones too), and factoring work goes to its new part only.
 
     phi^m(beta) is read off the scan of beta's orbit. When that scan stopped
     at the height budget before m_max, HeightBudgetError is raised at the
@@ -154,11 +179,10 @@ def primitive_divisors(
         else:
             # the scan stopped at the height budget, just as iterating would
             raise HeightBudgetError(beta_scan.steps_done, height_bits)
-        term, factors = _factored_term(x, g, m)
+        term, factors = _factored_term(x, g, m, seen)
         kept = tuple((p, e) for p, e in factors if p not in banned)
-        support = {p for p, _ in kept}
-        primitive = frozenset(support - seen)
-        seen.update(support)
+        primitive = frozenset(p for p, _ in kept) - seen
+        seen.update(p for p, _ in factors)
         reports.append(
             SupportReport(m, term.bit_length(), kept, primitive)
         )

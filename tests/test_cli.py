@@ -197,6 +197,10 @@ PINNED_JSON_SHA256 = {
     # a rational map whose beta and gamma scans both end at escape
     "zsigmondy --map (z^2+1)/(2z) --beta 3 --gamma 2 --mmax 4":
         "4796dd05b3e9efedd0f93c548d88e29cf8fa62605effdc5c9ed8488d02a25f6b",
+    # the m = 6 term's primes all divide earlier terms but one 101-bit
+    # prime, so only that prime is left to factor
+    "zsigmondy --map z^2 --beta 9 --gamma 1 --mmax 6":
+        "7ca825edfc260f3a2128f411c6e5ad7f02f4377fc38b8031012e3485db23aede",
     # the start is a target: a witness at index 0, day_status "running"
     "decide --map z^2-1 --point 0 --targets 0,7":
         "959b6430c5d1ab414365f00abcfff7b2dd4aa0382d2709832ed765694ab13fe5",

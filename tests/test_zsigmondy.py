@@ -1,12 +1,13 @@
 """Tests for support factorization and primitive prime divisors of the
 terms phi^m(beta) - gamma."""
 
+import math
 import random
 
 import pytest
 
 from orbitsieve import zsigmondy
-from orbitsieve.numtheory import FactorizationBudgetError
+from orbitsieve.numtheory import FactorizationBudgetError, is_prime
 from orbitsieve.orbit import orbit_rational
 from orbitsieve.projective import PrimePowerModulus, congruent_mod, normalize
 from orbitsieve.ratmap import (
@@ -59,6 +60,39 @@ def test_fermat_primitive_divisors():
             acc = acc * acc % q  # order is a power of two here
             order *= 2
         assert order == 2 ** report.m, (report.m, q)
+
+
+def test_a_term_whose_new_part_is_prime_is_reported():
+    # 9^64 - 1 is 2^9 * 5 * 17 * 41 * 193 * 21523361 * 926510094425921 times
+    # a 101-bit prime. Its primes but the last divide earlier terms, so only
+    # that prime is left to factor; factored whole, the term runs out of rho
+    # budget on its 151-bit cofactor.
+    run = primitive_divisors(parse_map("z^2"), 9, 1, 6)
+    assert [r.m for r in run.reports] == [1, 2, 3, 4, 5, 6]
+    seen = set()
+    for report in run.reports:
+        term = 9 ** (2 ** report.m) - 1
+        assert math.prod(p**e for p, e in report.term_valuations) == term
+        assert all(is_prime(p) for p, _ in report.term_valuations)
+        support = {p for p, _ in report.term_valuations}
+        assert report.primitive == support - seen
+        seen |= support
+    assert run.reports[-1].primitive == {1716841910146256242328924544641}
+
+
+def test_a_budget_error_lists_every_prime_found_in_the_term(monkeypatch):
+    # The m-th term of z^2 from 4 against 1 is 2^(2^(m+1)) - 1, the product
+    # of the Fermat numbers F_0, ..., F_m. At m = 6 the earlier terms give
+    # F_0, ..., F_4 and F_5 = 641 * 6700417, and what is left is
+    # F_6 = 274177 * 67280421310721, which one rho step does not split.
+    factorize = zsigmondy.factorize
+    monkeypatch.setattr(zsigmondy, "factorize", lambda n: factorize(n, 1000, 1))
+    with pytest.raises(FactorizationBudgetError) as info:
+        primitive_divisors(parse_map("z^2"), 4, 1, 6)
+    assert info.value.cofactor == 2**64 + 1
+    assert info.value.partial == (
+        (3, 1), (5, 1), (17, 1), (257, 1), (641, 1), (65537, 1), (6700417, 1),
+    )
 
 
 def test_excluded_primes_cannot_be_primitive():
@@ -180,15 +214,27 @@ def _reference_warnings(phi, beta, gamma, m_max, bits):
     return tuple(warnings)
 
 
+def _term(phi, beta, gamma, m, bits):
+    """The m-th cross term, computed from a fresh walk."""
+    x = iterate_point(phi, beta, m, bits)
+    g = normalize(gamma)
+    return abs(x.x1 * g.x2 - x.x2 * g.x1)
+
+
 def test_primitive_divisors_match_the_per_m_reference(monkeypatch):
+    # The reference factors each full term; primitive_divisors divides out
+    # the primes of earlier terms and factors only the rest. By unique
+    # factorization the two agree wherever both finish. Under the small
+    # budget below the reference can run out where the rest factors; the
+    # rows must then still be full factorizations of the terms.
     factored = []
     factorize = zsigmondy.factorize
 
-    def counting_factorize(n):
+    def small_factorize(n):
         factored.append(n)
         return factorize(n, 1000, 2000)
 
-    monkeypatch.setattr(zsigmondy, "factorize", counting_factorize)
+    monkeypatch.setattr(zsigmondy, "factorize", small_factorize)
 
     def outcome(fn):
         factored.clear()
@@ -197,7 +243,7 @@ def test_primitive_divisors_match_the_per_m_reference(monkeypatch):
             error = None
         except (HeightBudgetError, FactorizationBudgetError, ValueError) as exc:
             rows, error = None, (type(exc), str(exc))
-        return rows, error, list(factored)
+        return rows, error
 
     rng = random.Random(2580)
     cases = [
@@ -205,6 +251,7 @@ def test_primitive_divisors_match_the_per_m_reference(monkeypatch):
         (parse_map("z^2-1"), 1, 2, 7, 64),  # preperiodic beta with a tail
         (parse_map("z^2"), 2, 1, 8, 16),  # height budget at m = 4
         (parse_map("z^2-1"), 3, 63, 3, 64),  # phi^2(beta) == gamma
+        (parse_map("z^2"), 9, 1, 6, 300),  # only the reference runs out
     ]
     while len(cases) < 40:
         d = rng.randint(1, 3)
@@ -217,7 +264,7 @@ def test_primitive_divisors_match_the_per_m_reference(monkeypatch):
             continue
         beta, gamma = ((rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(2))
         cases.append((phi, beta, gamma, rng.randint(1, 6), rng.choice((16, 64, 300))))
-    errors, warned = set(), set()
+    errors, warned, recovered = set(), set(), 0
     for phi, beta, gamma, m_max, bits in cases:
         def rows_and_warnings():
             run = primitive_divisors(phi, beta, gamma, m_max, (), bits)
@@ -228,17 +275,42 @@ def test_primitive_divisors_match_the_per_m_reference(monkeypatch):
             warned.update(w.split()[0] for w in run.warnings)
             return rows, run.warnings
 
+        case = (str(phi), beta, gamma, m_max, bits)
         got = outcome(rows_and_warnings)
+        # each number factored is the new part of its term: it divides the
+        # term and shares no prime with any earlier term
+        terms = [_term(phi, beta, gamma, m, bits) for m in range(1, len(factored) + 1)]
+        for i, n in enumerate(factored):
+            assert terms[i] % n == 0, case
+            assert all(math.gcd(n, t) == 1 for t in terms[:i]), case
         want = outcome(
             lambda: (
                 _reference_rows(phi, beta, gamma, m_max, bits),
                 _reference_warnings(phi, beta, gamma, m_max, bits),
             )
         )
-        assert got == want, (str(phi), beta, gamma, m_max, bits)
-        if got[1] is not None:
-            errors.add(got[1][0])
+        if want[1] is not None:
+            errors.add(want[1][0])
+        if want[1] is None or want[1][0] is not FactorizationBudgetError:
+            assert got == want, case
+        elif got[1] is not None:
+            assert got[1][0] is FactorizationBudgetError, case
+        else:
+            rows, warnings = got[0]
+            assert len(terms) == m_max, case
+            assert warnings == _reference_warnings(phi, beta, gamma, m_max, bits)
+            assert [r[0] for r in rows] == list(range(1, m_max + 1)), case
+            seen = set()
+            for (m, term_bits, valuations, primitive), term in zip(rows, terms):
+                assert term_bits == term.bit_length(), case
+                assert math.prod(p**e for p, e in valuations) == term, case
+                assert all(is_prime(p) for p, _ in valuations), case
+                support = {p for p, _ in valuations}
+                assert primitive == support - seen, case
+                seen |= support
+            recovered += 1
     assert errors == {HeightBudgetError, FactorizationBudgetError, ValueError}
+    assert recovered > 0
     assert warned == {"gamma", "the", "beta"}  # first words of the 3 warnings
     with pytest.raises(HeightBudgetError) as info:
         primitive_divisors(parse_map("z^2"), 2, 1, 8, height_bits=16)
