@@ -391,7 +391,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("orbit", help="iterate a point, exactly or mod p^k")
     p.add_argument("--map", required=True, help="rational function in z, e.g. 'z^2-1'")
     p.add_argument(
-        "--point", required=True, help="start point: integer, a/b, inf, or [a:b]"
+        "--point",
+        required=True,
+        help="start point: integer, a/b, inf, or [a:b]; "
+        "a negative one takes the = form, --point=-1/2",
     )
     p.add_argument("--max-steps", type=_positive, default=64)
     p.add_argument("--height-bits", type=_positive, default=DEFAULT_HEIGHT_BITS)
@@ -416,7 +419,9 @@ def build_parser() -> argparse.ArgumentParser:
         "poltype", help="is the map of polynomial type at a point?"
     )
     p.add_argument("--map", required=True)
-    p.add_argument("--point", required=True)
+    p.add_argument(
+        "--point", required=True, help="a negative point takes the = form, --point=-1/2"
+    )
     p.add_argument("--k-max", type=_positive, default=2)
     add_format(p)
     p.set_defaults(func=_cmd_poltype)
@@ -425,8 +430,17 @@ def build_parser() -> argparse.ArgumentParser:
         "zsigmondy", help="primitive prime divisors along an orbit"
     )
     p.add_argument("--map", required=True)
-    p.add_argument("--beta", required=True, help="moving start point")
-    p.add_argument("--gamma", required=True, help="preperiodic target point")
+    p.add_argument(
+        "--beta",
+        required=True,
+        help="moving start point; a negative one takes the = form, --beta=-1/2",
+    )
+    p.add_argument(
+        "--gamma",
+        required=True,
+        help="preperiodic target point; a negative one takes the = form, "
+        "--gamma=-1/2",
+    )
     p.add_argument("--mmax", type=_positive, required=True)
     p.add_argument("--exclude-primes", help="comma-separated primes to ignore")
     add_format(p)
@@ -436,9 +450,14 @@ def build_parser() -> argparse.ArgumentParser:
         "decide", help="does the orbit of a point ever meet the targets?"
     )
     p.add_argument("--map", required=True)
-    p.add_argument("--point", required=True)
     p.add_argument(
-        "--targets", required=True, help="comma-separated target points"
+        "--point", required=True, help="a negative point takes the = form, --point=-1/2"
+    )
+    p.add_argument(
+        "--targets",
+        required=True,
+        help="comma-separated target points; a list that starts with a "
+        "negative one takes the = form, --targets=-1,0",
     )
     p.add_argument("--exclude-primes", help="comma-separated primes to skip")
     p.add_argument("--day-steps", type=_positive, default=Budgets().day_steps)
@@ -462,7 +481,12 @@ def build_parser() -> argparse.ArgumentParser:
         "newton", help="Newton map and per-place convergence reports"
     )
     p.add_argument("--poly", required=True, help="polynomial in z, e.g. 'z^3-2'")
-    p.add_argument("--alpha", required=True, help="rational starting value")
+    p.add_argument(
+        "--alpha",
+        required=True,
+        help="rational starting value; a negative one takes the = form, "
+        "--alpha=-1/2",
+    )
     p.add_argument("--primes", help="comma-separated primes for p-adic runs")
     p.add_argument("--real-iters", type=_positive, default=64)
     p.add_argument("--p-iters", type=_positive, default=10)

@@ -234,42 +234,88 @@ def _cost(p: int, k: int) -> int:
     return (p ** k + p ** (k - 1)) * k ** 3
 
 
-def _stages(
-    phi: RationalMap, excluded: frozenset[int], skips: list[tuple[int, int, str]]
-) -> Iterator[list[PrimePowerModulus]]:
-    """Yield the moduli of each stage of night_schedule in turn.
+# The first prime powers of every prime in increasing (cost, p) order: a
+# prefix that depends on nothing problem-specific, shared by every caller
+# in the process. _cost_order rebinds it to a longer tuple, never edits it.
+_COST_ORDER: tuple[PrimePowerModulus, ...] = ()
 
-    A heap of (cost, p, k) holds the next power of every good prime reached
-    so far, and one prime q not yet checked, at k = 1. Popping the cheapest
-    entry pushes p^(k+1), and at k = 1 also the prime after p. The cost
-    grows with p at fixed k and with k at fixed p, so every pushed entry
-    costs more than the one popped, and the good prime powers come out
+# The most entries a walk asks for before it reads them. Past 44 stages
+# the order grows by doubling as the walk reads on, so a large stage
+# budget on a problem that an early modulus settles computes little.
+_FIRST_ENTRIES = 1024
+
+
+def _cost_order(n: int) -> tuple[PrimePowerModulus, ...]:
+    """The shared cost order, recomputed first to n entries if it is shorter.
+
+    A heap of (cost, p, k) holds the next power of every prime reached so
+    far, and the prime after the largest reached, at k = 1. Popping the
+    cheapest entry pushes p^(k+1), and at k = 1 also the prime after p. The
+    cost grows with p at fixed k and with k at fixed p, so every pushed
+    entry costs more than the one popped, and the prime powers come out
     each once, in increasing (cost, p) order.
 
-    A popped prime that is excluded or of bad reduction is appended to
-    `skips` as (q, 0, reason), so a prime is passed over in the stage that
-    needed the next good prime, before that stage is yielded.
+    The order is deterministic, so callers that hold an older, shorter
+    tuple, or race to rebind a longer one, all read the same entries
+    without a lock.
     """
+    global _COST_ORDER
+    order = _COST_ORDER
+    if len(order) >= n:
+        return order
     primes = good_primes()
     q = next(primes)
     heap = [(_cost(q, 1), q, 1)]
-    size = 0
-    while True:
-        size += 1
+    out: list[PrimePowerModulus] = []
+    for _ in range(n):
+        _, p, k = heapq.heappop(heap)
+        if k == 1:
+            q = next(primes)
+            heapq.heappush(heap, (_cost(q, 1), q, 1))
+        heapq.heappush(heap, (_cost(p, k + 1), p, k + 1))
+        out.append(PrimePowerModulus(p, k))
+    _COST_ORDER = order = tuple(out)
+    return order
+
+
+def _stages(
+    phi: RationalMap,
+    excluded: frozenset[int],
+    skips: list[tuple[int, int, str]],
+    stages: int,
+) -> Iterator[list[PrimePowerModulus]]:
+    """Yield the moduli of each of the first `stages` stages of
+    night_schedule in turn.
+
+    The stages filter one cost order of all prime powers, computed once per
+    process and shared by every caller (_COST_ORDER): it is immutable and
+    only ever replaced by a longer copy of itself, so concurrent callers
+    read it safely. It is first computed to the stages' size when no prime
+    is passed over, up to _FIRST_ENTRIES, and doubled when a walk reads
+    past its end, so it grows only to about the largest stage count walked.
+    A prime that is excluded or of bad reduction is appended to `skips` as
+    (p, 0, reason) at its entry p^1, so it is passed over in the stage that
+    needed the next good prime, before that stage is yielded, and its
+    higher powers are passed over silently.
+    """
+    order = _cost_order(min(stages * (stages + 1) // 2, _FIRST_ENTRIES))
+    passed: set[int] = set()
+    i = 0
+    for size in range(1, stages + 1):
         stage: list[PrimePowerModulus] = []
         while len(stage) < size:
-            _, p, k = heapq.heappop(heap)
-            if k == 1:
-                q = next(primes)
-                heapq.heappush(heap, (_cost(q, 1), q, 1))
-                if p in excluded:
-                    skips.append((p, 0, "excluded"))
-                    continue
-                if not phi.is_good_prime(p):
-                    skips.append((p, 0, "bad reduction"))
-                    continue
-            heapq.heappush(heap, (_cost(p, k + 1), p, k + 1))
-            stage.append(PrimePowerModulus(p, k))
+            if i == len(order):
+                order = _cost_order(2 * i)
+            m = order[i]
+            i += 1
+            if m.p in passed:
+                continue
+            if m.k == 1 and (m.p in excluded or not phi.is_good_prime(m.p)):
+                passed.add(m.p)
+                reason = "excluded" if m.p in excluded else "bad reduction"
+                skips.append((m.p, 0, reason))
+                continue
+            stage.append(m)
         yield stage
 
 
@@ -283,7 +329,9 @@ def night_schedule(
     (p^k + p^(k-1)) * k^3, ties broken by p: the point count of P^1(Z/p^k),
     which bounds the orbit walked there, weighted against depth. So the
     primes 2, 3, ..., 43 come before 2^2 (cost 48), and every prime power
-    is reached eventually.
+    is reached eventually. That order of all prime powers is computed once
+    per process and shared with decide; each call filters it by phi and
+    `excluded`, and concurrent callers may read it safely (_stages).
 
     Breadth over primes settles problems, depth rarely does: for most
     primes the reduced orbit already misses the reduced targets (R. Jones,
@@ -293,8 +341,8 @@ def night_schedule(
     prime, 12 stages examine 78 moduli, the primes up to 373 and 2^2, 3^2,
     5^2 and 2^3, where the orbits have at most 374 points.
     """
-    gen = _stages(phi, frozenset(excluded), [])
-    return [m for stage in islice(gen, stages) for m in stage]
+    gen = _stages(phi, frozenset(excluded), [], stages)
+    return [m for stage in gen for m in stage]
 
 
 _DEGREE_ONE = (
@@ -376,8 +424,8 @@ def decide(problem: DecisionProblem, jobs: int = 1) -> Certificate:
     if walk.stop == "target":
         return finish("witness", witness_index=walk.steps_done)
     collected: list[ModulusEvidence] = []
-    stages = _stages(phi, problem.excluded_primes, skips)
-    for stages_done, moduli in enumerate(islice(stages, budgets.night_stages), 1):
+    stages = _stages(phi, problem.excluded_primes, skips, budgets.night_stages)
+    for stages_done, moduli in enumerate(stages, 1):
         for m in moduli:
             ev = _evidence(problem, m)
             empty = ev.hits.is_empty()

@@ -716,8 +716,12 @@ def _parse_rational(text: str) -> tuple[list[int], list[int]]:
             c, d, i = product(i + 1)
             if op == "-":
                 c = _pneg(c)
+            if _unit_denominators(b, d):
+                # nothing is multiplied, and the degree of the sum is at most
+                # its operands', which are within the limit
+                a = _padd(a, c)
             # lists of lengths m and n have a product of degree m + n - 2
-            if within_limits(
+            elif within_limits(
                 max(len(a) + len(d), len(c) + len(b), len(b) + len(d)) - 2,
                 max(_product_bits(a, d), _product_bits(c, b), _product_bits(b, d)),
             ):
@@ -734,7 +738,10 @@ def _parse_rational(text: str) -> tuple[list[int], list[int]]:
                 if not any(c):
                     raise ValueError("division by the zero polynomial")
                 c, d = d, c
-            if within_limits(
+            if _unit_denominators(b, d):
+                if within_limits(len(a) + len(c) - 2, _product_bits(a, c)):
+                    a = _pmul(a, c)
+            elif within_limits(
                 max(len(a) + len(c), len(b) + len(d)) - 2,
                 max(_product_bits(a, c), _product_bits(b, d)),
             ):
@@ -778,6 +785,13 @@ def _parse_rational(text: str) -> tuple[list[int], list[int]]:
     if refused:
         raise ValueError(refused[0])
     return _ptrim(num), _ptrim(den)
+
+
+def _unit_denominators(b: Sequence[int], d: Sequence[int]) -> bool:
+    """True when both operands of a map-text sum or product are polynomials,
+    with the unit denominator [1]: _parse_rational then adds or multiplies
+    their numerators alone and keeps [1]."""
+    return b == [1] and d == [1]
 
 
 def _top_bits(v: Sequence[int]) -> int:

@@ -274,6 +274,21 @@ def test_point_text_with_spaces_signs_and_brackets_parses(capsys, text, shown):
     assert out.splitlines()[1] == f"  n=0: {shown}"
 
 
+def test_negative_point_text_parses_in_the_equals_form(capsys):
+    # argparse passes a separate value that starts with '-' as a value only
+    # when it is shaped like -3, so -1/2 needs --point=-1/2
+    code, out, err = _run(capsys, "orbit", "--map", "z^2", "--point=-1/2", "--max-steps", "2")
+    assert (code, err) == (0, "")
+    assert out.splitlines()[1:] == ["  n=0: -1/2", "  n=1: 1/4", "  n=2: 1/16"]
+    code, doc, err = _run_json(capsys, "decide", "--map", "z^2-1", "--point", "3", "--targets=-1,0")
+    assert (code, err) == (0, "")
+    assert doc["problem"]["targets"] == [["-1", "1"], ["0", "1"]]
+    with pytest.raises(SystemExit) as info:
+        main(["orbit", "--map", "z^2", "--point", "-1/2"])
+    assert info.value.code == 2
+    assert "argument --point: expected one argument" in capsys.readouterr().err
+
+
 def test_map_text_past_the_degree_limit_is_a_usage_error(capsys):
     # without the limit, parsing z^9999+1 alone would run for hours
     code, out, err = _run(capsys, "orbit", "--map", "z^9999+1", "--point", "1")

@@ -8,10 +8,11 @@ import hashlib
 import json
 import math
 import random
+import sys
+import threading
 import time
 import tracemalloc
 from fractions import Fraction
-from itertools import islice
 
 import pytest
 
@@ -276,6 +277,18 @@ def _brute_schedule(phi, excluded, stages):
     return [PrimePowerModulus(p, k) for _, p, k in keys[:count]]
 
 
+def _brute_skips(phi, excluded, schedule):
+    """The (q, 0, reason) entries of the stages that end with `schedule`:
+    every bad or excluded prime q whose key (q + 1, q) comes before the
+    last modulus of the schedule, in increasing order."""
+    last = (_cost(schedule[-1].p, schedule[-1].k), schedule[-1].p)
+    return [
+        (q, 0, "excluded" if q in excluded else "bad reduction")
+        for q in _brute_primes()
+        if (q + 1, q) < last and (q in excluded or phi.res % q == 0)
+    ]
+
+
 def test_night_schedule_does_not_depend_on_call_history():
     # calls with different bad primes, exclusions and stage counts (a long
     # one, then a short one, then a longer one) each get the brute-force
@@ -296,14 +309,117 @@ def test_night_schedule_does_not_depend_on_call_history():
             # each bad or excluded prime passed over is recorded once, at
             # k = 1, however many of its powers come later
             skips = []
-            list(islice(localglobal._stages(phi, frozenset(excluded), skips), stages))
-            last = (_cost(want[-1].p, want[-1].k), want[-1].p)
-            passed = [q for q in _brute_primes() if (q + 1, q) < last]
-            assert skips == [
-                (q, 0, "excluded" if q in excluded else "bad reduction")
-                for q in passed
-                if q in excluded or phi.res % q == 0
-            ]
+            list(localglobal._stages(phi, frozenset(excluded), skips, stages))
+            assert skips == _brute_skips(phi, excluded, want)
+
+
+@pytest.fixture
+def fresh_cost_order(monkeypatch):
+    """An empty shared cost order, so that the test's own calls grow it."""
+    monkeypatch.setattr(localglobal, "_COST_ORDER", ())
+
+
+def _seeded_schedule_cases(rng):
+    """(map text, excluded primes) pairs whose resultants have small prime
+    factors: z + 1/n never settles (a translation mod every good p runs
+    through all residues), so decide runs every stage; z^2 + a/n may settle."""
+    small = [2, 3, 5, 7, 11, 13, 17]
+    cases = []
+    for i in range(8):
+        n = math.prod(rng.sample(small, rng.randint(1, 3)))
+        text = f"z+1/{n}" if i % 2 else f"z^2{rng.choice([-3, -1, 1, 2]):+d}/{n}"
+        cases.append((text, frozenset(rng.sample(small + [19, 23, 29], 2))))
+    return cases
+
+
+def test_shared_schedule_matches_a_plain_reference(fresh_cost_order):
+    # stage counts out of order, so the shared prefix grows between calls
+    rng = random.Random(24)
+    lengths = set()
+    kinds = set()
+    skipped = 0
+    for text, excluded in _seeded_schedule_cases(rng):
+        phi = parse_map(text)
+        for stages in (2, 14, 5, 40, 9):
+            want = _brute_schedule(phi, excluded, stages)
+            assert night_schedule(phi, excluded, stages) == want, (text, stages)
+            lengths.add(len(localglobal._COST_ORDER))
+        for stages in (2, 14, 5):
+            problem = _problem(
+                text, 0, [-1], excluded, day_steps=8, night_stages=stages
+            )
+            cert = decide(problem)
+            assert cert.night_stages_done >= 1
+            sched = _brute_schedule(phi, excluded, cert.night_stages_done)
+            pairs = [(m.p, m.k) for m in sched]
+            assert [(p, k) for p, k, _ in cert.examined] == pairs[: len(cert.examined)]
+            kinds.add(cert.kind)
+            if cert.kind == "exhausted":
+                assert len(cert.examined) == len(pairs)
+            want = _brute_skips(phi, excluded, sched)
+            assert [s for s in cert.skipped if s[1] == 0] == want, (text, stages)
+            skipped += len(want)
+    assert skipped > 50
+    assert kinds == {"empty", "exhausted"}
+    assert len(lengths) >= 2
+
+
+def test_a_large_stage_budget_computes_only_what_the_walk_reads(
+    fresh_cost_order, monkeypatch
+):
+    # z^2 - 1 from 3 against 0 is settled mod 5, in stage 2: a budget of a
+    # million stages must not compute the order of all its moduli first
+    requested = []
+    build = localglobal._cost_order
+
+    def recording(n):
+        requested.append(n)
+        assert n <= 10 ** 5, n
+        return build(n)
+
+    monkeypatch.setattr(localglobal, "_cost_order", recording)
+    cert = decide(_problem("z^2-1", 3, [0], night_stages=10 ** 6))
+    assert (cert.kind, cert.night_stages_done) == ("empty", 2)
+    assert requested == [localglobal._FIRST_ENTRIES]
+    # the stage budget bounds the first request, not the walk
+    got = night_schedule(parse_map("z+1"), (), 60)
+    assert got == _brute_schedule(parse_map("z+1"), (), 60)
+    assert requested[1:] == [localglobal._FIRST_ENTRIES, 2 * localglobal._FIRST_ENTRIES]
+
+
+def test_night_schedule_from_several_threads(fresh_cost_order):
+    # threads that start together on an empty shared order grow it in
+    # turns and read it while it grows; each gets the single-thread list
+    cases = [
+        (parse_map("z^2+1/30"), {7, 13}, 40),
+        (parse_map("z+1"), set(), 3),
+        (parse_map("(z^2+1)/(2z)"), {3}, 25),
+        (parse_map("z^3+1/77"), {2}, 60),
+        (parse_map("z+1"), {2, 3, 5}, 12),
+        (parse_map("z^2-1"), set(), 50),
+    ]
+    want = [night_schedule(*case) for case in cases]
+    assert want == [_brute_schedule(*case) for case in cases]
+    localglobal._COST_ORDER = ()
+    got = [None] * len(cases)
+    barrier = threading.Barrier(len(cases))
+
+    def run(i):
+        barrier.wait(timeout=60)
+        got[i] = [night_schedule(*cases[i]) for _ in range(3)]
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(len(cases))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert got == [[w] * 3 for w in want]
 
 
 def test_parity_clash_gives_an_empty_pair_intersection():

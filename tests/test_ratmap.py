@@ -228,9 +228,16 @@ def test_parse_map_unit_factor_shortcut_changes_no_output(monkeypatch):
         return out
 
     rng = random.Random(6400)
-    texts = [_random_map_text(rng) for _ in range(500)]
+    texts = [_random_map_text(rng) for _ in range(500)] + PARSE_EDGE_CASES
+    # refused past the degree or the bit limit, in a power, product or sum
+    texts += ["z^200*z^100", "z^300-z^300+z", "1/z^200+1/z^100",
+              "(9^200000)(9^200000)z+z^2", "9^200000+1/(9^200000z)"]
     fast = parse_all(texts)
     monkeypatch.setattr(ratmap, "_pmul", _reference_pmul)
+    assert parse_all(texts) == fast
+    # nor does _parse_rational's sum and product of polynomial operands,
+    # which add or multiply the numerators alone
+    monkeypatch.setattr(ratmap, "_unit_denominators", lambda b, d: False)
     assert parse_all(texts) == fast
     assert sum(len(entry) == 3 for entry in fast) > 400
 
