@@ -26,6 +26,7 @@ from .orbit import (
     HitSet,
     ModOrbit,
     OrbitSummary,
+    _unchecked,
     hit_set,
     orbit_mod,
     orbit_rational,
@@ -203,7 +204,9 @@ def _intersect_pair(a: HitSet, b: HitSet, cap: int) -> HitSet:
     inverse of ca / g mod cb / g computed once for the pair, not once per
     pair of residues: ra and rb meet exactly when g divides rb - ra, at
     ra + ca * t with t = (rb - ra) / g * inverse mod cb / g, which lies in
-    [0, lcm(ca, cb)) because ra < ca and t < cb / g.
+    [0, lcm(ca, cb)) because ra < ca and t < cb / g. Both index lists of
+    the result are strictly increasing and within their bounds, so it is
+    built unchecked.
     """
     ca, cb = a.cycle_length, b.cycle_length
     g = math.gcd(ca, cb)
@@ -212,21 +215,23 @@ def _intersect_pair(a: HitSet, b: HitSet, cap: int) -> HitSet:
         raise CycleBlowupError(c, cap)
     t = max(a.threshold, b.threshold)
     mb = cb // g
-    inverse = pow(ca // g, -1, mb)
-    combined: set[int] = set()
-    for ra in a.residues:
-        for rb in b.residues:
-            diff = rb - ra
-            if diff % g == 0:
-                combined.add(ra + ca * (diff // g * inverse % mb))
-    exceptional = tuple(n for n in range(t) if a.contains(n) and b.contains(n))
-    return HitSet(t, exceptional, c, tuple(sorted(combined)))
+    # the CRT runs only where both sides have residues, the scan below the
+    # threshold only where it is positive
+    inverse = pow(ca // g, -1, mb) if a.residues and b.residues else 0
+    residues = tuple(sorted({
+        ra + ca * ((rb - ra) // g * inverse % mb)
+        for ra in a.residues for rb in b.residues if (rb - ra) % g == 0
+    }))
+    both = [n for n in range(t) if a.contains(n) and b.contains(n)] if t else ()
+    return _unchecked(
+        HitSet, threshold=t, exceptional=tuple(both), cycle_length=c, residues=residues
+    )
 
 
 def _evidence(problem: DecisionProblem, m: PrimePowerModulus) -> ModulusEvidence:
     """The orbit of the start mod m and its hit set on the targets."""
     orb = orbit_mod(problem.phi, problem.start, m)
-    return ModulusEvidence(orb, hit_set(orb, problem.targets))
+    return _unchecked(ModulusEvidence, orbit=orb, hits=hit_set(orb, problem.targets))
 
 
 def _cost(p: int, k: int) -> int:

@@ -197,7 +197,9 @@ def orbit_mod(phi: RationalMap, start: PointLike, m: PrimePowerModulus) -> ModOr
         )
     del seen, add  # free the set before the sequence is copied
     tail = seq.index(cur)
-    return ModOrbit(m, tail, len(seq) - tail, tuple(seq))
+    return _unchecked(
+        ModOrbit, modulus=m, tail=tail, cycle=len(seq) - tail, sequence=tuple(seq)
+    )
 
 
 @dataclass(frozen=True)
@@ -240,23 +242,40 @@ class HitSet:
         return not self.exceptional and not self.residues
 
 
-def hit_set(orb: ModOrbit, targets: Iterable[PointLike]) -> HitSet:
+def hit_set(orb: ModOrbit, targets: Iterable[ProjectivePoint]) -> HitSet:
     """Compute the hit set of a modular orbit against a set of targets.
 
-    p and p^k are read once per call, and each target is reduced straight
-    to its int code (projective._residue_code). The codes of the orbit are
+    The targets are points in normal form, such as a DecisionProblem's, and
+    each is reduced straight to its int code (projective._residue_code),
+    with p and p^k read once per call. The codes of the orbit are
     distinct, so each target code has at most one index in it: one pass
     over the sequence finds the codes that occur, and each of those few is
     then looked up by its index.
     """
     p = orb.modulus.p
     n = orb.modulus.modulus
-    codes = {_residue_code(pt.x1, pt.x2, p, n) for pt in map(normalize, targets)}
+    codes = {_residue_code(pt.x1, pt.x2, p, n) for pt in targets}
     seq, tail, cycle = orb.sequence, orb.tail, orb.cycle
     hits = sorted(map(seq.index, codes.intersection(seq)))
-    return HitSet(
+    return _unchecked(
+        HitSet,
         threshold=tail,
-        exceptional=tuple(i for i in hits if i < tail),
+        exceptional=tuple([i for i in hits if i < tail]),
         cycle_length=cycle,
-        residues=tuple(sorted(i % cycle for i in hits if i >= tail)),
+        residues=tuple(sorted([i % cycle for i in hits if i >= tail])),
     )
+
+
+def _unchecked(cls, **fields):
+    """An instance of the frozen dataclass cls with the given fields, built
+    without __init__ and so without the checks of __post_init__, as
+    ProjectivePoint._unchecked builds points: the keyword dict becomes the
+    instance's attribute dict.
+
+    For the values the engine computes itself, whose invariants hold by
+    construction; values read from outside the program, such as those of a
+    certificate, go through the checking constructor.
+    """
+    obj = object.__new__(cls)
+    object.__setattr__(obj, "__dict__", fields)  # as the frozen __init__ does
+    return obj

@@ -117,16 +117,19 @@ def normalize(value: PointLike) -> ProjectivePoint:
     if isinstance(value, str):
         return parse_point(value)
     if isinstance(value, tuple) and len(value) == 2:
-        a, b = value
-        if a == 0 and b == 0:
-            raise ValueError("(0, 0) is not a projective point")
-        g = math.gcd(a, b)
-        a, b = a // g, b // g
-        last = b if b != 0 else a
-        if last < 0:
-            a, b = -a, -b
-        return ProjectivePoint._unchecked(a, b)
+        return _from_pair(*value)
     raise TypeError(f"cannot interpret {value!r} as a projective point")
+
+
+def _from_pair(a: int, b: int) -> ProjectivePoint:
+    """The point (a : b): both divided by their gcd, and negated when the
+    last nonzero one is negative. ValueError for (0, 0), whose gcd is 0."""
+    g = math.gcd(a, b)
+    if not g:
+        raise ValueError("(0, 0) is not a projective point")
+    if (b or a) < 0:
+        g = -g
+    return ProjectivePoint._unchecked(a // g, b // g)
 
 
 def _number_text(text: str) -> str:
@@ -141,20 +144,21 @@ def _number_text(text: str) -> str:
 
 
 def parse_point(text: str) -> ProjectivePoint:
-    """Parse 'inf', an integer, 'a/b', or bracket form '[a:b]'."""
+    """Parse 'inf', 'infinity' or 'oo' in any case, a signed integer, 'a/b',
+    or bracket form '[a:b]', with spaces around any part, straight to a
+    normalized point. ValueError naming the text for anything else."""
     s = _number_text(text).strip()
     if s.lower() in ("inf", "infinity", "oo"):
         return INFINITY
-    if s.startswith("[") and s.endswith("]"):
-        body = s[1:-1]
-        parts = body.split(":")
-        if len(parts) != 2:
-            raise ValueError(f"bad projective coordinates: {text!r}")
-        return normalize((int(parts[0].strip()), int(parts[1].strip())))
-    if "/" in s:
-        num, den = s.split("/", 1)
-        return normalize((int(num.strip()), int(den.strip())))
-    return normalize((int(s), 1))
+    bracket = s.startswith("[") and s.endswith("]")
+    parts = s[1:-1].split(":") if bracket else s.split("/")
+    try:
+        # two parts, or one integer: a bracket needs its colon
+        num, den = parts if len(parts) != 1 else (s, 1)
+        a, b = int(num), int(den)
+    except ValueError:
+        raise ValueError(f"bad point text: {text!r}") from None
+    return _from_pair(a, b)
 
 
 def format_point(pt: ProjectivePoint) -> str:
@@ -276,10 +280,11 @@ def _residue_code(a: int, b: int, p: int, n: int) -> int:
     """
     a %= n
     b %= n
+    # a unit coordinate of 1, as in an integer point or in inf, needs no inverse
     if b % p != 0:
-        return a * pow(b, -1, n) % n
+        return a if b == 1 else a * pow(b, -1, n) % n
     if a % p != 0:
-        return n + b * pow(a, -1, n) % n
+        return n + (b if a == 1 else b * pow(a, -1, n) % n)
     raise ValueError("both coordinates divisible by p: not a point mod p^k")
 
 

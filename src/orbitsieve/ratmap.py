@@ -116,10 +116,9 @@ def _ptrim(v: list) -> list:
 
 
 def _padd(a: Sequence, b: Sequence) -> list:
-    n = max(len(a), len(b))
-    out = [0] * n
-    for i, c in enumerate(a):
-        out[i] += c
+    if len(a) < len(b):
+        a, b = b, a
+    out = list(a)
     for i, c in enumerate(b):
         out[i] += c
     return _ptrim(out)
@@ -133,7 +132,8 @@ def _pmul(a: Sequence, b: Sequence) -> list:
     """Full-length product, not trimmed: forms must keep their degree."""
     if not a or not b:
         return []
-    # the map parser multiplies by the unit denominator [1] at every + and *
+    # _ppow starts from [1], and the map parser multiplies by [1] where a
+    # polynomial meets a rational function
     if b == [1]:
         return list(a)
     if a == [1]:
@@ -645,33 +645,27 @@ def iterate_point(
 
 def _tokenize(text: str) -> list[tuple[str, Optional[int]]]:
     toks: list[tuple[str, Optional[int]]] = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
+    start = -1  # where the digit run being read began
+    # one pass, with a space after the text to end a last digit run
+    for i, ch in enumerate(text + " "):
         if "0" <= ch <= "9":
-            j = i
-            while j < len(text) and "0" <= text[j] <= "9":
-                j += 1
-            if j - i > _MAX_TEXT_DIGITS:
+            if start < 0:
+                start = i
+            continue
+        if start >= 0:
+            if i - start > _MAX_TEXT_DIGITS:
                 raise ValueError(
-                    f"integer literal of {j - i} digits exceeds the limit "
+                    f"integer literal of {i - start} digits exceeds the limit "
                     f"{_MAX_TEXT_DIGITS}"
                 )
-            toks.append(("int", int(text[i:j])))
-            i = j
-            continue
-        if ch in "zZ":
-            toks.append(("z", None))
-            i += 1
-            continue
+            toks.append(("int", int(text[start:i])))
+            start = -1
         if ch in "+-*/^()":
             toks.append((ch, None))
-            i += 1
-            continue
-        raise ValueError(f"unexpected character {ch!r} at position {i}")
+        elif ch in "zZ":
+            toks.append(("z", None))
+        elif not ch.isspace():
+            raise ValueError(f"unexpected character {ch!r} at position {i}")
     return toks
 
 
@@ -681,10 +675,13 @@ def _parse_rational(text: str) -> tuple[list[int], list[int]]:
 
     Recursive descent with one nested function per precedence level: each
     takes a token index and returns (num, den, next index), and a
-    (None, None) sentinel ends the token list. The denominator is never
-    zero, since a zero divisor is rejected. Division builds a rational
-    function without cancelling, so a degenerate input like (z^2-1)/(z-1)
-    stays degenerate and is reported via the resultant.
+    (None, None) sentinel ends the token list. The denominator of a
+    polynomial operand is None, so a sum or product of polynomials adds or
+    multiplies the numerators alone; None counts as the unit [1] wherever a
+    limit is measured. A denominator is never zero, since a zero divisor is
+    rejected. Division builds a rational function without cancelling, so a
+    degenerate input like (z^2-1)/(z-1) stays degenerate and is reported
+    via the resultant.
 
     A power or product whose degree would pass _MAX_TEXT_DEGREE, or whose
     coefficients could pass _MAX_TEXT_BITS bits, is never built: the descent
@@ -716,12 +713,14 @@ def _parse_rational(text: str) -> tuple[list[int], list[int]]:
             c, d, i = product(i + 1)
             if op == "-":
                 c = _pneg(c)
-            if _unit_denominators(b, d):
+            if b is d is None:
                 # nothing is multiplied, and the degree of the sum is at most
                 # its operands', which are within the limit
                 a = _padd(a, c)
+                continue
+            b, d = b or [1], d or [1]
             # lists of lengths m and n have a product of degree m + n - 2
-            elif within_limits(
+            if within_limits(
                 max(len(a) + len(d), len(c) + len(b), len(b) + len(d)) - 2,
                 max(_product_bits(a, d), _product_bits(c, b), _product_bits(b, d)),
             ):
@@ -737,11 +736,13 @@ def _parse_rational(text: str) -> tuple[list[int], list[int]]:
             if op == "/":
                 if not any(c):
                     raise ValueError("division by the zero polynomial")
-                c, d = d, c
-            if _unit_denominators(b, d):
+                c, d = d or [1], c
+            if b is d is None:
                 if within_limits(len(a) + len(c) - 2, _product_bits(a, c)):
                     a = _pmul(a, c)
-            elif within_limits(
+                continue
+            b, d = b or [1], d or [1]
+            if within_limits(
                 max(len(a) + len(c), len(b) + len(d)) - 2,
                 max(_product_bits(a, c), _product_bits(b, d)),
             ):
@@ -755,9 +756,9 @@ def _parse_rational(text: str) -> tuple[list[int], list[int]]:
             i += 1
         kind, val = toks[i]
         if kind == "int":
-            num, den = ([val] if val else []), [1]
+            num, den = ([val] if val else []), None
         elif kind == "z":
-            num, den = [0, 1], [1]
+            num, den = [0, 1], None
         elif kind == "(":
             num, den, i = sum_(i + 1)
             if toks[i][0] != ")":
@@ -772,10 +773,12 @@ def _parse_rational(text: str) -> tuple[list[int], list[int]]:
             if kind != "int":
                 raise ValueError("exponent must be a nonnegative integer")
             if within_limits(
-                k * (max(len(num), len(den)) - 1),
-                k * max(_top_bits(num), _top_bits(den)),
+                k * (max(len(num), len(den or [1])) - 1),
+                k * max(_top_bits(num), _top_bits(den or [1])),
             ):
-                num, den = _ppow(num, k), _ppow(den, k)
+                # z^k is built as a monomial, and a polynomial keeps None
+                num = [0] * k + [1] if num == [0, 1] else _ppow(num, k)
+                den = den and _ppow(den, k)
             i += 2
         return (_pneg(num) if neg else num), den, i
 
@@ -784,14 +787,7 @@ def _parse_rational(text: str) -> tuple[list[int], list[int]]:
         raise ValueError(f"trailing input at token {i}")
     if refused:
         raise ValueError(refused[0])
-    return _ptrim(num), _ptrim(den)
-
-
-def _unit_denominators(b: Sequence[int], d: Sequence[int]) -> bool:
-    """True when both operands of a map-text sum or product are polynomials,
-    with the unit denominator [1]: _parse_rational then adds or multiplies
-    their numerators alone and keeps [1]."""
-    return b == [1] and d == [1]
+    return _ptrim(num), _ptrim(den or [1])
 
 
 def _top_bits(v: Sequence[int]) -> int:
@@ -802,8 +798,8 @@ def _top_bits(v: Sequence[int]) -> int:
 def _product_bits(u: Sequence[int], v: Sequence[int]) -> int:
     """A bound on the bits of the coefficients that _pmul(u, v) computes:
     each is a sum of at most min(len(u), len(v)) products of one coefficient
-    each. 0 when u or v is the unit [1], the denominator of every polynomial
-    operand, since _pmul then copies the other list and multiplies nothing.
+    each. 0 when u or v is the unit [1], as a polynomial's denominator is
+    counted, since _pmul then copies the other list and multiplies nothing.
     """
     if u == [1] or v == [1]:
         return 0

@@ -274,6 +274,13 @@ def test_point_text_with_spaces_signs_and_brackets_parses(capsys, text, shown):
     assert out.splitlines()[1] == f"  n=0: {shown}"
 
 
+@pytest.mark.parametrize("text", ["1/2/3", "x", "1/", "- 3", "[inf:1]", "[1:2:3]", "[1]"])
+def test_malformed_point_text_is_a_usage_error_that_names_it(capsys, text):
+    # int() alone would report "invalid literal for int() with base 10"
+    code, out, err = _run(capsys, "orbit", "--map", "z+1", f"--point={text}")
+    assert (code, out, err) == (1, "", f"error: bad point text: {text!r}\n")
+
+
 def test_negative_point_text_parses_in_the_equals_form(capsys):
     # argparse passes a separate value that starts with '-' as a value only
     # when it is shaped like -3, so -1/2 needs --point=-1/2

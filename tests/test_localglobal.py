@@ -17,6 +17,7 @@ from fractions import Fraction
 import pytest
 
 from orbitsieve import localglobal
+from orbitsieve import orbit as orbit_module
 from orbitsieve.localglobal import (
     Budgets,
     Certificate,
@@ -1213,6 +1214,51 @@ def _random_problem(rng):
         cycle_lcm_cap=rng.randint(10, 10**5),
     )
     return DecisionProblem.make(phi, point(), targets, excluded, budgets)
+
+
+def _survey_problem(rng):
+    """A problem shaped like the benchmark's survey: a map of degree 2 or 3
+    with coefficients in [-3, 3], a start of height at most 5, 12 targets
+    of height at most 20, and the survey's budgets."""
+    d = rng.choice((2, 3))
+    while True:
+        f = [rng.randint(-3, 3) for _ in range(d + 1)]
+        g = [rng.randint(-3, 3) for _ in range(d + 1)]
+        try:
+            phi = RationalMap.make(f, g)
+            break
+        except DegenerateMapError:
+            pass
+    start = Fraction(rng.randint(-5, 5), rng.randint(1, 3))
+    targets = [Fraction(rng.randint(-20, 20), rng.randint(1, 5)) for _ in range(12)]
+    budgets = Budgets(height_bits=4096, night_stages=4)
+    return DecisionProblem.make(phi, start, targets, budgets=budgets)
+
+
+def test_unchecked_builders_change_no_certificate_or_verdict(monkeypatch):
+    # decide, verify's recomputation and the hit-set fold build their
+    # ModOrbit, HitSet and ModulusEvidence values without the constructors'
+    # checks (orbit._unchecked); built by the checking constructors instead,
+    # every certificate and verdict is the same, and no check refuses one
+    rng = random.Random(2525)
+    problems = [_random_problem(rng) for _ in range(300)]
+    problems += [_survey_problem(rng) for _ in range(200)]
+
+    def run():
+        out = []
+        for problem in problems:
+            cert = decide(problem)
+            out.append((cert, verify_certificate(problem, cert)))
+        return out
+
+    unchecked = run()
+    checked = lambda cls, **fields: cls(**fields)  # noqa: E731
+    monkeypatch.setattr(orbit_module, "_unchecked", checked)
+    monkeypatch.setattr(localglobal, "_unchecked", checked)
+    assert run() == unchecked
+    families = [ok for cert, ok in unchecked if len(cert.evidence) > 1]
+    assert len(families) > 20 and all(families)
+    assert {cert.kind for cert, _ in unchecked} == {"witness", "empty", "exhausted"}
 
 
 def test_random_certificates_survive_the_json_round_trip():

@@ -532,9 +532,9 @@ def test_hit_set_matches_a_pair_based_reference():
     # hit_set codes targets inline and finds each one's index in the
     # sequence; here every hit set is rebuilt from the orbit's pairs. The
     # targets include inf, points whose denominator p divides, two distinct
-    # rationals that agree mod p^k, iterates of the start (so that hits
-    # occur both in the tail and in the cycle), and ints and Fractions as
-    # well as points
+    # rationals that agree mod p^k, and iterates of the start (so that hits
+    # occur both in the tail and in the cycle); hit_set takes them as
+    # points in normal form, the reference as ints and Fractions too
     rng = random.Random(1515)
     moduli = [PrimePowerModulus(p, k) for p in (2, 3, 5, 7, 11, 13) for k in (1, 2, 3)]
     seen = set()
@@ -559,10 +559,11 @@ def test_hit_set_matches_a_pair_based_reference():
             orb = orbit_mod(phi, start, m)
             tail, cycle, pairs, _ = _pair_orbit(phi, start, m)
             want = _cross_hit_set(pairs, tail, cycle, targets, m)
-            assert hit_set(orb, targets) == want, (str(phi), start, str(m))
+            points = [normalize(t) for t in targets]
+            assert hit_set(orb, points) == want, (str(phi), start, str(m))
             # c and c + p^k reduce to one residue
             same = _cross_hit_set(pairs, tail, cycle, [c], m)
-            assert hit_set(orb, targets[3:5]) == same
+            assert hit_set(orb, points[3:5]) == same
             seen.add(phi.degree)
             if want.exceptional:
                 seen.add("tail hit")

@@ -1,5 +1,6 @@
 """Tests for projective points, reduction, and the chordal metric."""
 
+import hashlib
 import random
 from fractions import Fraction
 from math import gcd
@@ -104,6 +105,68 @@ def test_number_text_takes_ascii_digits_without_underscores():
     assert parse_point("[1:-2]") == ProjectivePoint(-1, 2)
     assert parse_point("+5") == ProjectivePoint(5, 1)
     assert parse_modulus(" 7 ^ 2 ") == PrimePowerModulus(7, 2)
+
+
+def _point_text(rng):
+    """Point text in the forms parse_point reads, with stray signs, spaces,
+    separators and the characters _number_text refuses mixed in."""
+    if rng.random() < 0.5:
+        parts = ("0", "1", "7", "12", "-", "+", "/", "[", "]", ":", " ",
+                 "inf", "oo", "_", "\u0665", "INF", "Infinity")
+        return "".join(rng.choice(parts) for _ in range(rng.randint(0, 8)))
+
+    def number():
+        sign = rng.choice(("", "", "-", "+", " -", "- "))
+        return sign + str(rng.randint(0, 10 ** rng.randint(0, 25)))
+
+    def pad(s):
+        return rng.choice(("", " ", "  ")) + s + rng.choice(("", " "))
+
+    style = rng.randrange(4)
+    if style == 0:
+        return pad(number())
+    if style == 1:
+        return pad(pad(number()) + "/" + pad(number()))
+    if style == 2:
+        return pad("[" + pad(number()) + ":" + pad(number()) + "]")
+    return pad(rng.choice(("inf", "oo", "infinity", "INF", "Oo", "InFiNiTy")))
+
+
+POINT_EDGE_CASES = [
+    "", " ", "inf", " oo ", "INFINITY", "infinite", "0", "-0", "+0", "0/5",
+    "5/0", "-5/0", "0/0", "[0:0]", "[1:0]", "[-1:0]", "[0:-3]", "[6:10]",
+    "[-6:-10]", "[1:2:3]", "[1]", "[]", "[:]", "[1:2", "1:2]", "1/2/3",
+    "x", "1/", "/2", "- 3", "--3", "+-3", "[inf:1]", "[1:inf]", "1/-2",
+    "-1/-2", " 3 / 4 ", "[ 3 : 4 ]", "007", "1_0", "\u0665", "1e3", "1.5",
+    "0x10", "\t4\n", "12345678901234567890123456789/98765432109876543210",
+]
+
+# sha256 of parse_point's outcome on the corpus below: the point's
+# coordinates, or the type of the exception raised. Messages are left out.
+PINNED_POINT_OUTCOMES_SHA256 = (
+    "450acbaf07ecfaad1118ebab53ffeaf061660aa065d57b505f79217afd4afad6"
+)
+
+
+def _point_outcome(text):
+    try:
+        pt = parse_point(text)
+    except Exception as exc:  # noqa: BLE001 - the type is the outcome
+        return type(exc).__name__
+    return (pt.x1, pt.x2)
+
+
+def test_parse_point_outcomes_match_their_pinned_digest():
+    rng = random.Random(25)
+    texts = [_point_text(rng) for _ in range(20000)] + POINT_EDGE_CASES
+    outcomes = [_point_outcome(text) for text in texts]
+    digest = hashlib.sha256(repr(list(zip(texts, outcomes))).encode())
+    assert digest.hexdigest() == PINNED_POINT_OUTCOMES_SHA256
+    # the corpus reaches every form and both kinds of refusal
+    values = [o for o in outcomes if isinstance(o, tuple)]
+    assert set(outcomes) - set(values) == {"ValueError"}
+    assert len(values) > 8000
+    assert (1, 0) in values and (0, 1) in values
 
 
 def test_as_fraction():

@@ -235,10 +235,6 @@ def test_parse_map_unit_factor_shortcut_changes_no_output(monkeypatch):
     fast = parse_all(texts)
     monkeypatch.setattr(ratmap, "_pmul", _reference_pmul)
     assert parse_all(texts) == fast
-    # nor does _parse_rational's sum and product of polynomial operands,
-    # which add or multiply the numerators alone
-    monkeypatch.setattr(ratmap, "_unit_denominators", lambda b, d: False)
-    assert parse_all(texts) == fast
     assert sum(len(entry) == 3 for entry in fast) > 400
 
 
