@@ -26,7 +26,6 @@ from .orbit import (
     HitSet,
     ModOrbit,
     OrbitSummary,
-    _unchecked,
     hit_set,
     orbit_mod,
     orbit_rational,
@@ -35,6 +34,7 @@ from .projective import (
     PointLike,
     PrimePowerModulus,
     ProjectivePoint,
+    _build,
     _pair_code,
     _residue_pair,
     normalize,
@@ -131,7 +131,7 @@ class DecisionProblem:
         return cls(phi, normalize(start), tset, banned, budgets)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ModulusEvidence:
     """One modulus worth of night-side computation, self-contained."""
 
@@ -206,7 +206,7 @@ def _intersect_pair(a: HitSet, b: HitSet, cap: int) -> HitSet:
     ra + ca * t with t = (rb - ra) / g * inverse mod cb / g, which lies in
     [0, lcm(ca, cb)) because ra < ca and t < cb / g. Both index lists of
     the result are strictly increasing and within their bounds, so it is
-    built unchecked.
+    built without HitSet's checks (projective._build).
     """
     ca, cb = a.cycle_length, b.cycle_length
     g = math.gcd(ca, cb)
@@ -223,15 +223,13 @@ def _intersect_pair(a: HitSet, b: HitSet, cap: int) -> HitSet:
         for ra in a.residues for rb in b.residues if (rb - ra) % g == 0
     }))
     both = [n for n in range(t) if a.contains(n) and b.contains(n)] if t else ()
-    return _unchecked(
-        HitSet, threshold=t, exceptional=tuple(both), cycle_length=c, residues=residues
-    )
+    return _build(HitSet, t, tuple(both), c, residues)
 
 
 def _evidence(problem: DecisionProblem, m: PrimePowerModulus) -> ModulusEvidence:
     """The orbit of the start mod m and its hit set on the targets."""
     orb = orbit_mod(problem.phi, problem.start, m)
-    return _unchecked(ModulusEvidence, orbit=orb, hits=hit_set(orb, problem.targets))
+    return ModulusEvidence(orb, hit_set(orb, problem.targets))
 
 
 def _cost(p: int, k: int) -> int:

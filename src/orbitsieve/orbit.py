@@ -18,6 +18,7 @@ from .projective import (
     PointLike,
     PrimePowerModulus,
     ProjectivePoint,
+    _build,
     _residue_code,
     normalize,
     reduce_mod,  # unused here; bench/tracing.py resolves it from this module
@@ -134,7 +135,7 @@ def orbit_rational(
     return OrbitSummary(tuple(points), stop, steps_done=len(points) - 1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ModOrbit:
     """The full eventual-period decomposition of an orbit mod p^k.
 
@@ -197,12 +198,10 @@ def orbit_mod(phi: RationalMap, start: PointLike, m: PrimePowerModulus) -> ModOr
         )
     del seen, add  # free the set before the sequence is copied
     tail = seq.index(cur)
-    return _unchecked(
-        ModOrbit, modulus=m, tail=tail, cycle=len(seq) - tail, sequence=tuple(seq)
-    )
+    return ModOrbit(m, tail, len(seq) - tail, tuple(seq))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class HitSet:
     """Indices n with phi^n(start) in the reduced target set, mod p^k.
 
@@ -250,32 +249,15 @@ def hit_set(orb: ModOrbit, targets: Iterable[ProjectivePoint]) -> HitSet:
     with p and p^k read once per call. The codes of the orbit are
     distinct, so each target code has at most one index in it: one pass
     over the sequence finds the codes that occur, and each of those few is
-    then looked up by its index.
+    then looked up by its index. Both index lists come out strictly
+    increasing and within their bounds, so the hit set is built without
+    HitSet's checks (projective._build).
     """
     p = orb.modulus.p
     n = orb.modulus.modulus
     codes = {_residue_code(pt.x1, pt.x2, p, n) for pt in targets}
     seq, tail, cycle = orb.sequence, orb.tail, orb.cycle
     hits = sorted(map(seq.index, codes.intersection(seq)))
-    return _unchecked(
-        HitSet,
-        threshold=tail,
-        exceptional=tuple([i for i in hits if i < tail]),
-        cycle_length=cycle,
-        residues=tuple(sorted([i % cycle for i in hits if i >= tail])),
-    )
-
-
-def _unchecked(cls, **fields):
-    """An instance of the frozen dataclass cls with the given fields, built
-    without __init__ and so without the checks of __post_init__, as
-    ProjectivePoint._unchecked builds points: the keyword dict becomes the
-    instance's attribute dict.
-
-    For the values the engine computes itself, whose invariants hold by
-    construction; values read from outside the program, such as those of a
-    certificate, go through the checking constructor.
-    """
-    obj = object.__new__(cls)
-    object.__setattr__(obj, "__dict__", fields)  # as the frozen __init__ does
-    return obj
+    exceptional = tuple([i for i in hits if i < tail])
+    residues = tuple(sorted([i % cycle for i in hits if i >= tail]))
+    return _build(HitSet, tail, exceptional, cycle, residues)

@@ -12,7 +12,7 @@ than floats.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Union
 
@@ -37,7 +37,29 @@ __all__ = [
 PointLike = Union["ProjectivePoint", int, Fraction, str, tuple]
 
 
-@dataclass(frozen=True, order=True)
+# module globals, which _build's loop looks up faster than object's attributes
+_new = object.__new__
+_store = object.__setattr__
+
+
+def _build(cls, *values):
+    """An instance of the slotted frozen dataclass cls whose fields, in
+    order, hold values: built without __init__, and so without the checks
+    of __post_init__.
+
+    The one path by which the engine builds the points and hit sets it
+    computes itself, whose invariants hold by construction. Values read
+    from outside the program, such as those of a certificate, go through
+    the checking constructor or, as in ProjectivePoint.read, through its
+    checks first.
+    """
+    obj = _new(cls)
+    for name, value in zip(cls.__slots__, values):
+        _store(obj, name, value)  # as the frozen __init__ does
+    return obj
+
+
+@dataclass(frozen=True, order=True, slots=True)
 class ProjectivePoint:
     """A point of P^1(Q) in normalized coprime integer coordinates."""
 
@@ -55,23 +77,7 @@ class ProjectivePoint:
         program, such as the stored points of a certificate, which are
         rejected rather than normalized."""
         _check_normal(x1, x2)
-        return cls._unchecked(x1, x2)
-
-    @classmethod
-    def _unchecked(cls, x1: int, x2: int) -> "ProjectivePoint":
-        """Build a point without the normal-form checks of __post_init__.
-
-        Callers must already have established the normal form: (x1, x2) is
-        not (0, 0), gcd(x1, x2) == 1 and the last nonzero coordinate is
-        positive. Everything read from outside the program goes through the
-        checking constructor instead.
-        """
-        pt = object.__new__(cls)
-        # the instance dict directly: the frozen __setattr__ would refuse
-        coords = pt.__dict__
-        coords["x1"] = x1
-        coords["x2"] = x2
-        return pt
+        return _build(cls, x1, x2)
 
     @property
     def is_infinity(self) -> bool:
@@ -106,14 +112,15 @@ def normalize(value: PointLike) -> ProjectivePoint:
 
     An int v is (v : 1) and a Fraction is (numerator : denominator), both
     in normal form already (a Fraction is kept in lowest terms with a
-    positive denominator), so neither goes through the constructor's checks.
+    positive denominator), so both are built without the constructor's
+    checks.
     """
     if isinstance(value, ProjectivePoint):
         return value
     if isinstance(value, int):
-        return ProjectivePoint._unchecked(value, 1)
+        return _build(ProjectivePoint, value, 1)
     if isinstance(value, Fraction):
-        return ProjectivePoint._unchecked(value.numerator, value.denominator)
+        return _build(ProjectivePoint, value.numerator, value.denominator)
     if isinstance(value, str):
         return parse_point(value)
     if isinstance(value, tuple) and len(value) == 2:
@@ -129,7 +136,7 @@ def _from_pair(a: int, b: int) -> ProjectivePoint:
         raise ValueError("(0, 0) is not a projective point")
     if (b or a) < 0:
         g = -g
-    return ProjectivePoint._unchecked(a // g, b // g)
+    return _build(ProjectivePoint, a // g, b // g)
 
 
 def _number_text(text: str) -> str:
@@ -224,38 +231,45 @@ def congruent_mod(x: PointLike, y: PointLike, m: "PrimePowerModulus") -> bool:
     return _cross(a, b) % m.modulus == 0
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class PrimePowerModulus:
-    """A prime power p^k used as a reduction modulus."""
+    """A prime power p^k used as a reduction modulus.
+
+    modulus holds p^k, computed once by the constructor; equality, hashing,
+    order and repr read p and k alone.
+    """
 
     p: int
     k: int
+    modulus: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.k < 1:
             raise ValueError("exponent must be >= 1")
         if not is_prime(self.p):
             raise ValueError(f"{self.p} is not prime")
-
-    @property
-    def modulus(self) -> int:
-        return self.p ** self.k
+        object.__setattr__(self, "modulus", self.p ** self.k)
 
     def point_count(self) -> int:
         """|P^1(Z/p^k)| = p^k + p^(k-1)."""
-        return self.p ** self.k + self.p ** (self.k - 1)
+        return self.modulus + self.modulus // self.p
 
     def __str__(self) -> str:
         return f"{self.p}^{self.k}" if self.k > 1 else str(self.p)
 
 
 def parse_modulus(text: str) -> PrimePowerModulus:
-    """Parse 'p' or 'p^k'."""
+    """Parse 'p' or 'p^k', with spaces around either part. ValueError
+    naming the text for anything else, and from PrimePowerModulus when p is
+    not prime or k < 1."""
     s = _number_text(text).strip()
-    if "^" in s:
-        base, exp = s.split("^", 1)
-        return PrimePowerModulus(int(base.strip()), int(exp.strip()))
-    return PrimePowerModulus(int(s), 1)
+    parts = s.split("^")
+    try:
+        base, exp = parts if len(parts) != 1 else (s, 1)
+        p, k = int(base), int(exp)
+    except ValueError:
+        raise ValueError(f"bad modulus text: {text!r}") from None
+    return PrimePowerModulus(p, k)
 
 
 def canonical_residue(a: int, b: int, m: PrimePowerModulus) -> tuple[int, int]:

@@ -35,6 +35,7 @@ from .projective import (
     PrimePowerModulus,
     ProjectivePoint,
     ZERO,
+    _build,
     _residue_code,
     _residue_pair,
     normalize,
@@ -481,7 +482,7 @@ class RationalMap:
             b //= g
         if (b if b != 0 else a) < 0:
             a, b = -a, -b
-        return ProjectivePoint._unchecked(a, b)
+        return _build(ProjectivePoint, a, b)
 
     def evaluate_mod(
         self, r: tuple[int, int], m: PrimePowerModulus

@@ -59,12 +59,13 @@ def _small_primes(bound: int) -> list[int]:
     return [p for p in range(2, bound + 1) if all(p % q for q in range(2, p))]
 
 
-def test_criterion_1_golden_decisions():
+def test_criterion_1_golden_decisions(time_limit):
     # (a) z^2-1 from 3, target 0: settled by a family of empty modular hit
     # sets, and the family must contain a modulus that is empty on its own.
     t0 = time.perf_counter()
-    problem = DecisionProblem.make(parse_map("z^2-1"), 3, [0])
-    cert = decide(problem)
+    with time_limit():
+        problem = DecisionProblem.make(parse_map("z^2-1"), 3, [0])
+        cert = decide(problem)
     assert time.perf_counter() - t0 < 1.0
     assert cert.kind == "empty" and cert.finite_orbit is None
     assert cert.evidence
@@ -90,8 +91,9 @@ def test_criterion_1_golden_decisions():
 
     # (b) same map and start, target 63: a witness at index 2.
     t0 = time.perf_counter()
-    problem = DecisionProblem.make(parse_map("z^2-1"), 3, [63])
-    cert = decide(problem)
+    with time_limit():
+        problem = DecisionProblem.make(parse_map("z^2-1"), 3, [63])
+        cert = decide(problem)
     assert time.perf_counter() - t0 < 1.0
     assert cert.kind == "witness"
     assert verify_certificate(problem, cert)
@@ -107,8 +109,9 @@ def test_criterion_1_golden_decisions():
     # (c) start 0, target 5: the orbit closes (0 -> -1 -> 0) without ever
     # reaching 5, so the decision rests on the finite orbit itself.
     t0 = time.perf_counter()
-    problem = DecisionProblem.make(parse_map("z^2-1"), 0, [5])
-    cert = decide(problem)
+    with time_limit():
+        problem = DecisionProblem.make(parse_map("z^2-1"), 0, [5])
+        cert = decide(problem)
     assert time.perf_counter() - t0 < 1.0
     assert cert.kind == "empty" and cert.finite_orbit is not None
     assert verify_certificate(problem, cert)

@@ -281,6 +281,12 @@ def test_malformed_point_text_is_a_usage_error_that_names_it(capsys, text):
     assert (code, out, err) == (1, "", f"error: bad point text: {text!r}\n")
 
 
+@pytest.mark.parametrize("text", ["2^", "2^3^4"])
+def test_malformed_modulus_text_is_a_usage_error_that_names_it(capsys, text):
+    code, out, err = _run(capsys, "orbit", "--map", "z^2+1", "--point", "1", "--mod", text)
+    assert (code, out, err) == (1, "", f"error: bad modulus text: {text!r}\n")
+
+
 def test_negative_point_text_parses_in_the_equals_form(capsys):
     # argparse passes a separate value that starts with '-' as a value only
     # when it is shaped like -3, so -1/2 needs --point=-1/2
@@ -304,10 +310,11 @@ def test_map_text_past_the_degree_limit_is_a_usage_error(capsys):
     assert err == "error: degree 9999 exceeds the limit 256\n"
 
 
-def test_a_literal_past_the_digit_limit_is_a_usage_error(capsys):
+def test_a_literal_past_the_digit_limit_is_a_usage_error(capsys, time_limit):
     # 315,653 digits hold any 2^20-bit integer, the coefficient limit
     t0 = time.perf_counter()
-    code, out, err = _run(capsys, "orbit", "--map", "z+" + "9" * 400_000, "--point", "1")
+    with time_limit():
+        code, out, err = _run(capsys, "orbit", "--map", "z+" + "9" * 400_000, "--point", "1")
     assert time.perf_counter() - t0 < 1.0
     assert code == 1
     assert out == ""

@@ -18,6 +18,8 @@ import pytest
 
 from orbitsieve import localglobal
 from orbitsieve import orbit as orbit_module
+from orbitsieve import projective as projective_module
+from orbitsieve import ratmap as ratmap_module
 from orbitsieve.localglobal import (
     Budgets,
     Certificate,
@@ -36,7 +38,13 @@ from orbitsieve.localglobal import (
 )
 from orbitsieve.numtheory import degree_one_demo, factorial_valuation
 from orbitsieve.orbit import HitSet, ModOrbit, hit_set, orbit_mod, orbit_rational
-from orbitsieve.projective import INFINITY, PrimePowerModulus, normalize
+from orbitsieve.projective import (
+    INFINITY,
+    PrimePowerModulus,
+    ProjectivePoint,
+    _build,
+    normalize,
+)
 from orbitsieve.ratmap import (
     DegenerateMapError,
     RationalMap,
@@ -662,13 +670,14 @@ def _traced_peak(fn):
         tracemalloc.stop()
 
 
-def test_decide_at_default_budgets_ends_in_bounded_time_and_memory():
+def test_decide_at_default_budgets_ends_in_bounded_time_and_memory(time_limit):
     # z+1 from 1 never settles; at default budgets its 12 stages examine the
     # primes up to 373 and 2^2, 3^2, 5^2, 2^3, so no orbit has more than
     # 374 points
     problem = _problem("z+1", 1, [0, "inf"])
     start = time.perf_counter()
-    cert, peak = _traced_peak(lambda: decide(problem))
+    with time_limit():
+        cert, peak = _traced_peak(lambda: decide(problem))
     elapsed = time.perf_counter() - start
     assert cert.kind == "exhausted"
     assert cert.night_stages_done == 12 and len(cert.examined) == 78
@@ -880,12 +889,13 @@ def test_verify_rejects_shifted_witness_index():
     assert not verify_certificate(problem2, tampered)
 
 
-def test_verify_accepts_a_witness_only_at_the_first_meeting_within_day_steps():
+def test_verify_accepts_a_witness_only_at_the_first_meeting_within_day_steps(time_limit):
     # z+1 never meets 0, and 10^9 lies past day_steps: refused before any
     # walk, which would take hours
     problem = _problem("z+1", 1, [0])
     t0 = time.perf_counter()
-    assert not verify_certificate(problem, Certificate("witness", witness_index=10**9))
+    with time_limit():
+        assert not verify_certificate(problem, Certificate("witness", witness_index=10**9))
     assert time.perf_counter() - t0 < 1.0
     # 0, -1, 0, -1, ... under z^2-1: -1 is met at 1, again at 3
     problem = _problem("z^2-1", 0, [-1])
@@ -916,14 +926,15 @@ def test_verify_accepts_a_family_that_names_each_modulus_once_in_any_order():
     assert not verify_certificate(*certificate_from_dict(doc))
 
 
-def test_verify_rejects_a_family_past_the_modular_step_limit_quickly():
+def test_verify_rejects_a_family_past_the_modular_step_limit_quickly(time_limit):
     # 1000003^2 has about 10^12 points, and z+1 walks through all of them
     problem = _problem("z+1", 1, [0])
     forged = ModulusEvidence(
         ModOrbit(PrimePowerModulus(1000003, 2), 0, 1, (0,)), NO_INDICES
     )
     t0 = time.perf_counter()
-    assert not verify_certificate(problem, Certificate("empty", evidence=(forged,)))
+    with time_limit():
+        assert not verify_certificate(problem, Certificate("empty", evidence=(forged,)))
     assert time.perf_counter() - t0 < 1.0
 
 
@@ -1236,29 +1247,83 @@ def _survey_problem(rng):
 
 
 def test_unchecked_builders_change_no_certificate_or_verdict(monkeypatch):
-    # decide, verify's recomputation and the hit-set fold build their
-    # ModOrbit, HitSet and ModulusEvidence values without the constructors'
-    # checks (orbit._unchecked); built by the checking constructors instead,
-    # every certificate and verdict is the same, and no check refuses one
-    rng = random.Random(2525)
-    problems = [_random_problem(rng) for _ in range(300)]
-    problems += [_survey_problem(rng) for _ in range(200)]
+    # normalize (of ints, Fractions and coordinate pairs),
+    # RationalMap.evaluate, hit_set and the hit-set fold build their points
+    # and hit sets without the constructors' checks (projective._build);
+    # built by the checking constructors instead, every problem,
+    # certificate and verdict is the same, and no check refuses one
+    def pair(pt):
+        # coordinates times -2, which _from_pair divides out
+        return (-2 * pt.x1, -2 * pt.x2)
 
     def run():
+        rng = random.Random(2525)
+        problems = [_random_problem(rng) for _ in range(300)]
+        for _ in range(200):
+            p = _survey_problem(rng)
+            targets = map(pair, p.targets)
+            problems.append(DecisionProblem.make(p.phi, pair(p.start), targets, budgets=p.budgets))
         out = []
         for problem in problems:
             cert = decide(problem)
-            out.append((cert, verify_certificate(problem, cert)))
+            out.append((problem, cert, verify_certificate(problem, cert)))
         return out
 
     unchecked = run()
-    checked = lambda cls, **fields: cls(**fields)  # noqa: E731
-    monkeypatch.setattr(orbit_module, "_unchecked", checked)
-    monkeypatch.setattr(localglobal, "_unchecked", checked)
+    checked = lambda cls, *values: cls(*values)  # noqa: E731
+    binders = [
+        module for name, module in sys.modules.items()
+        if name.startswith("orbitsieve") and getattr(module, "_build", None) is _build
+    ]
+    assert {projective_module, ratmap_module, orbit_module, localglobal} <= set(binders)
+    for module in binders:
+        monkeypatch.setattr(module, "_build", checked)
     assert run() == unchecked
-    families = [ok for cert, ok in unchecked if len(cert.evidence) > 1]
+    families = [ok for _, cert, ok in unchecked if len(cert.evidence) > 1]
     assert len(families) > 20 and all(families)
-    assert {cert.kind for cert, _ in unchecked} == {"witness", "empty", "exhausted"}
+    assert {cert.kind for _, cert, _ in unchecked} == {"witness", "empty", "exhausted"}
+
+
+def _engine_values(obj, out):
+    """out, with every point, modulus, modular orbit, hit set and modulus
+    evidence inside obj appended: dataclasses and tuples are walked."""
+    if isinstance(obj, (ProjectivePoint, PrimePowerModulus, ModOrbit, HitSet, ModulusEvidence)):
+        out.append(obj)
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        for field in dataclasses.fields(obj):
+            _engine_values(getattr(obj, field.name), out)
+    elif isinstance(obj, (tuple, list, frozenset)):
+        for item in obj:
+            _engine_values(item, out)
+    return out
+
+
+def test_engine_values_are_slotted_without_an_instance_dict(monkeypatch):
+    # the values of decide, of verify's recomputation and of the decoder
+    recomputed = []
+    evidence = localglobal._evidence
+
+    def recording(problem, m):
+        ev = evidence(problem, m)
+        recomputed.append(ev)
+        return ev
+
+    monkeypatch.setattr(localglobal, "_evidence", recording)
+    rng = random.Random(26)
+    problems = [_problem("z^2-1", 3, [0]), _problem("z^2-1", 0, [5])]
+    problems += [_survey_problem(rng) for _ in range(20)]
+    values = []
+    for problem in problems:
+        cert = decide(problem)
+        assert verify_certificate(problem, cert) == cert.is_definitive
+        decoded = certificate_from_dict(certificate_to_dict(problem, cert))
+        _engine_values([problem, cert, decoded], values)
+    _engine_values(recomputed, values)
+    kinds = {type(v) for v in values}
+    assert kinds == {ProjectivePoint, PrimePowerModulus, ModOrbit, HitSet, ModulusEvidence}
+    for cls in kinds:
+        assert "__slots__" in vars(cls)
+    assert not [v for v in values if hasattr(v, "__dict__")]
 
 
 def test_random_certificates_survive_the_json_round_trip():

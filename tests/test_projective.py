@@ -252,6 +252,25 @@ def test_parse_modulus():
     assert parse_modulus("2^3") == PrimePowerModulus(2, 3)
     with pytest.raises(ValueError):
         parse_modulus("4")
+    # int() alone would report "invalid literal for int() with base 10"
+    for text in ("2^", "2^3^4", "^3", "", "x", "2^x", "2/3"):
+        with pytest.raises(ValueError) as info:
+            parse_modulus(text)
+        assert str(info.value) == f"bad modulus text: {text!r}"
+
+
+def test_prime_power_modulus_stores_its_power_outside_eq_hash_order_and_repr():
+    m = PrimePowerModulus(5, 2)
+    assert m.modulus == 25 and m.point_count() == 30
+    assert repr(m) == "PrimePowerModulus(p=5, k=2)"
+    other = PrimePowerModulus(5, 2)
+    object.__setattr__(other, "modulus", 26)
+    assert other == m and hash(other) == hash(m)
+    assert other <= m <= other and not other < m
+    moduli = [PrimePowerModulus(3, 1), PrimePowerModulus(2, 3), PrimePowerModulus(2, 1)]
+    assert [(q.p, q.k) for q in sorted(moduli)] == [(2, 1), (2, 3), (3, 1)]
+    with pytest.raises(TypeError):
+        PrimePowerModulus(5, 2, 25)
 
 
 def test_canonical_residue():
