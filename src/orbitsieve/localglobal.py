@@ -19,7 +19,7 @@ import heapq
 import math
 from dataclasses import dataclass, fields
 from itertools import islice, starmap
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .numtheory import good_primes, prime_set
 from .orbit import (
@@ -232,6 +232,27 @@ def _evidence(problem: DecisionProblem, m: PrimePowerModulus) -> ModulusEvidence
     return ModulusEvidence(orb, hit_set(orb, problem.targets))
 
 
+def _walk_meets(
+    points: Sequence[ProjectivePoint], targets: Sequence[ProjectivePoint]
+) -> Callable[[PrimePowerModulus], bool]:
+    """A test of a good prime power p^k: whether a point phi^n(start) of
+    `points`, an exact walk that met none of `targets`, is congruent mod
+    p^k to a target, so that n is in the hit set mod p^k.
+
+    Points of normal form agree mod p^k exactly when p^k divides their
+    cross product x1 * t2 - x2 * t1, and at a prime of good reduction the
+    orbit mod p^k is the reduction of the exact one. No cross is zero, since
+    no walked point is a target, so p divides the product of the crosses
+    exactly when it divides one of them: one % per prime. p^k dividing the
+    product does not show that it divides one cross, so each is tested.
+    """
+    crosses = [x.x1 * t.x2 - x.x2 * t.x1 for x in points for t in targets]
+    product = math.prod(crosses)
+    return lambda m: product % m.p == 0 and (
+        m.k == 1 or any(c % m.modulus == 0 for c in crosses)
+    )
+
+
 def _cost(p: int, k: int) -> int:
     """The schedule's key of p^k: its point count (p^k + p^(k-1)) times k^3."""
     return (p ** k + p ** (k - 1)) * k ** 3
@@ -371,19 +392,25 @@ def decide(problem: DecisionProblem, jobs: int = 1) -> Certificate:
     Otherwise the night stages run in order, one modulus at a time, the
     cheapest moduli first (night_schedule): many primes at k = 1 before any
     deep power, because breadth over primes is what settles problems, and
-    because the stage count alone then bounds the size of every orbit. Each
-    modulus goes through _evidence, as in verify_certificate. A modulus
-    whose own hit set is empty settles the problem by itself and is emitted
-    as a singleton certificate, without a fold, so its cycle is not held to
-    `cycle_lcm_cap`. The evidence of every examined modulus is kept, so
-    each orbit is walked once and the memory held is bounded by the orbits
-    of the stages run. Only after the last stage is their combined
-    intersection attempted: the fold starts from the hit set of every index
-    and takes the hit sets in order, skipping each one whose cycle would
-    push the fold past `cycle_lcm_cap`, the first one included. The family
-    that empties it is minimized in one pass (_minimize_family) and emitted
-    with the evidence already held; this keeps single-modulus certificates,
-    the strongest and cheapest to verify, in front.
+    because the stage count alone then bounds the size of every orbit. A
+    modulus at which a walked point already meets a target (_walk_meets) has
+    a nonempty hit set, so it cannot settle the problem alone: it is
+    recorded as examined with a nonempty hit set and kept unwalked. Every
+    other modulus goes through _evidence, as in verify_certificate. A
+    modulus whose own hit set is empty settles the problem by itself and is
+    emitted as a singleton certificate, without a fold, so its cycle is not
+    held to `cycle_lcm_cap`. The evidence of every walked modulus is kept,
+    so each orbit is walked at most once and the memory held is bounded by
+    the orbits of the stages run. Only after the last stage is their
+    combined intersection attempted: the fold starts from the hit set of
+    every index and takes the moduli in order, walking a kept one when it
+    reaches it, and skipping each one whose cycle would push the fold past
+    `cycle_lcm_cap`, the first one included. The family that empties it is
+    minimized in one pass (_minimize_family) and emitted with the evidence
+    already held; this keeps single-modulus certificates, the strongest and
+    cheapest to verify, in front. Moduli past the one that empties the fold
+    are never walked, so a kept modulus whose orbit passes orbit_mod's step
+    limit raises only where the fold reaches it.
 
     A degree-one map carries a warning that only a witness or a closed orbit
     can settle it, unless a modulus settles it.
@@ -426,10 +453,15 @@ def decide(problem: DecisionProblem, jobs: int = 1) -> Certificate:
         return finish("empty", finite_orbit=walk)
     if walk.stop == "target":
         return finish("witness", witness_index=walk.steps_done)
-    collected: list[ModulusEvidence] = []
+    meets = _walk_meets(walk.points, problem.targets)
+    collected: list[ModulusEvidence | PrimePowerModulus] = []
     stages = _stages(phi, problem.excluded_primes, skips, budgets.night_stages)
     for stages_done, moduli in enumerate(stages, 1):
         for m in moduli:
+            if meets(m):
+                examined.append((m.p, m.k, False))
+                collected.append(m)
+                continue
             ev = _evidence(problem, m)
             empty = ev.hits.is_empty()
             examined.append((m.p, m.k, empty))
@@ -440,6 +472,8 @@ def decide(problem: DecisionProblem, jobs: int = 1) -> Certificate:
     folded = _EVERY_INDEX
     used: list[tuple[ModulusEvidence, HitSet]] = []
     for ev in collected:
+        if type(ev) is PrimePowerModulus:
+            ev = _evidence(problem, ev)
         try:
             folded = _intersect_pair(folded, ev.hits, budgets.cycle_lcm_cap)
         except CycleBlowupError:

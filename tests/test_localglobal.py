@@ -640,24 +640,69 @@ def test_degree_one_warning_is_left_off_when_a_modulus_settles():
     assert warned[0].warnings[0].startswith("degree-one map: ")
 
 
-def test_decide_walks_each_examined_modulus_once(monkeypatch):
-    # the pinned family problem: six moduli are examined and the family
-    # {3, 5} is emitted with the evidence already walked, not walked again
-    calls = []
-    walk = localglobal.orbit_mod
+def _recording_walks(monkeypatch):
+    """A list that decide's orbit_mod calls append ("walk", p, k) to and
+    its fold's pair intersections append ("fold",) to, in call order."""
+    events = []
+    walk, intersect = localglobal.orbit_mod, localglobal._intersect_pair
 
-    def counting_orbit_mod(phi, start, m):
-        calls.append((m.p, m.k))
+    def recording_orbit_mod(phi, start, m):
+        events.append(("walk", m.p, m.k))
         return walk(phi, start, m)
 
-    monkeypatch.setattr(localglobal, "orbit_mod", counting_orbit_mod)
+    def recording_intersect(a, b, cap):
+        events.append(("fold",))
+        return intersect(a, b, cap)
+
+    monkeypatch.setattr(localglobal, "orbit_mod", recording_orbit_mod)
+    monkeypatch.setattr(localglobal, "_intersect_pair", recording_intersect)
+    return events
+
+
+def test_decide_walks_each_examined_modulus_once(monkeypatch):
+    # each examined modulus is walked at most once, in schedule order. The
+    # pinned family problem walks 5, 24, 575, whose crosses with the
+    # targets 0 and 3 are 5, 24, 575 and 2, 21, 572: all six moduli
+    # examined, 2 to 13, divide one, so none is walked before the fold,
+    # which walks 2, 3 and 5, empties at 5 and keeps the family {3, 5}
+    events = _recording_walks(monkeypatch)
     problem = _problem(
         "z^2-1", 5, [0, 3], day_steps=4, night_stages=3, height_bits=256
     )
     cert = decide(problem)
     assert [(ev.modulus.p, ev.modulus.k) for ev in cert.evidence] == [(3, 1), (5, 1)]
-    assert calls == [(p, k) for p, k, _ in cert.examined]
-    assert len(calls) == 6
+    assert cert.examined == tuple((p, 1, False) for p in (2, 3, 5, 7, 11, 13))
+    walks = [e[1:] for e in events if e[0] == "walk"]
+    assert walks == [(2, 1), (3, 1), (5, 1)]
+
+
+def test_decide_walks_every_modulus_of_an_exhausted_degree_one_run_once_in_the_fold(monkeypatch):
+    # z+1 from 1 against {0, inf}: every one of the 45 moduli of nine
+    # stages divides a cross of the walk 1, 2, ..., 257 with 0, so each is
+    # walked exactly once, in the fold, each walk followed by its fold step
+    events = _recording_walks(monkeypatch)
+    cert = decide(_problem("z+1", 1, [0, "inf"], night_stages=9))
+    assert cert.kind == "exhausted" and len(cert.examined) == 45
+    assert not any(empty for _, _, empty in cert.examined)
+    walked = [("walk", p, k) for p, k, _ in cert.examined]
+    assert events == [e for w in walked for e in (w, ("fold",))]
+
+
+def test_a_deferred_modulus_past_the_step_limit_is_never_walked(monkeypatch):
+    # with the modular step limit at 1, every orbit mod p^k that does not
+    # repeat at once raises. The walk 3, 8, 63, 3968 under z^2-1 meets the
+    # target 0 mod 2 and mod 3, so both are deferred unwalked, and the
+    # orbit mod 5, fixed at 3, settles the problem first. Walked in the
+    # stage loop, as before the deferral, the orbit mod 2 raises.
+    monkeypatch.setattr(orbit_module, "_MAX_MOD_STEPS", 1)
+    problem = _problem("z^2-1", 3, [0])
+    cert = decide(problem)
+    assert cert.examined == ((2, 1, False), (3, 1, False), (5, 1, True))
+    assert [str(ev.modulus) for ev in cert.evidence] == ["5"]
+    assert verify_certificate(problem, cert)
+    monkeypatch.setattr(localglobal, "_walk_meets", lambda points, targets: lambda m: False)
+    with pytest.raises(ValueError, match="the orbit mod 2 passes 1 steps"):
+        decide(problem)
 
 
 def _traced_peak(fn):
@@ -1282,6 +1327,36 @@ def test_unchecked_builders_change_no_certificate_or_verdict(monkeypatch):
     families = [ok for _, cert, ok in unchecked if len(cert.evidence) > 1]
     assert len(families) > 20 and all(families)
     assert {cert.kind for _, cert, _ in unchecked} == {"witness", "empty", "exhausted"}
+
+
+def test_moduli_the_exact_walk_meets_change_no_certificate(monkeypatch):
+    # decide defers, unwalked, each modulus at which a walked point meets a
+    # target (localglobal._walk_meets); with no modulus deferred, every
+    # modulus is walked as it is examined, and every certificate document,
+    # engine block included, is the same. Every examined flag is the
+    # emptiness of the modulus's own hit set. The first problem has the
+    # primes 3 to 43 excluded, so 2^2 is examined second: its walk 9, 81
+    # meets the target 3 mod 2 (crosses 6 and 78) but not mod 2^2, where
+    # the hit set is empty.
+    odd_primes = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43)
+
+    def run():
+        rng = random.Random(2727)
+        problems = [_problem("z^2", 9, [3], excluded=odd_primes)]
+        problems += [_random_problem(rng) for _ in range(300)]
+        problems += [_survey_problem(rng) for _ in range(200)]
+        return [(p, certificate_to_dict(p, decide(p))) for p in problems]
+
+    deferred = run()
+    for problem, doc in deferred:
+        for e in doc["engine"]["examined"]:
+            m = PrimePowerModulus(int(e["p"]), int(e["k"]))
+            assert e["hit_set_empty"] == localglobal._evidence(problem, m).hits.is_empty()
+    monkeypatch.setattr(localglobal, "_walk_meets", lambda points, targets: lambda m: False)
+    assert run() == deferred
+    kinds = {doc["kind"] for _, doc in deferred}
+    assert kinds == {"witness", "empty", "exhausted"}
+    assert sum(len(doc.get("moduli", ())) > 1 for _, doc in deferred) > 20
 
 
 def _engine_values(obj, out):
