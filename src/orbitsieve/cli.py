@@ -100,7 +100,7 @@ def _cmd_orbit(args) -> int:
     doc = {
         "status": "preperiodic" if summary.is_preperiodic else "truncated",
         "steps_done": str(summary.steps_done),
-        "points": [[str(p.x1), str(p.x2)] for p in summary.points],
+        "points": [[str(x1), str(x2)] for x1, x2 in summary.points],
     }
     lines = []
     if summary.is_preperiodic:
@@ -148,7 +148,7 @@ def _cmd_periodic(args) -> int:
     doc = {
         "period": str(args.period),
         "dynatomic_coefficients": [str(c) for c in form],
-        "points": [[str(p.x1), str(p.x2)] for p in pts],
+        "points": [[str(x1), str(x2)] for x1, x2 in pts],
     }
     body = ", ".join(format_point(p) for p in pts) or "(none)"
     lines = [

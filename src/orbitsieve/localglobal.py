@@ -18,8 +18,8 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass, fields
-from itertools import islice, starmap
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from itertools import islice
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .numtheory import good_primes, prime_set
 from .orbit import (
@@ -34,7 +34,6 @@ from .projective import (
     PointLike,
     PrimePowerModulus,
     ProjectivePoint,
-    _build,
     _pair_code,
     _residue_pair,
     normalize,
@@ -120,19 +119,17 @@ class DecisionProblem:
         budgets: Budgets = Budgets(),
     ) -> "DecisionProblem":
         """Normalize the start and the targets, and keep each target once,
-        in the order of its coordinate pair (x1, x2), which is the order of
-        the points. ValueError for an empty target set or an excluded entry
-        that is not prime."""
-        pts = {(pt.x1, pt.x2): pt for pt in map(normalize, targets)}
-        if not pts:
+        in the order of the points, that of their coordinate pairs (x1, x2).
+        ValueError for an empty target set or an excluded entry that is not
+        prime."""
+        tset = tuple(sorted(set(map(normalize, targets))))
+        if not tset:
             raise ValueError("the target set must be nonempty")
-        tset = tuple(map(pts.__getitem__, sorted(pts)))
         banned = prime_set(excluded_primes)
         return cls(phi, normalize(start), tset, banned, budgets)
 
 
-@dataclass(frozen=True, slots=True)
-class ModulusEvidence:
+class ModulusEvidence(NamedTuple):
     """One modulus worth of night-side computation, self-contained."""
 
     orbit: ModOrbit
@@ -206,7 +203,7 @@ def _intersect_pair(a: HitSet, b: HitSet, cap: int) -> HitSet:
     ra + ca * t with t = (rb - ra) / g * inverse mod cb / g, which lies in
     [0, lcm(ca, cb)) because ra < ca and t < cb / g. Both index lists of
     the result are strictly increasing and within their bounds, so it is
-    built without HitSet's checks (projective._build).
+    built without HitSet's checks, by tuple.__new__.
     """
     ca, cb = a.cycle_length, b.cycle_length
     g = math.gcd(ca, cb)
@@ -223,7 +220,7 @@ def _intersect_pair(a: HitSet, b: HitSet, cap: int) -> HitSet:
         for ra in a.residues for rb in b.residues if (rb - ra) % g == 0
     }))
     both = [n for n in range(t) if a.contains(n) and b.contains(n)] if t else ()
-    return _build(HitSet, t, tuple(both), c, residues)
+    return tuple.__new__(HitSet, (t, tuple(both), c, residues))
 
 
 def _evidence(problem: DecisionProblem, m: PrimePowerModulus) -> ModulusEvidence:
@@ -246,7 +243,7 @@ def _walk_meets(
     exactly when it divides one of them: one % per prime. p^k dividing the
     product does not show that it divides one cross, so each is tested.
     """
-    crosses = [x.x1 * t.x2 - x.x2 * t.x1 for x in points for t in targets]
+    crosses = [x1 * t2 - x2 * t1 for x1, x2 in points for t1, t2 in targets]
     product = math.prod(crosses)
     return lambda m: product % m.p == 0 and (
         m.k == 1 or any(c % m.modulus == 0 for c in crosses)
@@ -594,12 +591,13 @@ def verify_certificate(problem: DecisionProblem, cert: Certificate) -> bool:
 
 
 def _pt(p: ProjectivePoint) -> list[str]:
-    return [str(p.x1), str(p.x2)]
+    x1, x2 = p
+    return [str(x1), str(x2)]
 
 
 def _unpt(v: Sequence[str]) -> ProjectivePoint:
     a, b = v
-    return ProjectivePoint.read(int(a), int(b))
+    return ProjectivePoint(int(a), int(b))
 
 
 def problem_to_dict(problem: DecisionProblem) -> dict:
@@ -643,17 +641,16 @@ def problem_from_dict(doc: dict) -> DecisionProblem:
         raise ValueError("the map is not stored as RationalMap.make gives it")
     b = doc["budgets"]
     budgets = Budgets(*[int(b[name]) for name in _BUDGET_NAMES])
-    pairs = [(int(x1), int(x2)) for x1, x2 in doc["targets"]]
-    if not pairs:
+    targets = list(map(_unpt, doc["targets"]))
+    if not targets:
         raise ValueError("the target set must be nonempty")
-    if sorted(set(pairs)) != pairs:
+    if sorted(set(targets)) != targets:
         raise ValueError("the targets are not sorted and distinct")
-    targets = tuple(starmap(ProjectivePoint.read, pairs))
     excluded = list(map(int, doc["excluded_primes"]))
     banned = prime_set(excluded)
     if sorted(banned) != excluded:
         raise ValueError("the excluded primes are not sorted and distinct")
-    return DecisionProblem(phi, _unpt(doc["start"]), targets, banned, budgets)
+    return DecisionProblem(phi, _unpt(doc["start"]), tuple(targets), banned, budgets)
 
 
 def _orbit_summary_to_dict(o: OrbitSummary) -> dict:

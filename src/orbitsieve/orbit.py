@@ -5,20 +5,22 @@ set of indices n with phi^n(start) == target mod p^k decomposes into a
 finite exceptional set below the tail length plus a union of residue
 classes modulo the cycle length. HitSet captures exactly that. A point mod
 p^k is its int code (projective._residue_code) from orbit_mod through
-hit_set; pairs are for callers that read or write points.
+hit_set; pairs are for callers that read or write points. Like points,
+the values here are named tuples: HitSet checks its form in its
+constructor, and the engine builds the hit sets it computes without the
+checks, by tuple.__new__(HitSet, fields).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import islice
-from typing import Collection, Iterable, Optional
+from typing import Collection, Iterable, NamedTuple, Optional
 
 from .projective import (
     PointLike,
     PrimePowerModulus,
     ProjectivePoint,
-    _build,
     _residue_code,
     normalize,
     reduce_mod,  # unused here; bench/tracing.py resolves it from this module
@@ -35,8 +37,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class OrbitSummary:
+class OrbitSummary(NamedTuple):
     """Prefix of a rational forward orbit; points[0] is the start.
 
     stop says how the walk ended, at points[-1], after steps_done
@@ -69,7 +70,8 @@ class OrbitSummary:
 
 def _height(pt: ProjectivePoint) -> int:
     """H(pt) = max(|x1|, |x2|) of a normalized point."""
-    return max(abs(pt.x1), abs(pt.x2))
+    x1, x2 = pt
+    return max(abs(x1), abs(x2))
 
 
 def orbit_rational(
@@ -102,13 +104,13 @@ def orbit_rational(
     Otherwise the walk ends with "budget" after max_steps evaluations, or
     with "height" where the next iterate would pass `height_bits`.
 
-    One dict holds the stop points and the points walked, keyed by their
-    coordinate pairs, so each point is hashed once for both tests. Escape
-    is not tested for a degree-one map, which never proves it.
+    One dict holds the stop points and the points walked, so each point is
+    hashed once for both tests. Escape is not tested for a degree-one map,
+    which never proves it.
     """
     points: list[ProjectivePoint] = []
-    # coordinate pairs: -1 for a stop point, else the index of a walked point
-    seen = dict.fromkeys([(t.x1, t.x2) for t in stop_at], -1)
+    # -1 for a stop point, else the index of a walked point
+    seen = dict.fromkeys(stop_at, -1)
     escape = escape_from is not None and phi.degree >= 2
     top = max(map(_height, stop_at), default=0)
     stop = "budget"
@@ -116,7 +118,7 @@ def orbit_rational(
         for pt in islice(orbit_points(phi, start, height_bits), max_steps + 1):
             n = len(points)
             points.append(pt)
-            tail = seen.setdefault((pt.x1, pt.x2), n)
+            tail = seen.setdefault(pt, n)
             if tail < 0:
                 stop = "target"
                 break
@@ -135,8 +137,7 @@ def orbit_rational(
     return OrbitSummary(tuple(points), stop, steps_done=len(points) - 1)
 
 
-@dataclass(frozen=True, slots=True)
-class ModOrbit:
+class ModOrbit(NamedTuple):
     """The full eventual-period decomposition of an orbit mod p^k.
 
     sequence lists the int codes (projective._residue_code) of the distinct
@@ -179,8 +180,7 @@ def orbit_mod(phi: RationalMap, start: PointLike, m: PrimePowerModulus) -> ModOr
     and iteration do not commute.
     """
     n = m.modulus
-    pt = normalize(start)
-    cur = _residue_code(pt.x1, pt.x2, m.p, n)
+    cur = _residue_code(*normalize(start), m.p, n)
     seq = [cur]
     seen = {cur}
     add, append = seen.add, seq.append
@@ -201,34 +201,38 @@ def orbit_mod(phi: RationalMap, start: PointLike, m: PrimePowerModulus) -> ModOr
     return ModOrbit(m, tail, len(seq) - tail, tuple(seq))
 
 
-@dataclass(frozen=True, slots=True)
-class HitSet:
+class HitSet(namedtuple("HitSet", "threshold exceptional cycle_length residues")):
     """Indices n with phi^n(start) in the reduced target set, mod p^k.
 
     Exact description: n is a hit iff (n < threshold and n in exceptional)
     or (n >= threshold and n mod cycle_length in residues). Both index lists
     are strictly increasing tuples, exceptional inside [0, threshold) and
     residues inside [0, cycle_length), and cycle_length >= 1; so a hit set
-    has one form, and so has the certificate that stores it.
+    has one form, and so has the certificate that stores it. The
+    constructor checks that form: TypeError for index lists that are not
+    tuples, ValueError for the rest.
     """
 
-    threshold: int
-    exceptional: tuple[int, ...]
-    cycle_length: int
-    residues: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.cycle_length < 1:
+    def __new__(
+        cls,
+        threshold: int,
+        exceptional: tuple[int, ...],
+        cycle_length: int,
+        residues: tuple[int, ...],
+    ) -> "HitSet":
+        if cycle_length < 1:
             raise ValueError("cycle length must be positive")
-        for indices, bound in (
-            (self.exceptional, self.threshold),
-            (self.residues, self.cycle_length),
-        ):
+        for indices, bound in ((exceptional, threshold), (residues, cycle_length)):
+            if type(indices) is not tuple:
+                raise TypeError("hit set indices must be a tuple")
             last = -1
             for n in indices:
                 if not last < n < bound:
                     raise ValueError(f"indices must increase strictly below {bound}")
                 last = n
+        return tuple.__new__(cls, (threshold, exceptional, cycle_length, residues))
 
     def contains(self, n: int) -> bool:
         if n < 0:
@@ -251,13 +255,13 @@ def hit_set(orb: ModOrbit, targets: Iterable[ProjectivePoint]) -> HitSet:
     over the sequence finds the codes that occur, and each of those few is
     then looked up by its index. Both index lists come out strictly
     increasing and within their bounds, so the hit set is built without
-    HitSet's checks (projective._build).
+    HitSet's checks, by tuple.__new__.
     """
     p = orb.modulus.p
     n = orb.modulus.modulus
-    codes = {_residue_code(pt.x1, pt.x2, p, n) for pt in targets}
+    codes = {_residue_code(x1, x2, p, n) for x1, x2 in targets}
     seq, tail, cycle = orb.sequence, orb.tail, orb.cycle
     hits = sorted(map(seq.index, codes.intersection(seq)))
     exceptional = tuple([i for i in hits if i < tail])
     residues = tuple(sorted([i % cycle for i in hits if i >= tail]))
-    return _build(HitSet, tail, exceptional, cycle, residues)
+    return tuple.__new__(HitSet, (tail, exceptional, cycle, residues))

@@ -1,8 +1,11 @@
 """Points of the projective line over Q and over prime-power residue rings.
 
-Rational points are stored in normalized integer coordinates [x1 : x2] with
-gcd(x1, x2) = 1 and the last nonzero coordinate positive, so equality is
-plain tuple equality. A point of P^1(Z/p^k) is its canonical (c1, c2)
+Rational points are named tuples of normalized integer coordinates
+[x1 : x2] with gcd(x1, x2) = 1 and the last nonzero coordinate positive,
+so equality is plain tuple equality. Like the engine's other values (hit
+sets, modular orbits), a point the engine computes is built by one
+unchecked rule, tuple.__new__(cls, fields), and one read from outside by
+the checking constructor. A point of P^1(Z/p^k) is its canonical (c1, c2)
 int pair (see canonical_residue), or inside the night-side loops one int
 that codes the pair (see _residue_code); the modulus travels separately.
 Distances at a finite prime are kept exact as valuation exponents rather
@@ -12,6 +15,7 @@ than floats.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Union
@@ -37,47 +41,28 @@ __all__ = [
 PointLike = Union["ProjectivePoint", int, Fraction, str, tuple]
 
 
-# module globals, which _build's loop looks up faster than object's attributes
-_new = object.__new__
-_store = object.__setattr__
+class ProjectivePoint(namedtuple("ProjectivePoint", "x1 x2")):
+    """A point of P^1(Q) in normalized coprime integer coordinates.
 
-
-def _build(cls, *values):
-    """An instance of the slotted frozen dataclass cls whose fields, in
-    order, hold values: built without __init__, and so without the checks
-    of __post_init__.
-
-    The one path by which the engine builds the points and hit sets it
-    computes itself, whose invariants hold by construction. Values read
-    from outside the program, such as those of a certificate, go through
-    the checking constructor or, as in ProjectivePoint.read, through its
-    checks first.
+    A named tuple, so it hashes, compares and sorts as its pair (x1, x2).
+    The constructor raises ValueError for a pair out of normal form: it
+    builds the points read from outside the program, such as the stored
+    points of a certificate, which are rejected rather than normalized.
+    Points the engine computes are in normal form by construction and are
+    built without the checks, by tuple.__new__(ProjectivePoint, (x1, x2)).
     """
-    obj = _new(cls)
-    for name, value in zip(cls.__slots__, values):
-        _store(obj, name, value)  # as the frozen __init__ does
-    return obj
 
+    __slots__ = ()
 
-@dataclass(frozen=True, order=True, slots=True)
-class ProjectivePoint:
-    """A point of P^1(Q) in normalized coprime integer coordinates."""
-
-    x1: int
-    x2: int
-
-    def __post_init__(self):
-        _check_normal(self.x1, self.x2)
-
-    @classmethod
-    def read(cls, x1: int, x2: int) -> "ProjectivePoint":
-        """The point (x1 : x2), which must already be in normal form:
-        ValueError otherwise, as from the constructor, whose checks it runs
-        without the dataclass __init__. For points read from outside the
-        program, such as the stored points of a certificate, which are
-        rejected rather than normalized."""
-        _check_normal(x1, x2)
-        return _build(cls, x1, x2)
+    def __new__(cls, x1: int, x2: int) -> "ProjectivePoint":
+        # gcd 1 rules out (0, 0), whose gcd is 0
+        if math.gcd(x1, x2) != 1:
+            if x1 == 0 and x2 == 0:
+                raise ValueError("(0, 0) is not a projective point")
+            raise ValueError("coordinates must be coprime")
+        if (x2 or x1) < 0:
+            raise ValueError("last nonzero coordinate must be positive")
+        return tuple.__new__(cls, (x1, x2))
 
     @property
     def is_infinity(self) -> bool:
@@ -92,17 +77,6 @@ class ProjectivePoint:
         return format_point(self)
 
 
-def _check_normal(x1: int, x2: int) -> None:
-    """ValueError unless (x1, x2) is in normal form: gcd 1 (which rules out
-    (0, 0), whose gcd is 0), and the last nonzero coordinate positive."""
-    if math.gcd(x1, x2) != 1:
-        if x1 == 0 and x2 == 0:
-            raise ValueError("(0, 0) is not a projective point")
-        raise ValueError("coordinates must be coprime")
-    if (x2 or x1) < 0:
-        raise ValueError("last nonzero coordinate must be positive")
-
-
 INFINITY = ProjectivePoint(1, 0)
 ZERO = ProjectivePoint(0, 1)
 
@@ -113,14 +87,14 @@ def normalize(value: PointLike) -> ProjectivePoint:
     An int v is (v : 1) and a Fraction is (numerator : denominator), both
     in normal form already (a Fraction is kept in lowest terms with a
     positive denominator), so both are built without the constructor's
-    checks.
+    checks. int(v) stores a bool as the plain int it stands for.
     """
     if isinstance(value, ProjectivePoint):
         return value
     if isinstance(value, int):
-        return _build(ProjectivePoint, value, 1)
+        return tuple.__new__(ProjectivePoint, (int(value), 1))
     if isinstance(value, Fraction):
-        return _build(ProjectivePoint, value.numerator, value.denominator)
+        return tuple.__new__(ProjectivePoint, (value.numerator, value.denominator))
     if isinstance(value, str):
         return parse_point(value)
     if isinstance(value, tuple) and len(value) == 2:
@@ -136,7 +110,7 @@ def _from_pair(a: int, b: int) -> ProjectivePoint:
         raise ValueError("(0, 0) is not a projective point")
     if (b or a) < 0:
         g = -g
-    return _build(ProjectivePoint, a // g, b // g)
+    return tuple.__new__(ProjectivePoint, (a // g, b // g))
 
 
 def _number_text(text: str) -> str:
@@ -326,5 +300,4 @@ def reduce_mod(x: PointLike, m: PrimePowerModulus) -> tuple[int, int]:
     Well-defined for every rational point: normalized coordinates are coprime,
     so at least one survives as a unit mod p.
     """
-    pt = normalize(x)
-    return canonical_residue(pt.x1, pt.x2, m)
+    return canonical_residue(*normalize(x), m)

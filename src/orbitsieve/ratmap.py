@@ -35,7 +35,6 @@ from .projective import (
     PrimePowerModulus,
     ProjectivePoint,
     ZERO,
-    _build,
     _residue_code,
     _residue_pair,
     normalize,
@@ -429,7 +428,8 @@ class RationalMap:
         reads 0 >= L there, and L >= 2.
         """
         d = self.degree
-        bits = max(abs(pt.x1).bit_length(), abs(pt.x2).bit_length())
+        x1, x2 = pt
+        bits = max(abs(x1).bit_length(), abs(x2).bit_length())
         return (d - 1) * (bits - 1) >= self.height_loss_bits
 
     def bad_primes(
@@ -461,13 +461,14 @@ class RationalMap:
         divides R. So the common factor of the image coordinates is exactly
         gcd(R, G(x), F(x)), a gcd against the small resultant rather than
         between the two big coordinates, and dividing by it leaves them
-        coprime. R != 0 (make rejects it), so the image is never (0, 0).
+        coprime. R != 0 (make rejects it), so the image is never (0, 0),
+        and it is built without ProjectivePoint's checks.
 
         F(x) and G(x) are summed in one Horner pass in x1 over the
         coefficient pairs of _pairs, sharing one running power of x2.
         """
         pt = x if type(x) is ProjectivePoint else normalize(x)
-        x1, x2 = pt.x1, pt.x2
+        x1, x2 = pt
         a, b, pairs = self._pairs
         x2_pow = 1
         for cf, cg in pairs:
@@ -482,7 +483,7 @@ class RationalMap:
             b //= g
         if (b if b != 0 else a) < 0:
             a, b = -a, -b
-        return _build(ProjectivePoint, a, b)
+        return tuple.__new__(ProjectivePoint, (a, b))
 
     def evaluate_mod(
         self, r: tuple[int, int], m: PrimePowerModulus
@@ -614,7 +615,8 @@ def orbit_points(
     yield pt
     while True:
         pt = phi.evaluate(pt)
-        bits = max(abs(pt.x1).bit_length(), abs(pt.x2).bit_length())
+        x1, x2 = pt
+        bits = max(abs(x1).bit_length(), abs(x2).bit_length())
         if bits > height_bits:
             raise HeightBudgetError(last, height_bits)
         last += 1

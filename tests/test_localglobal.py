@@ -2,17 +2,21 @@
 search, certificates and their verification, serialization, the degree
 one demonstration, and the Newton place reports."""
 
+import collections
+import copy
 import dataclasses
 import functools
 import hashlib
 import json
 import math
+import pickle
 import random
 import sys
 import threading
 import time
 import tracemalloc
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 
@@ -42,13 +46,14 @@ from orbitsieve.projective import (
     INFINITY,
     PrimePowerModulus,
     ProjectivePoint,
-    _build,
     normalize,
+    parse_point,
 )
 from orbitsieve.ratmap import (
     DegenerateMapError,
     RationalMap,
     newton_place_report,
+    orbit_points,
     parse_map,
 )
 
@@ -1294,9 +1299,10 @@ def _survey_problem(rng):
 def test_unchecked_builders_change_no_certificate_or_verdict(monkeypatch):
     # normalize (of ints, Fractions and coordinate pairs),
     # RationalMap.evaluate, hit_set and the hit-set fold build their points
-    # and hit sets without the constructors' checks (projective._build);
-    # built by the checking constructors instead, every problem,
-    # certificate and verdict is the same, and no check refuses one
+    # and hit sets without the constructors' checks, by tuple.__new__; with
+    # each of their results rebuilt by the checking constructor instead,
+    # every problem, certificate and verdict is the same, and no check
+    # refuses one
     def pair(pt):
         # coordinates times -2, which _from_pair divides out
         return (-2 * pt.x1, -2 * pt.x2)
@@ -1315,15 +1321,33 @@ def test_unchecked_builders_change_no_certificate_or_verdict(monkeypatch):
         return out
 
     unchecked = run()
-    checked = lambda cls, *values: cls(*values)  # noqa: E731
-    binders = [
-        module for name, module in sys.modules.items()
-        if name.startswith("orbitsieve") and getattr(module, "_build", None) is _build
+    calls = collections.Counter()
+
+    def checked(name, builder):
+        def rebuilt(*args):
+            calls[name] += 1
+            out = builder(*args)
+            return type(out)(*out)
+        return rebuilt
+
+    builders = [
+        (module, "normalize") for name, module in sys.modules.items()
+        if name.startswith("orbitsieve")
+        and getattr(module, "normalize", None) is projective_module.normalize
     ]
-    assert {projective_module, ratmap_module, orbit_module, localglobal} <= set(binders)
-    for module in binders:
-        monkeypatch.setattr(module, "_build", checked)
+    assert {projective_module, ratmap_module, orbit_module, localglobal} <= {
+        module for module, _ in builders
+    }
+    builders += [
+        (projective_module, "_from_pair"),
+        (ratmap_module.RationalMap, "evaluate"),
+        (localglobal, "hit_set"),
+        (localglobal, "_intersect_pair"),
+    ]
+    for owner, name in builders:
+        monkeypatch.setattr(owner, name, checked(name, getattr(owner, name)))
     assert run() == unchecked
+    assert set(calls) == {"normalize", "_from_pair", "evaluate", "hit_set", "_intersect_pair"}
     families = [ok for _, cert, ok in unchecked if len(cert.evidence) > 1]
     assert len(families) > 20 and all(families)
     assert {cert.kind for _, cert, _ in unchecked} == {"witness", "empty", "exhausted"}
@@ -1399,6 +1423,120 @@ def test_engine_values_are_slotted_without_an_instance_dict(monkeypatch):
     for cls in kinds:
         assert "__slots__" in vars(cls)
     assert not [v for v in values if hasattr(v, "__dict__")]
+
+
+def _normal_pairs(rng, n):
+    """n normalized coordinate pairs: 0, inf, 1 and -1, then random ones of
+    up to 300 bits, negative ones included."""
+    pairs = [(0, 1), (1, 0), (1, 1), (-1, 1)]
+    while len(pairs) < n:
+        a = rng.choice((1, -1)) * rng.getrandbits(rng.choice((3, 20, 300)))
+        b = rng.getrandbits(rng.choice((3, 20, 300)))
+        g = math.gcd(a, b) if b else a  # b == 0: the pair (1, 0)
+        if g:
+            pairs.append((a // g, b // g))
+    return pairs
+
+
+def test_points_and_hit_sets_behave_as_checked_tuples():
+    rng = random.Random(28)
+    pairs = _normal_pairs(rng, 2000)
+    pts = [ProjectivePoint(*pair) for pair in pairs]
+    # points hash, compare and sort as their coordinate pairs, so sets of
+    # them iterate, and lists of them sort, in the order of the pairs
+    assert [hash(pt) for pt in pts] == [hash(pair) for pair in pairs]
+    for i, (pt, pair) in enumerate(zip(pts, pairs)):
+        qt, qair = pts[i - 1], pairs[i - 1]
+        assert (pt == qt, pt < qt, pt > qt) == (pair == qair, pair < qair, pair > qair)
+    assert list(map(tuple, sorted(pts))) == sorted(pairs)
+    assert list(map(tuple, set(pts))) == list(set(pairs))
+
+    # every builder returns exactly a ProjectivePoint or a HitSet
+    built = [parse_point(str(pt)) for pt in pts[:200]]
+    built += [parse_point(f"[{-3 * a}:{-3 * b}]") for a, b in pairs[:200]]
+    built += [normalize(pair) for pair in pairs[:200]]
+    built += [normalize((-2 * a, -2 * b)) for a, b in pairs[:200]]
+    built += [normalize(str(pt)) for pt in pts[:200]]
+    built += [normalize(a) for a, _ in pairs[:200]]
+    built += [normalize(Fraction(a, b)) for a, b in pairs[:200] if b]
+    phi = parse_map("(z^2-3)/(2z+5)")
+    built += [phi.evaluate(pt) for pt in pts[:200]]
+    built += list(islice(orbit_points(phi, pts[2]), 12))
+    assert {type(pt) for pt in built} == {ProjectivePoint}
+    problem = _problem("z^2-1", 5, [0, 3], day_steps=4, night_stages=3, height_bits=256)
+    orbits = [orbit_mod(problem.phi, problem.start, PrimePowerModulus(p, 1)) for p in (3, 5)]
+    hits = [hit_set(orb, problem.targets) for orb in orbits]
+    hits.append(localglobal._intersect_pair(*hits, 10 ** 7))
+    assert {type(hs) for hs in hits} == {HitSet}
+    decoded, cert = certificate_from_dict(certificate_to_dict(problem, decide(problem)))
+    assert len(cert.evidence) == 2
+    assert {type(ev.hits) for ev in cert.evidence} == {HitSet}
+    assert {type(pt) for pt in (decoded.start,) + decoded.targets} == {ProjectivePoint}
+    closed = _problem("z^2-1", 0, [5])
+    _, cert = certificate_from_dict(certificate_to_dict(closed, decide(closed)))
+    assert {type(pt) for pt in cert.finite_orbit.points} == {ProjectivePoint}
+
+    # the constructors still check, and so do pickle and deepcopy, which
+    # build through them
+    for pair in ((2, 4), (0, 0), (1, -1), (-1, 0)):
+        with pytest.raises(ValueError):
+            ProjectivePoint(*pair)
+    for fields in ((2, (1, 0), 3, ()), (0, (), 0, ()), (0, (), 6, (6,)), (1, (1,), 2, ())):
+        with pytest.raises(ValueError):
+            HitSet(*fields)
+    with pytest.raises(TypeError):
+        HitSet(0, (), 6, [1, 3])
+    for value in pts[:50] + hits:
+        for copied in (pickle.loads(pickle.dumps(value)), copy.deepcopy(value)):
+            assert type(copied) is type(value) and copied == value
+    for unchecked in (
+        tuple.__new__(ProjectivePoint, (2, 4)),
+        tuple.__new__(HitSet, (0, (), 6, (6,))),
+    ):
+        with pytest.raises(ValueError):
+            pickle.loads(pickle.dumps(unchecked))
+        with pytest.raises(ValueError):
+            copy.deepcopy(unchecked)
+
+
+def test_a_bool_start_is_stored_as_the_int_it_stands_for():
+    # normalize(True) is the point 1, with the plain int 1 as its first
+    # coordinate: the certificate stores "1", decodes and verifies
+    problem = DecisionProblem.make(parse_map("z^2-1"), True, [5])
+    assert problem.start == ProjectivePoint(1, 1) and type(problem.start.x1) is int
+    cert = decide(problem)
+    doc = certificate_to_dict(problem, cert)
+    assert doc["problem"]["start"] == ["1", "1"]
+    assert certificate_from_dict(json.loads(json.dumps(doc))) == (problem, cert)
+    assert verify_certificate(problem, cert)
+
+
+# sha256 of certificate_to_dict's JSON for the 300 survey-shaped problems of
+# seed 28 below, pinned while points and hit sets were still dataclasses:
+# it changes with any change of set or sort order in decide.
+PINNED_SURVEY_CERTIFICATES_SHA256 = (
+    "750903cb43e82d8a86f215fc999b6ef6cd34a6b01dab902ac5d4417b2e21c40a"
+)
+
+
+def test_survey_certificate_bytes_match_their_pinned_digest():
+    rng = random.Random(28)
+    digest = hashlib.sha256()
+    kinds = collections.Counter()
+    for _ in range(300):
+        problem = _survey_problem(rng)
+        doc = certificate_to_dict(problem, decide(problem))
+        kinds[doc["kind"], "finite_orbit" in doc, len(doc.get("moduli", ())) > 1] += 1
+        digest.update(json.dumps(doc).encode())
+    assert digest.hexdigest() == PINNED_SURVEY_CERTIFICATES_SHA256
+    # the problems reach every kind of certificate, families included
+    assert set(kinds) >= {
+        ("witness", False, False),
+        ("empty", True, False),
+        ("empty", False, False),
+        ("empty", False, True),
+        ("exhausted", False, False),
+    }, kinds
 
 
 def test_random_certificates_survive_the_json_round_trip():

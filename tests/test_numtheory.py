@@ -374,11 +374,11 @@ def test_factorization_type_validates():
 
 def test_residue_class_set():
     # The periodic part of a hit set: the residue classes mod its cycle length.
-    hs = HitSet(0, frozenset(), 6, (1, 3))
+    hs = HitSet(0, (), 6, (1, 3))
     assert [n for n in range(14) if hs.contains(n)] == [1, 3, 7, 9, 13]
     assert len(hs.residues) == 2
     assert not hs.is_empty()
-    assert HitSet(0, frozenset(), 4, ()).is_empty()
+    assert HitSet(0, (), 4, ()).is_empty()
     for cycle, residues in ((4, (4,)), (4, (-1,)), (4, (2, 1)), (4, (1, 1)), (0, ())):
         with pytest.raises(ValueError):
-            HitSet(0, frozenset(), cycle, residues)
+            HitSet(0, (), cycle, residues)

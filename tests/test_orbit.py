@@ -575,8 +575,12 @@ def test_hit_set_matches_a_pair_based_reference():
 
 
 def test_hit_set_validation():
+    with pytest.raises(ValueError, match="below 1"):
+        HitSet(1, (2,), 2, ())  # exceptional index past the threshold
+    assert not HitSet(1, (0,), 4, ()).is_empty()
     with pytest.raises(ValueError):
-        HitSet(1, frozenset({2}), 2, ())  # exceptional index past the threshold
-    assert not HitSet(1, frozenset({0}), 4, ()).is_empty()
-    with pytest.raises(ValueError):
-        HitSet(0, frozenset(), 6, (1, 3)).contains(-1)
+        HitSet(0, (), 6, (1, 3)).contains(-1)
+    # both index lists in the one form the engine builds: tuples
+    for exceptional, residues in ((frozenset(), (1, 3)), ((), [1, 3]), ([], ())):
+        with pytest.raises(TypeError):
+            HitSet(0, exceptional, 6, residues)

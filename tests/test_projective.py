@@ -80,6 +80,11 @@ def test_normalize_of_ints_and_fractions_matches_the_constructor():
         pt = normalize(f)
         assert type(pt) is ProjectivePoint
         assert pt == ProjectivePoint(f.numerator, f.denominator)
+    # a bool is stored as the plain int it stands for, not printed as one
+    for v in (True, False):
+        pt = normalize(v)
+        assert type(pt.x1) is int and pt == (int(v), 1)
+        assert format_point(pt) == str(int(v))
 
 
 def test_parse_and_format_round_trip():
