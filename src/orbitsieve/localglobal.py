@@ -17,9 +17,9 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass, fields
+from collections import namedtuple
 from itertools import islice
-from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .numtheory import good_primes, prime_set
 from .orbit import (
@@ -72,9 +72,8 @@ class CycleBlowupError(RuntimeError):
         super().__init__(f"cycle lcm {value} exceeds the cap {cap}")
 
 
-@dataclass(frozen=True)
-class Budgets:
-    """Resource limits for one decide() run, all positive.
+class Budgets(namedtuple("Budgets", "day_steps night_stages height_bits cycle_lcm_cap")):
+    """Resource limits for one decide() run, all positive ints.
 
     day_steps caps the evaluations of the exact walk and height_bits the
     size of its coordinates; night_stages is the number of stages of the
@@ -82,32 +81,42 @@ class Budgets:
     in decide's fold, the first one included, and so of their intersection.
     verify_certificate re-walks the exact orbit under the same day_steps
     and height_bits, and folds under the same cycle_lcm_cap.
+
+    A named tuple whose constructor checks every value: a bool is stored as
+    the int it stands for, any other value that is not an int raises
+    TypeError, and one below 1 ValueError. Pickling and copying rebuild
+    through the same checks.
     """
 
-    day_steps: int = 256
-    night_stages: int = 12
-    height_bits: int = DEFAULT_HEIGHT_BITS
-    cycle_lcm_cap: int = 10 ** 7
+    __slots__ = ()
 
-    def __post_init__(self):
-        for name in _BUDGET_NAMES:
-            if getattr(self, name) < 1:
+    def __new__(
+        cls,
+        day_steps: int = 256,
+        night_stages: int = 12,
+        height_bits: int = DEFAULT_HEIGHT_BITS,
+        cycle_lcm_cap: int = 10 ** 7,
+    ) -> "Budgets":
+        values = day_steps, night_stages, height_bits, cycle_lcm_cap
+        for name, value in zip(cls._fields, values):
+            if not isinstance(value, int):
+                raise TypeError(f"budget {name} must be an int, not {value!r}")
+            if value < 1:
                 raise ValueError(f"budget {name} must be positive")
+        return tuple.__new__(cls, map(int, values))
 
 
-# the field names of Budgets, in order, read once rather than per instance
-_BUDGET_NAMES = tuple(f.name for f in fields(Budgets))
+class DecisionProblem(
+    namedtuple(
+        "DecisionProblem",
+        "phi start targets excluded_primes budgets",
+        defaults=(frozenset(), Budgets()),
+    )
+):
+    """A map, a start point, a finite target set (a tuple of points), the
+    excluded primes (a frozenset) and the budgets."""
 
-
-@dataclass(frozen=True)
-class DecisionProblem:
-    """A map, a start point, a finite target set, and excluded primes."""
-
-    phi: RationalMap
-    start: ProjectivePoint
-    targets: tuple[ProjectivePoint, ...]
-    excluded_primes: frozenset[int] = frozenset()
-    budgets: Budgets = Budgets()
+    __slots__ = ()
 
     @classmethod
     def make(
@@ -129,19 +138,25 @@ class DecisionProblem:
         return cls(phi, normalize(start), tset, banned, budgets)
 
 
-class ModulusEvidence(NamedTuple):
-    """One modulus worth of night-side computation, self-contained."""
+class ModulusEvidence(namedtuple("ModulusEvidence", "orbit hits")):
+    """One modulus worth of night-side computation, self-contained: the
+    ModOrbit of the start and its HitSet on the targets."""
 
-    orbit: ModOrbit
-    hits: HitSet
+    __slots__ = ()
 
     @property
     def modulus(self) -> PrimePowerModulus:
         return self.orbit.modulus
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(
+    namedtuple(
+        "Certificate",
+        "kind witness_index finite_orbit evidence day_steps_done "
+        "night_stages_done day_status examined skipped warnings",
+        defaults=(None, None, (), 0, 0, "running", (), (), ()),
+    )
+):
     """Outcome of decide(): witness, empty, or exhausted.
 
     kind "witness": witness_index holds the meeting index.
@@ -151,18 +166,11 @@ class Certificate:
     intersection (a single modulus with an empty hit set is the common
     special case).
     kind "exhausted": budgets ran out; carries no claim either way.
+    The engine's record: examined holds (p, k, hit set empty) triples,
+    skipped (p, k, reason) triples, and warnings strings.
     """
 
-    kind: str
-    witness_index: Optional[int] = None
-    finite_orbit: Optional[OrbitSummary] = None
-    evidence: tuple[ModulusEvidence, ...] = ()
-    day_steps_done: int = 0
-    night_stages_done: int = 0
-    day_status: str = "running"
-    examined: tuple[tuple[int, int, bool], ...] = ()
-    skipped: tuple[tuple[int, int, str], ...] = ()
-    warnings: tuple[str, ...] = ()
+    __slots__ = ()
 
     @property
     def is_definitive(self) -> bool:
@@ -225,8 +233,9 @@ def _intersect_pair(a: HitSet, b: HitSet, cap: int) -> HitSet:
 
 def _evidence(problem: DecisionProblem, m: PrimePowerModulus) -> ModulusEvidence:
     """The orbit of the start mod m and its hit set on the targets."""
-    orb = orbit_mod(problem.phi, problem.start, m)
-    return ModulusEvidence(orb, hit_set(orb, problem.targets))
+    phi, start, targets, _, _ = problem
+    orb = orbit_mod(phi, start, m)
+    return ModulusEvidence(orb, hit_set(orb, targets))
 
 
 def _walk_meets(
@@ -245,9 +254,12 @@ def _walk_meets(
     """
     crosses = [x1 * t2 - x2 * t1 for x1, x2 in points for t1, t2 in targets]
     product = math.prod(crosses)
-    return lambda m: product % m.p == 0 and (
-        m.k == 1 or any(c % m.modulus == 0 for c in crosses)
-    )
+
+    def meets(m: PrimePowerModulus) -> bool:
+        p, k, n = m
+        return product % p == 0 and (k == 1 or any(c % n == 0 for c in crosses))
+
+    return meets
 
 
 def _cost(p: int, k: int) -> int:
@@ -329,12 +341,13 @@ def _stages(
                 order = _cost_order(2 * i)
             m = order[i]
             i += 1
-            if m.p in passed:
+            p, k, _ = m
+            if p in passed:
                 continue
-            if m.k == 1 and (m.p in excluded or not phi.is_good_prime(m.p)):
-                passed.add(m.p)
-                reason = "excluded" if m.p in excluded else "bad reduction"
-                skips.append((m.p, 0, reason))
+            if k == 1 and (p in excluded or not phi.is_good_prime(p)):
+                passed.add(p)
+                reason = "excluded" if p in excluded else "bad reduction"
+                skips.append((p, 0, reason))
                 continue
             stage.append(m)
         yield stage
@@ -455,13 +468,14 @@ def decide(problem: DecisionProblem, jobs: int = 1) -> Certificate:
     stages = _stages(phi, problem.excluded_primes, skips, budgets.night_stages)
     for stages_done, moduli in enumerate(stages, 1):
         for m in moduli:
+            p, k, _ = m
             if meets(m):
-                examined.append((m.p, m.k, False))
+                examined.append((p, k, False))
                 collected.append(m)
                 continue
             ev = _evidence(problem, m)
             empty = ev.hits.is_empty()
-            examined.append((m.p, m.k, empty))
+            examined.append((p, k, empty))
             if empty:
                 return finish("empty", evidence=(ev,))
             collected.append(ev)
@@ -612,7 +626,7 @@ def problem_to_dict(problem: DecisionProblem) -> dict:
         "start": _pt(problem.start),
         "targets": [_pt(t) for t in problem.targets],
         "excluded_primes": [str(q) for q in sorted(problem.excluded_primes)],
-        "budgets": {name: str(getattr(b, name)) for name in _BUDGET_NAMES},
+        "budgets": {name: str(v) for name, v in zip(b._fields, b)},
     }
 
 
@@ -640,7 +654,7 @@ def problem_from_dict(doc: dict) -> DecisionProblem:
     if stored != (phi.F, phi.G, phi.degree, phi.res):
         raise ValueError("the map is not stored as RationalMap.make gives it")
     b = doc["budgets"]
-    budgets = Budgets(*[int(b[name]) for name in _BUDGET_NAMES])
+    budgets = Budgets(*[int(b[name]) for name in Budgets._fields])
     targets = list(map(_unpt, doc["targets"]))
     if not targets:
         raise ValueError("the target set must be nonempty")
@@ -669,28 +683,28 @@ def _orbit_summary_from_dict(doc: dict) -> OrbitSummary:
 
 
 def _evidence_to_dict(ev: ModulusEvidence) -> dict:
-    n = ev.modulus.modulus
-    pairs = (_residue_pair(c, n) for c in ev.orbit.sequence)
+    ((p, k, n), tail, cycle, sequence), (threshold, exceptional, c, residues) = ev
+    pairs = (_residue_pair(code, n) for code in sequence)
     return {
-        "p": str(ev.modulus.p),
-        "k": str(ev.modulus.k),
+        "p": str(p),
+        "k": str(k),
         "orbit": {
-            "tail": str(ev.orbit.tail),
-            "cycle": str(ev.orbit.cycle),
+            "tail": str(tail),
+            "cycle": str(cycle),
             "sequence": [[str(a), str(b)] for a, b in pairs],
         },
         "hit_set": {
-            "threshold": str(ev.hits.threshold),
-            "exceptional": [str(n) for n in ev.hits.exceptional],
-            "cycle_length": str(ev.hits.cycle_length),
-            "residues": [str(r) for r in ev.hits.residues],
+            "threshold": str(threshold),
+            "exceptional": [str(i) for i in exceptional],
+            "cycle_length": str(c),
+            "residues": [str(r) for r in residues],
         },
     }
 
 
 def _evidence_from_dict(doc: dict) -> ModulusEvidence:
     mod = PrimePowerModulus(int(doc["p"]), int(doc["k"]))
-    p, n = mod.p, mod.modulus
+    p, _, n = mod
     orb_doc, hs_doc = doc["orbit"], doc["hit_set"]
     seq = tuple([_pair_code(int(a), int(b), p, n) for a, b in orb_doc["sequence"]])
     orb = ModOrbit(mod, int(orb_doc["tail"]), int(orb_doc["cycle"]), seq)
@@ -771,15 +785,24 @@ def _certificate_from_dict(doc: dict) -> tuple[DecisionProblem, Certificate]:
         evidence=evidence,
         day_steps_done=int(eng.get("day_steps_done", "0")),
         night_stages_done=int(eng.get("night_stages_done", "0")),
-        day_status=eng.get("day_status", "running"),
+        day_status=_typed(eng.get("day_status", "running"), str),
         examined=tuple([
-            (int(e["p"]), int(e["k"]), bool(e["hit_set_empty"]))
+            (int(e["p"]), int(e["k"]), _typed(e["hit_set_empty"], bool))
             for e in eng.get("examined", [])
         ]),
         skipped=tuple([
-            (int(e["p"]), int(e["k"]), str(e["reason"]))
+            (int(e["p"]), int(e["k"]), _typed(e["reason"], str))
             for e in eng.get("skipped", [])
         ]),
-        warnings=tuple(eng.get("warnings", [])),
+        warnings=tuple([_typed(w, str) for w in _typed(eng.get("warnings", []), list)]),
     )
     return problem, cert
+
+
+def _typed(value: object, kind: type) -> object:
+    """value, if its JSON type is `kind`; ValueError otherwise. The engine
+    block is not verified, but it decodes as written, with no value coerced
+    into one the document did not hold: "false" is no flag, "abc" no list."""
+    if type(value) is not kind:
+        raise ValueError(f"expected a {kind.__name__}, not {value!r}")
+    return value

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import compress, cycle
 from typing import Iterable, Iterator, Optional
 
@@ -61,12 +61,15 @@ DEFAULT_TRIAL_BOUND = 10 ** 6
 
 
 def _sieve_small_primes() -> tuple[int, ...]:
-    flags = bytearray([1]) * _SMALL_SIEVE_LIMIT
-    flags[0] = flags[1] = 0
-    for i in range(2, math.isqrt(_SMALL_SIEVE_LIMIT) + 1):
-        if flags[i]:
-            flags[i * i :: i] = bytearray(len(flags[i * i :: i]))
-    return tuple(compress(range(_SMALL_SIEVE_LIMIT), flags))
+    # odd numbers only: flags[j] stands for 2j + 1, and p * p for odd p has
+    # index p * p // 2, from which its odd multiples are p indices apart
+    flags = bytearray([1]) * (_SMALL_SIEVE_LIMIT // 2)
+    flags[0] = 0
+    for j in range(1, (math.isqrt(_SMALL_SIEVE_LIMIT) + 1) // 2):
+        if flags[j]:
+            p = 2 * j + 1
+            flags[p * p // 2 :: p] = bytes(len(flags[p * p // 2 :: p]))
+    return (2, *compress(range(1, _SMALL_SIEVE_LIMIT, 2), flags))
 
 
 # The primes below 10^4, sieved once per process: factorize divides by them
@@ -212,13 +215,10 @@ def factorial_valuation(n: int, p: int) -> int:
     return total
 
 
-@dataclass(frozen=True)
-class FactorialDepthRow:
+class FactorialDepthRow(namedtuple("FactorialDepthRow", "p k minimal_n")):
     """Least n with p^k dividing n!, found by stepping through multiples of p."""
 
-    p: int
-    k: int
-    minimal_n: int
+    __slots__ = ()
 
 
 def degree_one_demo(max_prime: int = 5, max_depth: int = 3) -> list[FactorialDepthRow]:
@@ -269,29 +269,29 @@ def crt_pair(r1: int, m1: int, r2: int, m2: int) -> Optional[tuple[int, int]]:
     return (r1 + m1 * t) % l, l
 
 
-@dataclass(frozen=True)
-class Factorization:
+class Factorization(namedtuple("Factorization", "value factors")):
     """A verified factorization: value == product of p^e over factors.
 
     `factors` is a tuple of (prime, exponent) pairs with strictly increasing
-    primes and positive exponents.
+    primes and positive exponents. A named tuple whose constructor checks
+    all of that (ValueError), so a pickled or copied one is checked again.
     """
 
-    value: int
-    factors: tuple[tuple[int, int], ...]
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, value: int, factors: tuple[tuple[int, int], ...]) -> "Factorization":
         prod = 1
         last = 1
-        for p, e in self.factors:
+        for p, e in factors:
             if p <= last or e < 1:
                 raise ValueError("factors must be increasing primes with e >= 1")
             if not is_prime(p):
                 raise ValueError(f"{p} is not prime")
             last = p
             prod *= p ** e
-        if prod != self.value:
+        if prod != value:
             raise ValueError("factors do not multiply back to value")
+        return tuple.__new__(cls, (value, factors))
 
     def primes(self) -> tuple[int, ...]:
         return tuple(p for p, _ in self.factors)

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from itertools import islice
-from typing import Collection, Iterable, NamedTuple, Optional
+from typing import Collection, Iterable, Optional
 
 from .projective import (
     PointLike,
@@ -37,7 +37,9 @@ __all__ = [
 ]
 
 
-class OrbitSummary(NamedTuple):
+class OrbitSummary(
+    namedtuple("OrbitSummary", "points stop tail cycle steps_done", defaults=(None, None, 0))
+):
     """Prefix of a rational forward orbit; points[0] is the start.
 
     stop says how the walk ended, at points[-1], after steps_done
@@ -47,11 +49,7 @@ class OrbitSummary(NamedTuple):
     height budget). tail and cycle are set only for "closed".
     """
 
-    points: tuple[ProjectivePoint, ...]
-    stop: str
-    tail: Optional[int] = None
-    cycle: Optional[int] = None
-    steps_done: int = 0
+    __slots__ = ()
 
     @property
     def is_preperiodic(self) -> bool:
@@ -137,7 +135,7 @@ def orbit_rational(
     return OrbitSummary(tuple(points), stop, steps_done=len(points) - 1)
 
 
-class ModOrbit(NamedTuple):
+class ModOrbit(namedtuple("ModOrbit", "modulus tail cycle sequence")):
     """The full eventual-period decomposition of an orbit mod p^k.
 
     sequence lists the int codes (projective._residue_code) of the distinct
@@ -147,10 +145,7 @@ class ModOrbit(NamedTuple):
     canonical pair.
     """
 
-    modulus: PrimePowerModulus
-    tail: int
-    cycle: int
-    sequence: tuple[int, ...]
+    __slots__ = ()
 
 
 # The most steps orbit_mod walks where P^1(Z/p^k) has more points than this:
@@ -179,13 +174,13 @@ def orbit_mod(phi: RationalMap, start: PointLike, m: PrimePowerModulus) -> ModOr
     Raises BadPrimeError at primes dividing the resultant, where reduction
     and iteration do not commute.
     """
-    n = m.modulus
-    cur = _residue_code(*normalize(start), m.p, n)
+    p, _, n = m
+    cur = _residue_code(*normalize(start), p, n)
     seq = [cur]
     seen = {cur}
     add, append = seen.add, seq.append
     walk = phi._mod_walk(m, cur)
-    if m.point_count() > _MAX_MOD_STEPS:
+    if n + n // p > _MAX_MOD_STEPS:  # the point count |P^1(Z/p^k)|
         walk = islice(walk, _MAX_MOD_STEPS)
     for cur in walk:
         if cur in seen:
@@ -257,10 +252,9 @@ def hit_set(orb: ModOrbit, targets: Iterable[ProjectivePoint]) -> HitSet:
     increasing and within their bounds, so the hit set is built without
     HitSet's checks, by tuple.__new__.
     """
-    p = orb.modulus.p
-    n = orb.modulus.modulus
+    m, tail, cycle, seq = orb
+    p, _, n = m
     codes = {_residue_code(x1, x2, p, n) for x1, x2 in targets}
-    seq, tail, cycle = orb.sequence, orb.tail, orb.cycle
     hits = sorted(map(seq.index, codes.intersection(seq)))
     exceptional = tuple([i for i in hits if i < tail])
     residues = tuple(sorted([i % cycle for i in hits if i >= tail]))

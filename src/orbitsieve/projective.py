@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Union
 
@@ -150,16 +149,14 @@ def format_point(pt: ProjectivePoint) -> str:
     return f"{pt.x1}/{pt.x2}"
 
 
-@dataclass(frozen=True)
-class ChordalValue:
+class ChordalValue(namedtuple("ChordalValue", "p exponent")):
     """Exact chordal distance at a prime, as p^(-exponent).
 
     exponent None encodes distance zero (equal points); exponent 0 encodes
     distance 1, the maximum. Smaller distance = larger exponent.
     """
 
-    p: int
-    exponent: int | None
+    __slots__ = ()
 
     @property
     def is_zero(self) -> bool:
@@ -205,28 +202,35 @@ def congruent_mod(x: PointLike, y: PointLike, m: "PrimePowerModulus") -> bool:
     return _cross(a, b) % m.modulus == 0
 
 
-@dataclass(frozen=True, order=True, slots=True)
-class PrimePowerModulus:
+class PrimePowerModulus(namedtuple("PrimePowerModulus", "p k modulus")):
     """A prime power p^k used as a reduction modulus.
 
-    modulus holds p^k, computed once by the constructor; equality, hashing,
-    order and repr read p and k alone.
+    A named tuple (p, k, modulus) built from p and k alone: the constructor
+    checks them and computes modulus = p^k once, so loops unpack all three
+    (p, k, n = m). modulus follows from p and k, so equality and order are
+    those of (p, k). repr shows p and k alone, and pickling and
+    copying pass only p and k, so they rebuild through the checks.
     """
 
-    p: int
-    k: int
-    modulus: int = field(init=False, compare=False, repr=False)
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.k < 1:
+    def __new__(cls, p: int, k: int) -> "PrimePowerModulus":
+        if k < 1:
             raise ValueError("exponent must be >= 1")
-        if not is_prime(self.p):
-            raise ValueError(f"{self.p} is not prime")
-        object.__setattr__(self, "modulus", self.p ** self.k)
+        if not is_prime(p):
+            raise ValueError(f"{p} is not prime")
+        return tuple.__new__(cls, (p, k, p ** k))
+
+    def __getnewargs__(self) -> tuple[int, int]:
+        return self[:2]
+
+    def __repr__(self) -> str:
+        return f"PrimePowerModulus(p={self[0]}, k={self[1]})"
 
     def point_count(self) -> int:
         """|P^1(Z/p^k)| = p^k + p^(k-1)."""
-        return self.modulus + self.modulus // self.p
+        p, _, n = self
+        return n + n // p
 
     def __str__(self) -> str:
         return f"{self.p}^{self.k}" if self.k > 1 else str(self.p)
@@ -254,8 +258,8 @@ def canonical_residue(a: int, b: int, m: PrimePowerModulus) -> tuple[int, int]:
     equal exactly when their pairs are. Raises ValueError when p divides
     both a and b.
     """
-    n = m.modulus
-    return _residue_pair(_residue_code(a, b, m.p, n), n)
+    p, _, n = m
+    return _residue_pair(_residue_code(a, b, p, n), n)
 
 
 def _residue_code(a: int, b: int, p: int, n: int) -> int:

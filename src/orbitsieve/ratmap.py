@@ -14,9 +14,8 @@ z - f/f' (newton_map) and as per-place convergence reports
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
-from functools import cached_property
 from itertools import islice
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
@@ -301,51 +300,88 @@ def _bareiss_det(m: list[list[int]]) -> int:
 # the map itself
 
 
-@dataclass(frozen=True)
-class BadPrimeReport:
-    """Primes of bad reduction; cofactor is a leftover composite, if any."""
+class BadPrimeReport(namedtuple("BadPrimeReport", "primes cofactor", defaults=(None,))):
+    """Primes of bad reduction (a frozenset); cofactor is a leftover
+    composite, if any."""
 
-    primes: frozenset[int]
-    cofactor: Optional[int] = None
+    __slots__ = ()
 
     @property
     def complete(self) -> bool:
         return self.cofactor is None
 
 
-@dataclass(frozen=True)
 class RationalMap:
-    """A self-map of P^1(Q) given by a jointly primitive form pair."""
+    """A self-map of P^1(Q) given by a jointly primitive form pair.
 
-    F: tuple[int, ...]
-    G: tuple[int, ...]
-    res: int = field(compare=False)
-    notes: tuple[str, ...] = field(default=(), compare=False)
+    An immutable slotted object. Equality and hashing read (F, G) alone:
+    res, the resultant, follows from them, and notes are remarks on how the
+    map was built. The constructor also derives, once per map, the Horner
+    inputs of evaluate (_pairs) and of _mod_walk (_charts) and
+    height_loss_bits, which the walks read.
+    """
 
-    @cached_property
-    def _charts(self) -> tuple[tuple, tuple]:
-        """Horner inputs of _mod_walk, for the affine chart (F(x, 1), G(x, 1))
-        and the chart at infinity (F(1, y), G(1, y)): each polynomial,
-        highest power first with leading zeros dropped (no form is zero), as
-        its leading coefficient and the rest, so G(x, 1) of a polynomial map
-        is (1, ()). Built on the first walk, so a map that is never reduced
-        (a decoded witness, say) never pays for it."""
+    __slots__ = ("F", "G", "res", "notes", "_pairs", "_charts", "height_loss_bits")
+
+    def __init__(
+        self, F: tuple[int, ...], G: tuple[int, ...], res: int, notes: tuple[str, ...] = ()
+    ):
+        # _pairs: (F_d, G_d) and the pairs (F_i, G_i) for i = d-1, ..., 0, so
+        # that one pass of evaluate computes F and G together.
+        pairs = F[-1], G[-1], tuple(zip(F[-2::-1], G[-2::-1]))
+        # _charts: for the affine chart (F(x, 1), G(x, 1)) and the chart at
+        # infinity (F(1, y), G(1, y)), each polynomial, highest power first
+        # with leading zeros dropped (no form is zero), as its leading
+        # coefficient and the rest, so G(x, 1) of a polynomial map is (1, ()).
         charts = []
-        for pair in ((self.F[::-1], self.G[::-1]), (self.F, self.G)):
+        for forms in ((F[::-1], G[::-1]), (F, G)):
             chart: tuple = ()
-            for v in pair:
+            for v in forms:
                 while not v[0]:
                     v = v[1:]
                 chart += (v[0], v[1:])
             charts.append(chart)
-        return tuple(charts)
+        # height_loss_bits: L with H(phi(x)) > H(x)^d / 2^L for every
+        # rational point x. The Sylvester identities A1*F + B1*G = R*Y^(2d-1)
+        # and A2*F + B2*G = R*X^(2d-1) have cofactors A_i, B_i of degree d-1
+        # whose 2d coefficients are (2d-1)-minors of the Sylvester matrix.
+        # Each row of such a minor is part of a shifted coefficient vector of
+        # F or G, so its Euclidean norm is at most sqrt(s),
+        # s = max(sum F_i^2, sum G_i^2). By Hadamard's inequality each
+        # coefficient is then at most s^((2d-1)/2) in absolute value, so
+        # C = 2d * s^((2d-1)/2) bounds the coefficient sums of A_i and B_i.
+        # For coprime (a, b) of height h, the identity for the larger
+        # coordinate gives |R| * h^(2d-1) <= C * h^(d-1) * max(|F|, |G|); the
+        # common factor of F(a, b) and G(a, b) divides R (see evaluate), so
+        # H(phi(a : b)) >= h^d / C > h^d / 2^L, as C < 2^L for
+        # L = bits(2d) + ceil(bits(s) * (2d-1) / 2) (Call-Silverman,
+        # Compositio Math. 89 (1993); Silverman, The Arithmetic of Dynamical
+        # Systems, section 3.4).
+        d = len(F) - 1
+        s = max(sum([c * c for c in F]), sum([c * c for c in G]))
+        loss = (2 * d).bit_length() + (s.bit_length() * (2 * d - 1) + 1) // 2
+        values = F, G, res, tuple(notes), pairs, tuple(charts), loss
+        setter = object.__setattr__  # __setattr__ below refuses every write
+        for name, value in zip(self.__slots__, values):
+            setter(self, name, value)
 
-    @cached_property
-    def _pairs(self) -> tuple:
-        """Horner input of evaluate: (F_d, G_d) and the pairs (F_i, G_i) for
-        i = d-1, ..., 0, so that one pass computes F and G together."""
-        fc, gc = self.F, self.G
-        return fc[-1], gc[-1], tuple(zip(fc[-2::-1], gc[-2::-1]))
+    def __setattr__(self, name: str, value: object):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.F == other.F and self.G == other.G
+
+    def __hash__(self) -> int:
+        return hash((self.F, self.G))
+
+    def __reduce__(self) -> tuple:
+        return type(self), (self.F, self.G, self.res, self.notes)
+
+    def __repr__(self) -> str:
+        # F, G and notes are tuples, whose str is their repr
+        return f"RationalMap(F={self.F}, G={self.G}, res={self.res}, notes={self.notes})"
 
     @classmethod
     def make(
@@ -389,30 +425,6 @@ class RationalMap:
     def is_good_prime(self, p: int) -> bool:
         """Good reduction at p: p does not divide the resultant."""
         return self.res % p != 0
-
-    @cached_property
-    def height_loss_bits(self) -> int:
-        """L with H(phi(x)) > H(x)^d / 2^L for every rational point x.
-
-        The Sylvester identities A1*F + B1*G = R*Y^(2d-1) and
-        A2*F + B2*G = R*X^(2d-1) have cofactors A_i, B_i of degree d-1 whose
-        2d coefficients are (2d-1)-minors of the Sylvester matrix. Each row
-        of such a minor is part of a shifted coefficient vector of F or G,
-        so its Euclidean norm is at most sqrt(s),
-        s = max(sum F_i^2, sum G_i^2). By Hadamard's inequality each
-        coefficient is then at most s^((2d-1)/2) in absolute value, so
-        C = 2d * s^((2d-1)/2) bounds the coefficient sums of A_i and B_i.
-        For coprime (a, b) of height h, the identity for the larger
-        coordinate gives |R| * h^(2d-1) <= C * h^(d-1) * max(|F|, |G|);
-        the common factor of F(a, b) and G(a, b) divides R (see evaluate),
-        so H(phi(a : b)) >= h^d / C > h^d / 2^L, as C < 2^L for
-        L = bits(2d) + ceil(bits(s) * (2d-1) / 2) (Call-Silverman,
-        Compositio Math. 89 (1993); Silverman, The Arithmetic of Dynamical
-        Systems, section 3.4).
-        """
-        d = self.degree
-        s = max(sum(c * c for c in self.F), sum(c * c for c in self.G))
-        return (2 * d).bit_length() + (s.bit_length() * (2 * d - 1) + 1) // 2
 
     def proves_escape(self, pt: ProjectivePoint) -> bool:
         """True when the height bound shows that the orbit of pt wanders.
@@ -495,8 +507,8 @@ class RationalMap:
         the kernel that orbit_mod iterates (_mod_walk), and decoded. Raises
         BadPrimeError when p divides the resultant.
         """
-        n = m.modulus
-        walk = self._mod_walk(m, _residue_code(r[0], r[1], m.p, n))
+        p, _, n = m
+        walk = self._mod_walk(m, _residue_code(r[0], r[1], p, n))
         return _residue_pair(next(walk), n)
 
     def _mod_walk(self, m: PrimePowerModulus, x: int) -> Iterator[int]:
@@ -521,7 +533,7 @@ class RationalMap:
         with no pass over G. Every other walk takes the general loop, where
         G == 1 mod n holds only by chance, so its steps do not test for it.
         """
-        p, n = m.p, m.modulus
+        p, _, n = m
         if not self.is_good_prime(p):
             raise BadPrimeError(p)
         affine, at_infinity = self._charts
@@ -622,7 +634,7 @@ def orbit_points(
         last += 1
         yield pt
         # L >= 0, so the prediction needs d * (bits - 1) > height_bits first:
-        # short walks and degree-one walks never compute L.
+        # short walks and degree-one walks never read L.
         excess = d * (bits - 1) - height_bits
         if excess > 0 and excess >= phi.height_loss_bits:
             raise HeightBudgetError(last, height_bits)
@@ -913,13 +925,11 @@ def newton_map(f_text: str) -> RationalMap:
     return RationalMap.make(f_vec, g_vec, notes)
 
 
-@dataclass
-class PlaceReport:
-    """Convergence report for Newton iteration at one place of Q."""
+class PlaceReport(namedtuple("PlaceReport", "place verdict detail")):
+    """Convergence report for Newton iteration at one place of Q: the place
+    (a prime, or "real"), the verdict string and a dict of detail."""
 
-    place: Union[int, str]
-    verdict: str
-    detail: dict
+    __slots__ = ()
 
 
 def _frac_valuation(q: Fraction, p: int) -> int:

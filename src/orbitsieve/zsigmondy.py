@@ -15,7 +15,7 @@ ending a scan at escape gives the answer that a longer scan would.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import Iterable
 
 from .numtheory import FactorizationBudgetError, factorize, prime_set
@@ -39,22 +39,17 @@ __all__ = [
 _PREPERIODIC_SCAN_STEPS = 64
 
 
-@dataclass(frozen=True)
-class SupportReport:
-    """Factored support of the term at one orbit index."""
+class SupportReport(namedtuple("SupportReport", "m term_bits term_valuations primitive")):
+    """Factored support of the term at one orbit index: its bit length, its
+    (p, e) pairs and the frozenset of its primitive primes."""
 
-    m: int
-    term_bits: int
-    term_valuations: tuple[tuple[int, int], ...]
-    primitive: frozenset[int]
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class PrimitiveDivisorRun:
+class PrimitiveDivisorRun(namedtuple("PrimitiveDivisorRun", "reports warnings")):
     """Reports for m = 1..m_max plus any applicability warnings."""
 
-    reports: tuple[SupportReport, ...]
-    warnings: tuple[str, ...]
+    __slots__ = ()
 
 
 def difference_support(

