@@ -72,10 +72,11 @@ def _sieve_small_primes() -> tuple[int, ...]:
     return (2, *compress(range(1, _SMALL_SIEVE_LIMIT, 2), flags))
 
 
-# The primes below 10^4, sieved once per process: factorize divides by them
-# in order, and is_prime looks every n < 10^4 up in the set.
+# The primes below 10^4, sieved once per process: is_prime looks every n <
+# 10^4 up in the set, and factorize takes one gcd with their product.
 _SIEVED_PRIMES = _sieve_small_primes()
 _SIEVED_PRIME_SET = frozenset(_SIEVED_PRIMES)
+_SIEVED_PRODUCT = math.prod(_SIEVED_PRIMES)
 
 
 class FactorizationBudgetError(RuntimeError):
@@ -319,13 +320,18 @@ def _iroot(n: int, k: int) -> int:
 
 
 def _perfect_power(n: int) -> Optional[tuple[int, int]]:
-    """(base, exponent >= 2) if n is a perfect power, else None."""
-    for e in range(2, n.bit_length() + 1):
-        r = _iroot(n, e)
+    """(base, least exponent >= 2) if n is a perfect power, else None.
+
+    n must have no prime factor below 10^4, so a base exceeds 2^13 and an
+    exponent e has 13e < bits. Only prime e are tried: r^(ab) with a prime
+    is also (r^b)^a, so the least exponent that works is prime.
+    """
+    e = 2
+    while 13 * e < n.bit_length():
+        r = math.isqrt(n) if e == 2 else _iroot(n, e)
         if r ** e == n:
             return r, e
-        if r < 2:
-            break
+        e = next_prime(e)
     return None
 
 
@@ -416,31 +422,40 @@ def factorize(
 ) -> Factorization:
     """Fully factor a positive integer, deterministically.
 
-    Strategy: trial division by sieved primes < 10^4, then Pollard-Brent rho
-    under `rho_steps` total budget (perfect powers peeled first), then a
-    last-resort trial sweep from 10^4 up to `trial_bound`. The sweep steps
-    over a mod-30 wheel, skipping the multiples of 2, 3 and 5; that is exact
-    because the first stage has already removed every prime below 10^4.
-    Inputs whose prime factors all lie below `trial_bound` always succeed.
-    Raises FactorizationBudgetError carrying the composite cofactor
-    otherwise.
+    Strategy: one gcd with the product of the sieved primes below 10^4
+    names those dividing n, and only they are divided out; then
+    Pollard-Brent rho under `rho_steps` total budget (perfect powers peeled
+    first), then a last-resort trial sweep from 10^4 up to `trial_bound`.
+    The sweep steps over a mod-30 wheel, skipping the multiples of 2, 3 and
+    5; that is exact because the first stage has already removed every
+    prime below 10^4. Inputs whose prime factors all lie below
+    `trial_bound` always succeed. Raises FactorizationBudgetError carrying
+    the composite cofactor otherwise.
 
-    Every cofactor put on the stack is at least 2: the first one is the part
-    left by trial division when that is above 1, perfect-power bases are at
-    least 2, and rho splits v into 1 < g < v and v / g. The composites that
-    reach _pollard_brent are odd, as it requires: trial division has taken
-    out every 2 of any n >= 4, and factors of odd numbers are odd. n = 1
-    leaves an empty stack and factors as ().
+    Every cofactor on the stack is at least 2 and has no prime factor below
+    10^4, as _perfect_power and _pollard_brent (odd n) require: the first is
+    what the gcd stage leaves, the rest divide it (perfect-power bases, and
+    rho's split of v into 1 < g < v and v / g). n = 1 factors as ().
+    Each prime is proven once, by the sieve or is_prime, so the result is
+    built unchecked by tuple.__new__; the checking constructor of
+    Factorization serves values from outside, as in tests and pickles.
     """
     if n < 1:
         raise ValueError("factorize expects a positive integer")
     found: dict[int, int] = {}
     m = n
+    g = math.gcd(n, _SIEVED_PRODUCT)  # squarefree: the scan leaves 1 or a prime
     for p in _SIEVED_PRIMES:
-        if p * p > m:
+        if p * p > g:
             break
+        if g % p == 0:
+            g //= p
+            found[p] = 0
+    if g > 1:
+        found[g] = 0
+    for p in found:
         while m % p == 0:
-            found[p] = found.get(p, 0) + 1
+            found[p] += 1
             m //= p
     budget = rho_steps
     stack = [m] if m > 1 else []
@@ -475,4 +490,4 @@ def factorize(
         raise FactorizationBudgetError(
             cofactor, tuple(sorted(found.items()))
         )
-    return Factorization(n, tuple(sorted(found.items())))
+    return tuple.__new__(Factorization, (n, tuple(sorted(found.items()))))

@@ -300,6 +300,55 @@ def test_factorize_semiprime_with_large_prime_factors():
     assert factorize(p * q).factors == ((q, 1), (p, 1))
 
 
+def _trial_factor(n):
+    """(prime, exponent) pairs of n by trial division over every d >= 2."""
+    factors = []
+    d = 2
+    while d * d <= n:
+        e = 0
+        while n % d == 0:
+            n //= d
+            e += 1
+        if e:
+            factors.append((d, e))
+        d += 1
+    if n > 1:
+        factors.append((n, 1))
+    return tuple(factors)
+
+
+def test_factorize_gcd_stage_and_perfect_powers_match_trial_division():
+    # factorize finds the primes below 10^4 by one gcd with their product,
+    # peels perfect powers at prime exponents only, and builds its result
+    # without Factorization's checks; the checking constructor re-proves
+    # every prime here
+    rng = random.Random(9973)
+    near = (9949, 9967, 9973, 10007, 10009)
+    inputs = [p ** e for p in near for e in (1, 2, 3)]
+    inputs += [2 * 9973, 9973 * 9967, math.prod(_sieve(10 ** 4))]
+    bases = (10007, 10009, 10037, 10007 * 10009, 10009 ** 2 * 10037)
+    inputs += [b ** e for b in bases for e in (4, 6)]
+    for _ in range(40):
+        b = rng.choice(bases) * rng.choice((1, 1, 10039, 19997))
+        c = rng.choice((1, 2, 6, 9973, 9973 * 10007, 2 ** 5 * 9967 ** 2))
+        inputs.append(b ** rng.randint(2, 7) * c)
+    for n in inputs:
+        fac = factorize(n)
+        assert type(fac) is Factorization
+        assert fac.factors == _trial_factor(n), n
+        assert fac == Factorization(n, fac.factors)
+    # the prime that the scan of g leaves is divided out before rho runs
+    p, q = next_prime(1 << 64), next_prime(1 << 65)
+    with pytest.raises(FactorizationBudgetError) as info:
+        factorize(2 * 9973 * p * q, trial_bound=10 ** 4, rho_steps=8)
+    assert info.value.cofactor == p * q
+    assert info.value.partial == ((2, 1), (9973, 1))
+    b = 10007 * 10009
+    assert numtheory._perfect_power(b ** 6) == (b ** 3, 2)
+    assert numtheory._perfect_power(b ** 15) == (b ** 5, 3)
+    assert numtheory._perfect_power(10007 * 10009) is None
+
+
 def test_factorization_budget_error_carries_cofactor():
     p = next_prime(1 << 64)
     q = next_prime(1 << 65)
