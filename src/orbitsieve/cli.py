@@ -15,7 +15,8 @@ import argparse
 import json
 import sys
 from fractions import Fraction
-from typing import Optional
+from itertools import chain
+from typing import Iterable, Optional
 
 from .localglobal import (
     Budgets,
@@ -43,7 +44,7 @@ from .zsigmondy import primitive_divisors
 _JSON_KW = dict(sort_keys=True, indent=2)
 
 
-def _emit(doc: dict, fmt: str, table_lines: list[str]) -> None:
+def _emit(doc: dict, fmt: str, table_lines: Iterable[str]) -> None:
     if fmt == "json":
         print(json.dumps(doc, **_JSON_KW))
     else:
@@ -51,7 +52,7 @@ def _emit(doc: dict, fmt: str, table_lines: list[str]) -> None:
             print(line)
 
 
-def _report(args, doc: dict, table_lines: list[str]) -> None:
+def _report(args, doc: dict, table_lines: Iterable[str]) -> None:
     """_emit a report in the envelope that every command's JSON carries,
     except decide's, whose document is the certificate itself."""
     envelope = {"schema_version": "1", "command": args.command}
@@ -85,15 +86,21 @@ def _cmd_orbit(args) -> int:
     if args.mod:
         m = parse_modulus(args.mod)
         orb = orbit_mod(phi, start, m)
-        pairs = [_residue_pair(c, m.modulus) for c in orb.sequence]
-        doc = {
-            "modulus": {"p": str(m.p), "k": str(m.k)},
-            "tail": str(orb.tail),
-            "cycle": str(orb.cycle),
-            "sequence": [[str(a), str(b)] for a, b in pairs],
-        }
-        lines = [f"orbit of {format_point(start)} mod {m}: tail={orb.tail} cycle={orb.cycle}"]
-        lines += [f"  n={n}: ({a} : {b})" for n, (a, b) in enumerate(pairs)]
+        pairs = (_residue_pair(c, m.modulus) for c in orb.sequence)
+        # only the format asked for is built, and the table's rows stream
+        doc: dict = {}
+        lines: Iterable[str] = ()
+        if args.format == "json":
+            doc = {
+                "modulus": {"p": str(m.p), "k": str(m.k)},
+                "tail": str(orb.tail),
+                "cycle": str(orb.cycle),
+                "sequence": [[str(a), str(b)] for a, b in pairs],
+            }
+        else:
+            head = f"orbit of {format_point(start)} mod {m}: tail={orb.tail} cycle={orb.cycle}"
+            rows = (f"  n={n}: ({a} : {b})" for n, (a, b) in enumerate(pairs))
+            lines = chain([head], rows)
         _report(args, doc, lines)
         return 0
     summary = orbit_rational(phi, start, args.max_steps, args.height_bits)

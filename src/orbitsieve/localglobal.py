@@ -201,6 +201,14 @@ def intersect_hit_sets(
 _EVERY_INDEX = HitSet(0, (), 1, (0,))
 
 
+def _cycle_lcm(ca: int, cb: int, cap: int) -> int:
+    """lcm(ca, cb) of two cycle lengths; CycleBlowupError past `cap`."""
+    c = ca // math.gcd(ca, cb) * cb
+    if c > cap:
+        raise CycleBlowupError(c, cap)
+    return c
+
+
 def _intersect_pair(a: HitSet, b: HitSet, cap: int) -> HitSet:
     """a and b intersected; CycleBlowupError when the lcm of their cycle
     lengths passes `cap`.
@@ -214,12 +222,10 @@ def _intersect_pair(a: HitSet, b: HitSet, cap: int) -> HitSet:
     built without HitSet's checks, by tuple.__new__.
     """
     ca, cb = a.cycle_length, b.cycle_length
-    g = math.gcd(ca, cb)
-    c = ca // g * cb
-    if c > cap:
-        raise CycleBlowupError(c, cap)
+    c = _cycle_lcm(ca, cb, cap)
     t = max(a.threshold, b.threshold)
-    mb = cb // g
+    mb = c // ca
+    g = cb // mb
     # the CRT runs only where both sides have residues, the scan below the
     # threshold only where it is positive
     inverse = pow(ca // g, -1, mb) if a.residues and b.residues else 0
@@ -415,12 +421,15 @@ def decide(problem: DecisionProblem, jobs: int = 1) -> Certificate:
     combined intersection attempted: the fold starts from the hit set of
     every index and takes the moduli in order, walking a kept one when it
     reaches it, and skipping each one whose cycle would push the fold past
-    `cycle_lcm_cap`, the first one included. The family that empties it is
-    minimized in one pass (_minimize_family) and emitted with the evidence
-    already held; this keeps single-modulus certificates, the strongest and
-    cheapest to verify, in front. Moduli past the one that empties the fold
-    are never walked, so a kept modulus whose orbit passes orbit_mod's step
-    limit raises only where the fold reaches it.
+    `cycle_lcm_cap`, the first one included. That test reads the orbit's
+    cycle alone, by the rule that _intersect_pair applies (_cycle_lcm), so
+    a kept modulus gets its hit set only if the fold takes it in: on z+1
+    from 1, 8 of the 45 moduli of nine stages. The family that empties the
+    fold is minimized in one pass (_minimize_family) and emitted with the
+    evidence already held; this keeps single-modulus certificates, the
+    strongest and cheapest to verify, in front. Moduli past the one that
+    empties the fold are never walked, so a kept modulus whose orbit passes
+    orbit_mod's step limit raises only where the fold reaches it.
 
     A degree-one map carries a warning that only a witness or a closed orbit
     can settle it, unless a modulus settles it.
@@ -483,13 +492,16 @@ def decide(problem: DecisionProblem, jobs: int = 1) -> Certificate:
     folded = _EVERY_INDEX
     used: list[tuple[ModulusEvidence, HitSet]] = []
     for ev in collected:
-        if type(ev) is PrimePowerModulus:
-            ev = _evidence(problem, ev)
+        deferred = type(ev) is PrimePowerModulus
+        orb = orbit_mod(phi, problem.start, ev) if deferred else ev.orbit
         try:
-            folded = _intersect_pair(folded, ev.hits, budgets.cycle_lcm_cap)
+            _cycle_lcm(folded.cycle_length, orb.cycle, budgets.cycle_lcm_cap)
         except CycleBlowupError:
-            skips.append((ev.modulus.p, ev.modulus.k, "cycle lcm past the cap"))
+            skips.append((orb.modulus.p, orb.modulus.k, "cycle lcm past the cap"))
             continue
+        if deferred:
+            ev = ModulusEvidence(orb, hit_set(orb, problem.targets))
+        folded = _intersect_pair(folded, ev.hits, budgets.cycle_lcm_cap)
         used.append((ev, ev.hits))
         if folded.is_empty():
             family = _minimize_family(used, budgets.cycle_lcm_cap)

@@ -148,50 +148,40 @@ class ModOrbit(namedtuple("ModOrbit", "modulus tail cycle sequence")):
     __slots__ = ()
 
 
-# The most steps orbit_mod walks where P^1(Z/p^k) has more points than this:
-# the orbit's set and list hold about 67 B per step, so 2^20 steps stay near
-# 70 MB, while 1000003^2 has 10^12 points.
+# The most steps orbit_mod walks, reached only where P^1(Z/p^k) has more
+# points than this: the orbit's set and list hold about 67 B per step, so
+# 2^20 steps stay near 70 MB, while 1000003^2 has 10^12 points.
 _MAX_MOD_STEPS = 1 << 20
 
 
 def orbit_mod(phi: RationalMap, start: PointLike, m: PrimePowerModulus) -> ModOrbit:
     """Iterate the start point mod p^k until the first repeat.
 
-    Points are walked as single int codes (projective._residue_code), as
-    RationalMap._mod_walk yields them (the kernel of
-    RationalMap.evaluate_mod), and kept in a set for the repeat test and a
-    list for the order; the codes walked are the ModOrbit's sequence. Good
-    reduction is checked and p^k computed once per orbit, not per step. A
-    dict from code to index would find the tail without the list, but holds
-    more memory per step than the set and the list together.
+    Points are walked as single int codes (projective._residue_code) in one
+    plain loop, RationalMap._mod_walk, the kernel of
+    RationalMap.evaluate_mod: each code is computed, tested for a repeat
+    against a set, and appended to a list that keeps the order; the codes
+    walked are the ModOrbit's sequence. Good reduction is checked and p^k
+    computed once per orbit, not per step. A dict from code to index would
+    find the tail without the list, but holds more memory per step than the
+    set and the list together.
 
-    Where |P^1(Z/p^k)| passes 2^20 (_MAX_MOD_STEPS), the walk is bounded:
-    an orbit that has not repeated after 2^20 steps raises ValueError. At
-    smaller moduli the point count bounds the walk, and the loop is the same.
-    decide's schedule first reaches such a modulus at night stage 405 (for
-    a map of good reduction at every prime).
+    The walk is bounded: an orbit that has not repeated after 2^20 steps
+    (_MAX_MOD_STEPS) raises ValueError. Where |P^1(Z/p^k)| is at most 2^20
+    the point count bounds the walk first. decide's schedule first reaches
+    a larger modulus at night stage 405 (for a map of good reduction at
+    every prime).
 
     Raises BadPrimeError at primes dividing the resultant, where reduction
     and iteration do not commute.
     """
     p, _, n = m
-    cur = _residue_code(*normalize(start), p, n)
-    seq = [cur]
-    seen = {cur}
-    add, append = seen.add, seq.append
-    walk = phi._mod_walk(m, cur)
-    if n + n // p > _MAX_MOD_STEPS:  # the point count |P^1(Z/p^k)|
-        walk = islice(walk, _MAX_MOD_STEPS)
-    for cur in walk:
-        if cur in seen:
-            break
-        add(cur)
-        append(cur)
-    else:
+    seq = [_residue_code(*normalize(start), p, n)]
+    cur = phi._mod_walk(m, seq, _MAX_MOD_STEPS)
+    if len(seq) > _MAX_MOD_STEPS:
         raise ValueError(
             f"the orbit mod {m} passes {_MAX_MOD_STEPS} steps without repeating"
         )
-    del seen, add  # free the set before the sequence is copied
     tail = seq.index(cur)
     return ModOrbit(m, tail, len(seq) - tail, tuple(seq))
 

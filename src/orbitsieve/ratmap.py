@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from fractions import Fraction
-from itertools import islice
+from itertools import islice, repeat
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from .numtheory import (
@@ -504,15 +504,22 @@ class RationalMap:
         the image's canonical pair.
 
         r is coded as one int (projective._residue_code), stepped once by
-        the kernel that orbit_mod iterates (_mod_walk), and decoded. Raises
-        BadPrimeError when p divides the resultant.
+        the loop that walks orbit_mod's orbits (_mod_walk), and decoded.
+        Raises BadPrimeError when p divides the resultant.
         """
         p, _, n = m
-        walk = self._mod_walk(m, _residue_code(r[0], r[1], p, n))
-        return _residue_pair(next(walk), n)
+        x = self._mod_walk(m, [_residue_code(r[0], r[1], p, n)], 1)
+        return _residue_pair(x, n)
 
-    def _mod_walk(self, m: PrimePowerModulus, x: int) -> Iterator[int]:
-        """Yield the int codes of phi(x), phi^2(x), ... mod p^k, without end.
+    def _mod_walk(self, m: PrimePowerModulus, seq: list[int], steps: int) -> int:
+        """Walk the int codes mod p^k on from seq[-1], at most `steps` steps,
+        appending each code to seq up to the first that repeats one of seq.
+
+        Returns the last code computed: the repeat, or, after `steps` steps
+        without one, the last code appended, so that seq then holds `steps`
+        more codes. A set of seq's codes is the repeat test and is dropped
+        on return. orbit_mod walks a whole orbit in this one loop, and
+        evaluate_mod takes a single step.
 
         A code x < n = p^k is the point (x : 1), whose image is
         (F(x, 1) : G(x, 1)); a code n + y is (1 : y) with p | y, whose image
@@ -521,11 +528,10 @@ class RationalMap:
         other coordinate. projective._residue_code reduces both values mod n
         and takes the one inverse. The Horner coefficients are split once
         per map (_charts); good reduction is checked, p^k computed and the
-        chart chosen once per walk, so that a loop such as orbit_mod pays
-        only for the arithmetic of each step, and resumes this generator
-        instead of calling a function. Raises BadPrimeError, at the first
-        step, when p divides the resultant; at a good prime the two image
-        coordinates are never both divisible by p.
+        chart chosen once per walk, so that each step pays only for its
+        arithmetic and the repeat test. Raises BadPrimeError when p divides
+        the resultant; at a good prime the two image coordinates are never
+        both divisible by p.
 
         When G(x, 1) == 1, the polynomial chart, an affine point (x : 1) maps
         to the affine point (F(x, 1) : 1). From an affine start such a walk
@@ -536,16 +542,23 @@ class RationalMap:
         p, _, n = m
         if not self.is_good_prime(p):
             raise BadPrimeError(p)
+        seen = set(seq)
+        add, append = seen.add, seq.append
+        x = seq[-1]
         affine, at_infinity = self._charts
         f_top, f_rest, g_top, g_rest = affine
         if not g_rest and g_top == 1 and x < n:
-            while True:
+            for _ in repeat(None, steps):
                 a = f_top
                 for c in f_rest:
                     a = a * x + c
                 x = a % n
-                yield x
-        while True:
+                if x in seen:
+                    return x
+                add(x)
+                append(x)
+            return x
+        for _ in repeat(None, steps):
             if x < n:
                 a, f, b, g = affine
             else:
@@ -556,7 +569,11 @@ class RationalMap:
             for c in g:
                 b = b * x + c
             x = _residue_code(a, b, p, n)
-            yield x
+            if x in seen:
+                return x
+            add(x)
+            append(x)
+        return x
 
     def iterate_forms(
         self, n: int, max_degree: int = DEFAULT_COMPOSE_DEGREE

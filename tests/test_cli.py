@@ -204,13 +204,18 @@ PINNED_JSON_SHA256 = {
     # the start is a target: a witness at index 0, day_status "running"
     "decide --map z^2-1 --point 0 --targets 0,7":
         "959b6430c5d1ab414365f00abcfff7b2dd4aa0382d2709832ed765694ab13fe5",
+    # the degree-one bench input, exhausted: 45 moduli examined, 37 of them
+    # skipped at the cycle lcm cap
+    "decide --map z+1 --point 1 --targets 0,inf --night-stages 9":
+        "a1cf42422d017de2462fbe786ccd965d27ed6edab743660256096c930aec76e9",
 }
 
 
 @pytest.mark.parametrize("command", sorted(PINNED_JSON_SHA256))
 def test_json_output_matches_pinned_digest(capsys, command):
     code, out, _ = _run(capsys, *command.split(), "--format", "json")
-    assert code == 0
+    # decide exits 2 on an exhausted certificate, every other run 0
+    assert code == (2 if json.loads(out).get("kind") == "exhausted" else 0)
     assert hashlib.sha256(out.encode()).hexdigest() == PINNED_JSON_SHA256[command]
 
 

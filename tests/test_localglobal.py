@@ -683,13 +683,40 @@ def test_decide_walks_each_examined_modulus_once(monkeypatch):
 def test_decide_walks_every_modulus_of_an_exhausted_degree_one_run_once_in_the_fold(monkeypatch):
     # z+1 from 1 against {0, inf}: every one of the 45 moduli of nine
     # stages divides a cross of the walk 1, 2, ..., 257 with 0, so each is
-    # walked exactly once, in the fold, each walk followed by its fold step
+    # walked exactly once, in the fold. Each orbit mod p^k is one cycle
+    # through all p^k points, so the fold takes in 2, 3, ..., 19, whose
+    # cycle lcm 9699690 is below the cap 10^7, and skips the 37 moduli
+    # after them: only the 8 folded in have a fold step after their walk
     events = _recording_walks(monkeypatch)
     cert = decide(_problem("z+1", 1, [0, "inf"], night_stages=9))
     assert cert.kind == "exhausted" and len(cert.examined) == 45
     assert not any(empty for _, _, empty in cert.examined)
-    walked = [("walk", p, k) for p, k, _ in cert.examined]
-    assert events == [e for w in walked for e in (w, ("fold",))]
+    capped = [(p, k) for p, k, why in cert.skipped if why == "cycle lcm past the cap"]
+    folded = [(p, 1) for p in (2, 3, 5, 7, 11, 13, 17, 19)]
+    assert [(p, k) for p, k, _ in cert.examined] == folded + capped
+    expected = []
+    for p, k, _ in cert.examined:
+        expected.append(("walk", p, k))
+        if (p, k) in folded:
+            expected.append(("fold",))
+    assert events == expected
+
+
+def test_decide_builds_a_hit_set_only_for_moduli_the_fold_takes_in(monkeypatch):
+    # the degree-one run above walks 45 orbits, but builds a hit set only
+    # for the 8 moduli folded in: a modulus past the cap is skipped on its
+    # orbit's cycle, before its hit set would be built
+    built = []
+    hits = localglobal.hit_set
+
+    def recording_hit_set(orb, targets):
+        built.append(orb.modulus)
+        return hits(orb, targets)
+
+    monkeypatch.setattr(localglobal, "hit_set", recording_hit_set)
+    cert = decide(_problem("z+1", 1, [0, "inf"], night_stages=9))
+    assert [str(m) for m in built] == ["2", "3", "5", "7", "11", "13", "17", "19"]
+    assert len(cert.skipped) == 37
 
 
 def test_a_deferred_modulus_past_the_step_limit_is_never_walked(monkeypatch):

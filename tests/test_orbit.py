@@ -1,10 +1,12 @@
 """Tests for orbit computation over Q and over residue rings."""
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
 
+from orbitsieve import orbit as orbit_module
 from orbitsieve.numtheory import good_primes
 from orbitsieve.orbit import HitSet, OrbitSummary, hit_set, orbit_mod, orbit_rational
 from orbitsieve.projective import (
@@ -291,6 +293,44 @@ def test_orbit_mod_rejects_bad_primes():
 
     with pytest.raises(BadPrimeError):
         orbit_mod(parse_map("(z^2+1)/(2z)"), 1, PrimePowerModulus(2, 1))
+
+
+@pytest.mark.parametrize(
+    "text, start, p, k, tail, cycle",
+    [
+        ("z+1", 0, 7, 1, 0, 7),  # the polynomial chart, through every point
+        ("z^2", 2, 2, 3, 2, 1),  # the polynomial chart, 2, 4, 0, 0, ...
+        ("(z^2+1)/(2z)", 2, 5, 1, 2, 1),  # the general loop, 2, 0, inf, inf, ...
+        ("(z+5)/(3z-1)", "inf", 3, 2, 0, 2),  # the general loop from inf
+    ],
+)
+def test_orbit_mod_step_limit_is_exact(monkeypatch, text, start, p, k, tail, cycle):
+    # the first repeat comes at step tail + cycle: a limit of that many
+    # steps returns the orbit, and one step fewer raises, in both loops
+    phi, m = parse_map(text), PrimePowerModulus(p, k)
+    orb = orbit_mod(phi, start, m)
+    assert (orb.tail, orb.cycle) == (tail, cycle)
+    monkeypatch.setattr(orbit_module, "_MAX_MOD_STEPS", tail + cycle)
+    assert orbit_mod(phi, start, m) == orb
+    limit = tail + cycle - 1
+    monkeypatch.setattr(orbit_module, "_MAX_MOD_STEPS", limit)
+    message = f"the orbit mod {m} passes {limit} steps without repeating"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        orbit_mod(phi, start, m)
+
+
+def test_evaluate_mod_takes_one_step_of_the_walk():
+    # one step of the loop that walks orbits: the image of a fixed point is
+    # the repeat that ends the loop, that of any other point the code it
+    # appends; a bad prime raises, as orbit_mod does
+    phi, m = parse_map("z^2"), PrimePowerModulus(5, 1)
+    assert phi.evaluate_mod((1, 1), m) == (1, 1)
+    assert phi.evaluate_mod((1, 0), m) == (1, 0)
+    assert phi.evaluate_mod((2, 1), m) == (4, 1)
+    rational = parse_map("(z^2+1)/(2z)")
+    assert rational.evaluate_mod((0, 1), m) == (1, 0)
+    with pytest.raises(BadPrimeError):
+        rational.evaluate_mod((1, 1), PrimePowerModulus(2, 1))
 
 
 def test_mod_orbit_sequence_extends_periodically():
