@@ -10,7 +10,6 @@ from .numtheory import (
     FactorialDepthRow,
     Factorization,
     FactorizationBudgetError,
-    crt_pair,
     degree_one_demo,
     factorial_valuation,
     factorize,
@@ -59,7 +58,6 @@ from .orbit import HitSet, ModOrbit, OrbitSummary, hit_set, orbit_mod, orbit_rat
 from .zsigmondy import (
     PrimitiveDivisorRun,
     SupportReport,
-    difference_support,
     primitive_divisors,
 )
 from .localglobal import (
@@ -72,7 +70,6 @@ from .localglobal import (
     certificate_to_dict,
     decide,
     intersect_hit_sets,
-    night_schedule,
     problem_from_dict,
     problem_to_dict,
     verify_certificate,

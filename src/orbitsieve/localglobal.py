@@ -53,7 +53,6 @@ __all__ = [
     "Certificate",
     "CycleBlowupError",
     "intersect_hit_sets",
-    "night_schedule",
     "decide",
     "verify_certificate",
     "certificate_to_dict",
@@ -213,13 +212,14 @@ def _intersect_pair(a: HitSet, b: HitSet, cap: int) -> HitSet:
     """a and b intersected; CycleBlowupError when the lcm of their cycle
     lengths passes `cap`.
 
-    Residues combine as in numtheory.crt_pair, with g = gcd(ca, cb) and the
-    inverse of ca / g mod cb / g computed once for the pair, not once per
-    pair of residues: ra and rb meet exactly when g divides rb - ra, at
-    ra + ca * t with t = (rb - ra) / g * inverse mod cb / g, which lies in
-    [0, lcm(ca, cb)) because ra < ca and t < cb / g. Both index lists of
-    the result are strictly increasing and within their bounds, so it is
-    built without HitSet's checks, by tuple.__new__.
+    Residues combine by the Chinese remainder theorem for moduli that need
+    not be coprime, with g = gcd(ca, cb) and the inverse of ca / g mod
+    cb / g computed once for the pair, not once per pair of residues: ra
+    and rb meet exactly when g divides rb - ra, at ra + ca * t with
+    t = (rb - ra) / g * inverse mod cb / g, which lies in [0, lcm(ca, cb))
+    because ra < ca and t < cb / g. Both index lists of the result are
+    strictly increasing and within their bounds, so it is built without
+    HitSet's checks, by tuple.__new__.
     """
     ca, cb = a.cycle_length, b.cycle_length
     c = _cycle_lcm(ca, cb, cap)
@@ -323,13 +323,27 @@ def _stages(
     skips: list[tuple[int, int, str]],
     stages: int,
 ) -> Iterator[list[PrimePowerModulus]]:
-    """Yield the moduli of each of the first `stages` stages of
-    night_schedule in turn.
+    """Yield the prime-power moduli of each of the first `stages` stages
+    of the night schedule in turn.
+
+    Stage s (1-based) takes the next s prime powers p^k, p of good reduction
+    and outside the excluded set, in increasing order of the cost
+    (p^k + p^(k-1)) * k^3, ties broken by p: the point count of P^1(Z/p^k),
+    which bounds the orbit walked there, weighted against depth. So the
+    primes 2, 3, ..., 43 come before 2^2 (cost 48), and every prime power
+    is reached eventually.
+
+    Breadth over primes settles problems, depth rarely does: for most
+    primes the reduced orbit already misses the reduced targets (R. Jones,
+    J. London Math. Soc. 78 (2008), on the density of prime divisors in
+    quadratic orbits). Cheap moduli first also bounds a run's time and
+    memory by the stage count alone: for a map of good reduction at every
+    prime, 12 stages examine 78 moduli, the primes up to 373 and 2^2, 3^2,
+    5^2 and 2^3, where the orbits have at most 374 points.
 
     The stages filter one cost order of all prime powers, computed once per
-    process and shared by every caller (_COST_ORDER): it is immutable and
-    only ever replaced by a longer copy of itself, so concurrent callers
-    read it safely. It is first computed to the stages' size when no prime
+    process and shared by every caller, concurrent ones too (_cost_order).
+    It is first computed to the stages' size when no prime
     is passed over, up to _FIRST_ENTRIES, and doubled when a walk reads
     past its end, so it grows only to about the largest stage count walked.
     A prime that is excluded or of bad reduction is appended to `skips` as
@@ -359,32 +373,6 @@ def _stages(
         yield stage
 
 
-def night_schedule(
-    phi: RationalMap, excluded: Iterable[int], stages: int
-) -> list[PrimePowerModulus]:
-    """The prime-power moduli examined in `stages` stages, in order.
-
-    Stage s (1-based) takes the next s prime powers p^k, p of good reduction
-    and outside the excluded set, in increasing order of the cost
-    (p^k + p^(k-1)) * k^3, ties broken by p: the point count of P^1(Z/p^k),
-    which bounds the orbit walked there, weighted against depth. So the
-    primes 2, 3, ..., 43 come before 2^2 (cost 48), and every prime power
-    is reached eventually. That order of all prime powers is computed once
-    per process and shared with decide; each call filters it by phi and
-    `excluded`, and concurrent callers may read it safely (_stages).
-
-    Breadth over primes settles problems, depth rarely does: for most
-    primes the reduced orbit already misses the reduced targets (R. Jones,
-    J. London Math. Soc. 78 (2008), on the density of prime divisors in
-    quadratic orbits). Cheap moduli first also bounds a run's time and
-    memory by the stage count alone: for a map of good reduction at every
-    prime, 12 stages examine 78 moduli, the primes up to 373 and 2^2, 3^2,
-    5^2 and 2^3, where the orbits have at most 374 points.
-    """
-    gen = _stages(phi, frozenset(excluded), [], stages)
-    return [m for stage in gen for m in stage]
-
-
 _DEGREE_ONE = (
     "degree-one map: modular hit sets can stay nonempty at every "
     "modulus even for orbits that miss the targets, so only a "
@@ -406,12 +394,10 @@ def decide(problem: DecisionProblem, jobs: int = 1) -> Certificate:
     heights rise strictly, so the longer walk could only have ended at the
     step or height budget ("budget", "height") before the same night stages.
     Otherwise the night stages run in order, one modulus at a time, the
-    cheapest moduli first (night_schedule): many primes at k = 1 before any
-    deep power, because breadth over primes is what settles problems, and
-    because the stage count alone then bounds the size of every orbit. A
-    modulus at which a walked point already meets a target (_walk_meets) has
-    a nonempty hit set, so it cannot settle the problem alone: it is
-    recorded as examined with a nonempty hit set and kept unwalked. Every
+    cheapest moduli first, for the reasons that _stages gives. A modulus at
+    which a walked point already meets a target (_walk_meets) has a
+    nonempty hit set, so it cannot settle the problem alone: it is recorded
+    as examined with a nonempty hit set and kept unwalked. Every
     other modulus goes through _evidence, as in verify_certificate. A
     modulus whose own hit set is empty settles the problem by itself and is
     emitted as a singleton certificate, without a fold, so its cycle is not

@@ -26,7 +26,6 @@ __all__ = [
     "FactorialDepthRow",
     "degree_one_demo",
     "mobius",
-    "crt_pair",
     "factorize",
     "DEFAULT_RHO_STEPS",
     "DEFAULT_TRIAL_BOUND",
@@ -252,22 +251,6 @@ def mobius(n: int) -> int:
         if e > 1:
             return 0
     return -1 if len(fac.factors) % 2 else 1
-
-
-def crt_pair(r1: int, m1: int, r2: int, m2: int) -> Optional[tuple[int, int]]:
-    """Combine the congruences x = r1 (mod m1), x = r2 (mod m2).
-
-    Moduli need not be coprime. Returns (r, lcm(m1, m2)) with 0 <= r < lcm,
-    or None when the pair is incompatible.
-    """
-    if m1 < 1 or m2 < 1:
-        raise ValueError("moduli must be positive")
-    g = math.gcd(m1, m2)
-    if (r2 - r1) % g != 0:
-        return None
-    l = m1 // g * m2
-    t = ((r2 - r1) // g * pow(m1 // g, -1, m2 // g)) % (m2 // g)
-    return (r1 + m1 * t) % l, l
 
 
 class Factorization(namedtuple("Factorization", "value factors")):

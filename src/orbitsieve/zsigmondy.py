@@ -26,13 +26,12 @@ from .ratmap import (
     HeightBudgetError,
     RationalMap,
     is_polynomial_type,
-    iterate_point,
+    iterate_point,  # unused here; bench/tracing.py wraps this binding
 )
 
 __all__ = [
     "SupportReport",
     "PrimitiveDivisorRun",
-    "difference_support",
     "primitive_divisors",
 ]
 
@@ -52,27 +51,11 @@ class PrimitiveDivisorRun(namedtuple("PrimitiveDivisorRun", "reports warnings"))
     __slots__ = ()
 
 
-def difference_support(
-    phi: RationalMap,
-    beta: PointLike,
-    gamma: PointLike,
-    m: int,
-    height_bits: int = DEFAULT_HEIGHT_BITS,
-) -> tuple[int, tuple[tuple[int, int], ...]]:
-    """Cross term of phi^m(beta) against gamma and its full factorization.
-
-    Returns (term, ((p, e), ...)). Raises ValueError when the orbit lands
-    exactly on gamma (the difference is zero and has no support), and lets
-    factoring or height budget errors propagate.
-    """
-    x = iterate_point(phi, beta, m, height_bits)
-    return _factored_term(x, normalize(gamma), m)
-
-
 def _factored_term(
     x: ProjectivePoint, g: ProjectivePoint, m: int, known: Iterable[int] = ()
 ) -> tuple[int, tuple[tuple[int, int], ...]]:
-    """The term of x = phi^m(beta) against g, factored as in difference_support.
+    """The cross term |x1*g2 - x2*g1| of x = phi^m(beta) against g, with its
+    full factorization as ((p, e), ...); ValueError when x equals g.
 
     The known primes are divided out first, with their exact valuations;
     only what is left goes to factorize. When that runs out of budget, the

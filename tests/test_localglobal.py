@@ -34,7 +34,6 @@ from orbitsieve.localglobal import (
     certificate_to_dict,
     decide,
     intersect_hit_sets,
-    night_schedule,
     problem_from_dict,
     problem_to_dict,
     verify_certificate,
@@ -112,6 +111,27 @@ def test_intersect_matches_direct_scan_on_random_inputs():
             # adding a condition never enlarges the hit set
             assert not (got.contains(n) and not sets[0].contains(n))
 
+    # one residue on each side, at every pair of cycle lengths 1..12 and
+    # at sampled pairs up to 100: the result is the residue mod the lcm
+    # that a scan of one period finds, or none when gcd(ca, cb) does not
+    # divide rb - ra
+    pairs = [
+        (ca, ra, cb, rb)
+        for ca in range(1, 13) for cb in range(1, 13)
+        for ra in range(ca) for rb in range(cb)
+    ]
+    for _ in range(300):
+        ca, cb = rng.randrange(1, 101), rng.randrange(1, 101)
+        pairs.append((ca, rng.randrange(ca), cb, rng.randrange(cb)))
+    disjoint = 0
+    for ca, ra, cb, rb in pairs:
+        got = intersect_hit_sets([_hs(0, (), ca, (ra,)), _hs(0, (), cb, (rb,))])
+        c = math.lcm(ca, cb)
+        want = [n for n in range(c) if n % ca == ra and n % cb == rb]
+        assert got == _hs(0, (), c, want), (ca, ra, cb, rb)
+        disjoint += not want
+    assert disjoint > 1000
+
 
 def test_intersect_cycle_cap():
     with pytest.raises(CycleBlowupError):
@@ -183,17 +203,23 @@ def _cost(p, k):
     return (p ** k + p ** (k - 1)) * k ** 3
 
 
+def _flat_schedule(phi, excluded, stages):
+    """The moduli of the first `stages` night stages, in order."""
+    gen = localglobal._stages(phi, frozenset(excluded), [], stages)
+    return [m for stage in gen for m in stage]
+
+
 def test_night_schedule_orders_by_cost_then_prime():
     # primes cost p + 1 at k = 1, so the primes up to 43 come before 2^2
     # (cost 48, ahead of 47 by the tie-break on p)
     phi = parse_map("z^2-1")
-    got = night_schedule(phi, (), 4)
+    got = _flat_schedule(phi, (), 4)
     want = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
     assert [(m.p, m.k) for m in got] == [(p, 1) for p in want]
 
     # default budgets: 12 stages, 78 moduli, the primes up to 373 and four
     # prime powers at these positions
-    got = night_schedule(parse_map("z+1"), (), 12)
+    got = _flat_schedule(parse_map("z+1"), (), 12)
     assert len(got) == 78
     assert [(i, m.p, m.k) for i, m in enumerate(got) if m.k > 1] == [
         (14, 2, 2), (25, 3, 2), (53, 5, 2), (69, 2, 3)
@@ -203,8 +229,8 @@ def test_night_schedule_orders_by_cost_then_prime():
     # 2 is a bad prime for the Newton map of z^2 - 1, so the schedule
     # starts at 3; an exclusion shifts it further
     newton = parse_map("(z^2+1)/(2z)")
-    assert [(m.p, m.k) for m in night_schedule(newton, (), 2)] == [(3, 1), (5, 1), (7, 1)]
-    assert [(m.p, m.k) for m in night_schedule(newton, {3}, 2)] == [(5, 1), (7, 1), (11, 1)]
+    assert [(m.p, m.k) for m in _flat_schedule(newton, (), 2)] == [(3, 1), (5, 1), (7, 1)]
+    assert [(m.p, m.k) for m in _flat_schedule(newton, {3}, 2)] == [(5, 1), (7, 1), (11, 1)]
     # at 7 stages 3^2 (cost 96) falls between 89 and 97; with 3 excluded
     # the next power, 5^2, costs 240 and is not reached
     primes = [
@@ -213,9 +239,9 @@ def test_night_schedule_orders_by_cost_then_prime():
     ]
     want = [(3, 1)] + [(p, 1) for p in primes[:22]] + [(3, 2)]
     want += [(p, 1) for p in primes[22:26]]
-    assert [(m.p, m.k) for m in night_schedule(newton, (), 7)] == want
+    assert [(m.p, m.k) for m in _flat_schedule(newton, (), 7)] == want
     want = [(p, 1) for p in primes]
-    assert [(m.p, m.k) for m in night_schedule(newton, {3}, 7)] == want
+    assert [(m.p, m.k) for m in _flat_schedule(newton, {3}, 7)] == want
 
 
 def test_night_schedule_properties():
@@ -225,9 +251,9 @@ def test_night_schedule_properties():
     assert bad == {2, 3, 5}
     excluded = {7, 13}
     stages = 20
-    flat = night_schedule(phi, excluded, stages)
+    flat = _flat_schedule(phi, excluded, stages)
     # stage s has s moduli
-    sizes = [len(night_schedule(phi, excluded, s)) for s in range(stages + 1)]
+    sizes = [len(_flat_schedule(phi, excluded, s)) for s in range(stages + 1)]
     assert [b - a for a, b in zip(sizes, sizes[1:])] == list(range(1, stages + 1))
     pairs = [(m.p, m.k) for m in flat]
     assert len(set(pairs)) == len(pairs)
@@ -252,11 +278,11 @@ def test_night_schedule_properties():
     # every small prime power is reached: k <= 2 within 20 stages; 7^3
     # costs 10,584, so about 1,300 primes come first and it needs 51
     plain = parse_map("z+1")
-    reached = {(m.p, m.k) for m in night_schedule(plain, (), 20)}
+    reached = {(m.p, m.k) for m in _flat_schedule(plain, (), 20)}
     assert {(p, k) for p in (2, 3, 5, 7) for k in (1, 2)} <= reached
-    reached = {(m.p, m.k) for m in night_schedule(plain, (), 51)}
+    reached = {(m.p, m.k) for m in _flat_schedule(plain, (), 51)}
     assert {(p, k) for p in (2, 3, 5, 7) for k in (1, 2, 3)} <= reached
-    assert (7, 3) not in {(m.p, m.k) for m in night_schedule(plain, (), 50)}
+    assert (7, 3) not in {(m.p, m.k) for m in _flat_schedule(plain, (), 50)}
 
 
 _BRUTE_LIMIT = 20_000
@@ -318,7 +344,7 @@ def test_night_schedule_does_not_depend_on_call_history():
     for order in (calls, calls[::-1]):
         for phi, excluded, stages in order:
             want = _brute_schedule(phi, excluded, stages)
-            assert night_schedule(phi, excluded, stages) == want, (str(phi), stages)
+            assert _flat_schedule(phi, excluded, stages) == want, (str(phi), stages)
             # each bad or excluded prime passed over is recorded once, at
             # k = 1, however many of its powers come later
             skips = []
@@ -355,7 +381,7 @@ def test_shared_schedule_matches_a_plain_reference(fresh_cost_order):
         phi = parse_map(text)
         for stages in (2, 14, 5, 40, 9):
             want = _brute_schedule(phi, excluded, stages)
-            assert night_schedule(phi, excluded, stages) == want, (text, stages)
+            assert _flat_schedule(phi, excluded, stages) == want, (text, stages)
             lengths.add(len(localglobal._COST_ORDER))
         for stages in (2, 14, 5):
             problem = _problem(
@@ -395,7 +421,7 @@ def test_a_large_stage_budget_computes_only_what_the_walk_reads(
     assert (cert.kind, cert.night_stages_done) == ("empty", 2)
     assert requested == [localglobal._FIRST_ENTRIES]
     # the stage budget bounds the first request, not the walk
-    got = night_schedule(parse_map("z+1"), (), 60)
+    got = _flat_schedule(parse_map("z+1"), (), 60)
     assert got == _brute_schedule(parse_map("z+1"), (), 60)
     assert requested[1:] == [localglobal._FIRST_ENTRIES, 2 * localglobal._FIRST_ENTRIES]
 
@@ -411,7 +437,7 @@ def test_night_schedule_from_several_threads(fresh_cost_order):
         (parse_map("z+1"), {2, 3, 5}, 12),
         (parse_map("z^2-1"), set(), 50),
     ]
-    want = [night_schedule(*case) for case in cases]
+    want = [_flat_schedule(*case) for case in cases]
     assert want == [_brute_schedule(*case) for case in cases]
     localglobal._COST_ORDER = ()
     got = [None] * len(cases)
@@ -419,7 +445,7 @@ def test_night_schedule_from_several_threads(fresh_cost_order):
 
     def run(i):
         barrier.wait(timeout=60)
-        got[i] = [night_schedule(*cases[i]) for _ in range(3)]
+        got[i] = [_flat_schedule(*cases[i]) for _ in range(3)]
 
     threads = [threading.Thread(target=run, args=(i,)) for i in range(len(cases))]
     interval = sys.getswitchinterval()

@@ -11,7 +11,6 @@ from orbitsieve.numtheory import (
     Factorization,
     FactorizationBudgetError,
     _trial_range,
-    crt_pair,
     factorial_valuation,
     factorize,
     good_primes,
@@ -235,40 +234,6 @@ def test_mobius_divisor_sums():
     for n in range(2, 1001):
         total = sum(mobius(d) for d in factorize(n).divisors())
         assert total == 0, n
-
-
-def test_crt_pair_known_values():
-    assert crt_pair(1, 2, 2, 3) == (5, 6)
-    assert crt_pair(1, 2, 0, 4) is None
-    assert crt_pair(2, 4, 6, 8) == (6, 8)
-    assert crt_pair(0, 1, 5, 7) == (5, 7)
-    assert crt_pair(3, 5, 3, 5) == (3, 5)
-    with pytest.raises(ValueError):
-        crt_pair(0, 0, 1, 2)
-
-
-def _crt_by_scan(r1, m1, r2, m2):
-    l = math.lcm(m1, m2)
-    sols = [n for n in range(l) if n % m1 == r1 and n % m2 == r2]
-    return (sols[0], l) if sols else None
-
-
-def test_crt_pair_exhaustive_small_moduli():
-    for m1 in range(1, 13):
-        for m2 in range(1, 13):
-            for r1 in range(m1):
-                for r2 in range(m2):
-                    assert crt_pair(r1, m1, r2, m2) == _crt_by_scan(r1, m1, r2, m2)
-
-
-def test_crt_pair_sampled_larger_moduli():
-    rng = random.Random(90210)
-    for _ in range(300):
-        m1 = rng.randrange(1, 101)
-        m2 = rng.randrange(1, 101)
-        r1 = rng.randrange(m1)
-        r2 = rng.randrange(m2)
-        assert crt_pair(r1, m1, r2, m2) == _crt_by_scan(r1, m1, r2, m2)
 
 
 def test_factorize_known_values():

@@ -18,25 +18,28 @@ from orbitsieve.ratmap import (
     iterate_point,
     parse_map,
 )
-from orbitsieve.zsigmondy import difference_support, primitive_divisors
+from orbitsieve.zsigmondy import primitive_divisors
 
 
-def test_difference_support_known_values():
-    sq = parse_map("z^2")
-    term, factors = difference_support(sq, 2, 1, 2)
-    assert term == 15
-    assert factors == ((3, 1), (5, 1))
-    term, factors = difference_support(sq, 2, 1, 3)
-    assert term == 255
-    assert factors == ((3, 1), (5, 1), (17, 1))
-    term, factors = difference_support(parse_map("z^2-1"), 3, 0, 1)
-    assert term == 8
-    assert factors == ((2, 3),)
+def test_primitive_divisors_known_supports():
+    # the terms of z^2 from 2 against 1 are 2^(2^m) - 1: 3, 15 and 255
+    run = primitive_divisors(parse_map("z^2"), 2, 1, 3)
+    assert [(r.term_bits, r.term_valuations) for r in run.reports] == [
+        (2, ((3, 1),)),
+        (4, ((3, 1), (5, 1))),
+        (8, ((3, 1), (5, 1), (17, 1))),
+    ]
+    # z^2 - 1 sends 3 to 8, against 0
+    run = primitive_divisors(parse_map("z^2-1"), 3, 0, 1)
+    assert [(r.term_bits, r.term_valuations) for r in run.reports] == [
+        (4, ((2, 3),))
+    ]
 
 
-def test_difference_support_rejects_exact_hits():
-    with pytest.raises(ValueError):
-        difference_support(parse_map("z^2-1"), 0, -1, 1)
+def test_primitive_divisors_rejects_exact_hits():
+    # z^2 - 1 sends 0 to -1, so the first term vanishes
+    with pytest.raises(ValueError, match="equals gamma exactly"):
+        primitive_divisors(parse_map("z^2-1"), 0, -1, 1)
 
 
 def test_fermat_primitive_divisors():
@@ -185,10 +188,16 @@ def test_support_agrees_with_modular_orbit_hits():
 
 
 def _reference_rows(phi, beta, gamma, m_max, bits):
-    """Per-m path: re-iterate from beta for every m and factor its term."""
+    """Per-m path: re-iterate from beta for every m and factor its whole
+    term with zsigmondy.factorize, so under any budget a test sets there."""
     seen, rows = set(), []
     for m in range(1, m_max + 1):
-        term, factors = difference_support(phi, beta, gamma, m, bits)
+        term = _term(phi, beta, gamma, m, bits)
+        if term == 0:
+            raise ValueError(
+                f"phi^{m}(beta) equals gamma exactly; the difference term vanishes"
+            )
+        factors = zsigmondy.factorize(term).factors
         support = {p for p, _ in factors}
         rows.append((m, term.bit_length(), factors, frozenset(support - seen)))
         seen |= support
