@@ -55,11 +55,6 @@ class OrbitSummary(
     def is_preperiodic(self) -> bool:
         return self.stop == "closed"
 
-    def cycle_points(self) -> tuple[ProjectivePoint, ...]:
-        if not self.is_preperiodic:
-            raise ValueError("orbit was not closed")
-        return self.points[self.tail : self.tail + self.cycle]
-
     def distinct_points(self) -> tuple[ProjectivePoint, ...]:
         if not self.is_preperiodic:
             raise ValueError("orbit was not closed")

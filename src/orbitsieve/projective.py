@@ -6,8 +6,8 @@ so equality is plain tuple equality. Like the engine's other values (hit
 sets, modular orbits), a point the engine computes is built by one
 unchecked rule, tuple.__new__(cls, fields), and one read from outside by
 the checking constructor. A point of P^1(Z/p^k) is its canonical (c1, c2)
-int pair (see canonical_residue), or inside the night-side loops one int
-that codes the pair (see _residue_code); the modulus travels separately.
+int pair (see reduce_mod), or inside the night-side loops one int that
+codes the pair (see _residue_code); the modulus travels separately.
 Distances at a finite prime are kept exact as valuation exponents rather
 than floats.
 """
@@ -33,11 +33,14 @@ __all__ = [
     "congruent_mod",
     "PrimePowerModulus",
     "parse_modulus",
-    "canonical_residue",
     "reduce_mod",
 ]
 
 PointLike = Union["ProjectivePoint", int, Fraction, str, tuple]
+
+# No integer named by text read from outside (map text, --mod, a certificate)
+# may pass this many bits; a power u^k counts k times the bits of u.
+_MAX_TEXT_BITS = 1 << 20
 
 
 class ProjectivePoint(namedtuple("ProjectivePoint", "x1 x2")):
@@ -66,11 +69,6 @@ class ProjectivePoint(namedtuple("ProjectivePoint", "x1 x2")):
     @property
     def is_infinity(self) -> bool:
         return self.x2 == 0
-
-    def as_fraction(self) -> Fraction:
-        if self.is_infinity:
-            raise ValueError("the point at infinity is not a fraction")
-        return Fraction(self.x1, self.x2)
 
     def __str__(self) -> str:
         return format_point(self)
@@ -158,18 +156,10 @@ class ChordalValue(namedtuple("ChordalValue", "p exponent")):
 
     __slots__ = ()
 
-    @property
-    def is_zero(self) -> bool:
-        return self.exponent is None
-
     def distance(self) -> Fraction:
         if self.exponent is None:
             return Fraction(0)
         return Fraction(1, self.p ** self.exponent)
-
-    def at_most(self, k: int) -> bool:
-        """True when the distance is <= p^-k."""
-        return self.exponent is None or self.exponent >= k
 
 
 def _cross(x: ProjectivePoint, y: ProjectivePoint) -> int:
@@ -195,7 +185,7 @@ def chordal(x: PointLike, y: PointLike, p: int) -> ChordalValue:
 def congruent_mod(x: PointLike, y: PointLike, m: "PrimePowerModulus") -> bool:
     """Whether two rational points agree modulo p^k.
 
-    Equivalent to chordal(x, y, p).at_most(k) but avoids the valuation loop.
+    That is, chordal(x, y, p) is at most p^-k, without the valuation loop.
     """
     a = normalize(x)
     b = normalize(y)
@@ -209,7 +199,9 @@ class PrimePowerModulus(namedtuple("PrimePowerModulus", "p k modulus")):
     checks them and computes modulus = p^k once, so loops unpack all three
     (p, k, n = m). modulus follows from p and k, so equality and order are
     those of (p, k). repr shows p and k alone, and pickling and
-    copying pass only p and k, so they rebuild through the checks.
+    copying pass only p and k, so they rebuild through the checks. A p^k
+    past _MAX_TEXT_BITS is refused from k and the bits of p, before the
+    power or the primality test runs.
     """
 
     __slots__ = ()
@@ -217,6 +209,11 @@ class PrimePowerModulus(namedtuple("PrimePowerModulus", "p k modulus")):
     def __new__(cls, p: int, k: int) -> "PrimePowerModulus":
         if k < 1:
             raise ValueError("exponent must be >= 1")
+        bits = k * p.bit_length()
+        if bits > _MAX_TEXT_BITS:
+            raise ValueError(
+                f"modulus {p}^{k} of {bits} bits exceeds the limit {_MAX_TEXT_BITS}"
+            )
         if not is_prime(p):
             raise ValueError(f"{p} is not prime")
         return tuple.__new__(cls, (p, k, p ** k))
@@ -226,11 +223,6 @@ class PrimePowerModulus(namedtuple("PrimePowerModulus", "p k modulus")):
 
     def __repr__(self) -> str:
         return f"PrimePowerModulus(p={self[0]}, k={self[1]})"
-
-    def point_count(self) -> int:
-        """|P^1(Z/p^k)| = p^k + p^(k-1)."""
-        p, _, n = self
-        return n + n // p
 
     def __str__(self) -> str:
         return f"{self.p}^{self.k}" if self.k > 1 else str(self.p)
@@ -248,18 +240,6 @@ def parse_modulus(text: str) -> PrimePowerModulus:
     except ValueError:
         raise ValueError(f"bad modulus text: {text!r}") from None
     return PrimePowerModulus(p, k)
-
-
-def canonical_residue(a: int, b: int, m: PrimePowerModulus) -> tuple[int, int]:
-    """Canonical coordinates (c1, c2) of the point (a : b) of P^1(Z/p^k).
-
-    c2 == 1 when b is a unit mod p, otherwise c1 == 1 and p divides c2.
-    Every point of P^1(Z/p^k) has exactly one such pair, so points are
-    equal exactly when their pairs are. Raises ValueError when p divides
-    both a and b.
-    """
-    p, _, n = m
-    return _residue_pair(_residue_code(a, b, p, n), n)
 
 
 def _residue_code(a: int, b: int, p: int, n: int) -> int:
@@ -299,9 +279,13 @@ def _pair_code(a: int, b: int, p: int, n: int) -> int:
 
 
 def reduce_mod(x: PointLike, m: PrimePowerModulus) -> tuple[int, int]:
-    """Reduce a rational point modulo p^k to its canonical pair.
+    """Reduce a rational point modulo p^k to its canonical pair (c1, c2):
+    c2 == 1 when x2 is a unit mod p, otherwise c1 == 1 and p divides c2.
+    Every point of P^1(Z/p^k) has exactly one such pair, so points are
+    equal exactly when their pairs are.
 
     Well-defined for every rational point: normalized coordinates are coprime,
     so at least one survives as a unit mod p.
     """
-    return canonical_residue(*normalize(x), m)
+    p, _, n = m
+    return _residue_pair(_residue_code(*normalize(x), p, n), n)

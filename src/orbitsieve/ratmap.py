@@ -34,6 +34,7 @@ from .projective import (
     PrimePowerModulus,
     ProjectivePoint,
     ZERO,
+    _MAX_TEXT_BITS,
     _residue_code,
     _residue_pair,
     normalize,
@@ -71,7 +72,6 @@ DEFAULT_COMPOSE_DEGREE = 8192
 # keep the parser busy for hours. Nor may it build a coefficient of more
 # bits than _MAX_TEXT_BITS: 9^99999999 names a 317-million-bit integer.
 _MAX_TEXT_DEGREE = 256
-_MAX_TEXT_BITS = DEFAULT_HEIGHT_BITS
 # The decimal digits of a _MAX_TEXT_BITS-bit integer (315,653): no literal
 # may have more, and the CLI raises the interpreter's int-to-str limit
 # (4,300 digits by default) to this for the duration of a command.

@@ -118,13 +118,45 @@ def test_verify_rejects_a_malformed_certificate_without_a_traceback(tmp_path, ca
     points = unreduced["finite_orbit"]["points"]
     points[points.index(["0", "1"])] = ["0", "2"]
     bad_file = tmp_path / "bad.json"
-    for doc in (no_budget, [], short_pair, *non_canonical, unreduced):
+    unknown_kind = certificate("3", "0")
+    unknown_kind["kind"] = "maybe"
+    for doc in (no_budget, [], short_pair, *non_canonical, unreduced, unknown_kind):
         bad_file.write_text(json.dumps(doc))
         code, out, err = _run(capsys, "verify", str(bad_file))
         assert code == 1
         assert out == ""
         assert err.startswith("error: malformed certificate: ")
         assert err.count("\n") == 1
+
+
+def test_verify_refuses_a_modulus_past_the_bit_limit_before_building_it(
+    tmp_path, capsys, time_limit
+):
+    # a certificate whose one k is edited to 10^11 names a 2.3 * 10^11-bit
+    # power of 5, refused while it is decoded
+    cert_file = tmp_path / "cert.json"
+    code, _, _ = _run(
+        capsys,
+        "decide",
+        "--map", "z^2-1",
+        "--point", "3",
+        "--targets", "0",
+        "--output", str(cert_file),
+    )
+    assert code == 0
+    doc = json.loads(cert_file.read_text())
+    assert (doc["moduli"][0]["p"], doc["moduli"][0]["k"]) == ("5", "1")
+    doc["moduli"][0]["k"] = "100000000000"
+    cert_file.write_text(json.dumps(doc))
+    t0 = time.perf_counter()
+    with time_limit():
+        code, out, err = _run(capsys, "verify", str(cert_file))
+    assert time.perf_counter() - t0 < 1.0
+    assert (code, out) == (1, "")
+    assert err == (
+        "error: malformed certificate: modulus 5^100000000000 of "
+        "300000000000 bits exceeds the limit 1048576\n"
+    )
 
 
 def test_decide_exhausted_exit_code(capsys):
@@ -268,6 +300,10 @@ def test_integer_options_take_ascii_digits_only(capsys):
         main(["orbit", "--map", "z+1", "--point", "1", "--max-steps", "١"])
     assert info.value.code == 2
     assert "--max-steps" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as info:
+        main(["orbit", "--map", "z+1", "--point", "1", "--max-steps", "0"])
+    assert info.value.code == 2
+    assert "argument --max-steps: must be a positive integer" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -370,6 +406,20 @@ def test_orbit_mod_output(capsys):
     assert doc["sequence"] == [["3", "1"], ["1", "1"], ["0", "1"], ["6", "1"]]
 
 
+def test_a_modulus_past_the_bit_limit_is_refused_before_it_is_built(capsys, time_limit):
+    # 2^(10^11) would take 12.5 GB to build while --mod is parsed
+    t0 = time.perf_counter()
+    with time_limit():
+        code, out, err = _run(
+            capsys, "orbit", "--map", "z+1", "--point", "1", "--mod", "2^100000000000"
+        )
+    assert time.perf_counter() - t0 < 1.0
+    assert (code, out) == (1, "")
+    assert err == (
+        "error: modulus 2^100000000000 of 200000000000 bits exceeds the limit 1048576\n"
+    )
+
+
 def test_orbit_mod_stops_past_the_step_limit(capsys):
     # z+1 mod 1000003^2 would walk through 10^12 points
     code, out, err = _run(capsys, "orbit", "--map", "z+1", "--point", "1", "--mod", "1000003^2")
@@ -388,6 +438,24 @@ def test_badprimes_output(capsys):
     assert doc["resultant"] == "81"
     assert doc["bad_primes"] == ["3"]
     assert doc["complete"] is True
+
+
+def test_badprimes_warns_of_an_unfactored_cofactor(capsys):
+    # the resultant 100160063^2 is left whole by one rho step past trial
+    # division to 1
+    argv = ("badprimes", "--map", "z^2/(z-100160063)", "--factor-steps", "1", "--trial-bound", "1")
+    code, out, _ = _run(capsys, *argv)
+    assert code == 0
+    assert out.splitlines()[1:] == [
+        "bad primes: (none)",
+        "warning: unfactored composite cofactor with 54 bits; the list above may be "
+        "incomplete",
+    ]
+    code, doc, _ = _run_json(capsys, *argv)
+    assert code == 0
+    assert (doc["complete"], doc["bad_primes"], doc["cofactor"]) == (
+        False, [], str(100160063 ** 2)
+    )
 
 
 def test_periodic_output(capsys):

@@ -70,6 +70,9 @@ def test_intersect_identity_and_absorbing():
     assert [n for n in range(12) if got.contains(n)] == [2, 4, 6, 8, 10]
     assert intersect_hit_sets([NO_INDICES, evens]).is_empty()
     assert intersect_hit_sets([evens]) == evens
+    # the intersection of no hit sets would be every index: refused
+    with pytest.raises(ValueError, match="need at least one hit set"):
+        intersect_hit_sets([])
 
 
 def test_intersect_by_crt():
@@ -507,7 +510,7 @@ def test_decide_empty_by_finite_orbit():
     assert cert.kind == "empty"
     assert cert.finite_orbit is not None
     assert cert.evidence == ()
-    assert {p.as_fraction() for p in cert.finite_orbit.distinct_points()} == {0, -1}
+    assert {Fraction(*p) for p in cert.finite_orbit.distinct_points()} == {0, -1}
     assert verify_certificate(problem, cert)
 
 

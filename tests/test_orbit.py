@@ -13,7 +13,6 @@ from orbitsieve.projective import (
     INFINITY,
     PrimePowerModulus,
     _residue_pair,
-    canonical_residue,
     normalize,
     reduce_mod,
 )
@@ -35,7 +34,10 @@ def test_orbit_rational_preperiodic():
     assert summary.cycle == 2
     assert len(summary.points) == 3
     assert summary.points[2] == summary.points[0]
-    assert summary.cycle_points() == (normalize(0), normalize(-1))
+    assert summary.points[summary.tail : summary.tail + summary.cycle] == (
+        normalize(0),
+        normalize(-1),
+    )
     assert summary.distinct_points() == (normalize(0), normalize(-1))
 
 
@@ -44,16 +46,17 @@ def test_orbit_rational_truncated():
     summary = orbit_rational(phi, 3, 5)
     assert summary.stop == "budget"
     assert summary.steps_done == 5
-    assert [p.as_fraction() for p in summary.points[:4]] == [3, 8, 63, 3968]
+    assert [Fraction(*p) for p in summary.points[:4]] == [3, 8, 63, 3968]
+    assert (summary.tail, summary.cycle) == (None, None)
     with pytest.raises(ValueError):
-        summary.cycle_points()
+        summary.distinct_points()
 
 
 def test_orbit_rational_stops_at_proven_escape():
     # under z^2 (L = 5) a point of 7 or more bits proves escape
     phi = parse_map("z^2")
     walk = orbit_rational(phi, 2, 10, escape_from=0)
-    assert [p.as_fraction() for p in walk.points] == [2, 4, 16, 256]
+    assert [Fraction(*p) for p in walk.points] == [2, 4, 16, 256]
     assert (walk.stop, walk.steps_done) == ("escaped", 3)
     assert orbit_rational(phi, 2, 10, escape_from=4).steps_done == 4
     start = orbit_rational(phi, 2 ** 40, 10, escape_from=0)
@@ -401,19 +404,19 @@ def test_orbit_mod_matches_naive_recomputation_up_to_125():
                 tail, cycle, seq = _naive_mod_orbit(phi, start, m)
                 assert (orb.tail, orb.cycle) == (tail, cycle), (str(phi), str(m))
                 assert [_residue_pair(c, m.modulus) for c in orb.sequence] == seq
-                assert orb.tail + orb.cycle <= m.point_count()
+                assert orb.tail + orb.cycle <= m.modulus + m.modulus // m.p
 
 
 def _pair_step(phi, pair, m):
     """One step of the reduced map on pairs: F and G summed term by term at
-    (c1, c2), then canonical_residue. Also says whether G(c1, c2) was 1 mod p
+    (c1, c2), then reduce_mod. Also says whether G(c1, c2) was 1 mod p
     but not mod p^k."""
     c1, c2 = pair
     d = phi.degree
     a = sum(c * c1**i * c2 ** (d - i) for i, c in enumerate(phi.F))
     b = sum(c * c1**i * c2 ** (d - i) for i, c in enumerate(phi.G))
     near_one = b % m.p == 1 % m.p and b % m.modulus != 1
-    return canonical_residue(a, b, m), near_one
+    return reduce_mod((a, b), m), near_one
 
 
 def _pair_orbit(phi, start, m):

@@ -2,6 +2,7 @@
 
 import hashlib
 import random
+import time
 from fractions import Fraction
 from math import gcd
 
@@ -13,7 +14,7 @@ from orbitsieve.projective import (
     ChordalValue,
     PrimePowerModulus,
     ProjectivePoint,
-    canonical_residue,
+    _residue_code,
     chordal,
     congruent_mod,
     format_point,
@@ -26,6 +27,7 @@ from orbitsieve.projective import (
 
 def test_point_construction_enforces_normal_form():
     assert ProjectivePoint(3, 1).x1 == 3
+    assert INFINITY.is_infinity and not ZERO.is_infinity
     with pytest.raises(ValueError):
         ProjectivePoint(0, 0)
     with pytest.raises(ValueError):
@@ -174,18 +176,12 @@ def test_parse_point_outcomes_match_their_pinned_digest():
     assert (1, 0) in values and (0, 1) in values
 
 
-def test_as_fraction():
-    assert ProjectivePoint(3, 5).as_fraction() == Fraction(3, 5)
-    assert INFINITY.is_infinity
-    with pytest.raises(ValueError):
-        INFINITY.as_fraction()
-
-
 def test_chordal_known_values():
     assert chordal((3, 1), (1, 1), 2) == ChordalValue(2, 1)
     assert chordal((3, 1), (1, 1), 2).distance() == Fraction(1, 2)
     assert chordal((3, 1), (1, 1), 5) == ChordalValue(5, 0)
-    assert chordal(7, 7, 3).is_zero
+    assert chordal(7, 7, 3) == ChordalValue(3, None)
+    assert chordal(7, 7, 3).distance() == 0
     with pytest.raises(ValueError):
         chordal(1, 2, 4)
 
@@ -197,19 +193,20 @@ def test_congruent_mod_known_values():
     assert congruent_mod(INFINITY, Fraction(1, 5), PrimePowerModulus(5, 1))
 
 
-def test_at_most_agrees_with_congruent_mod_sampled():
-    # congruent_mod(x, y, p^k) is chordal(x, y, p).at_most(k) without the
-    # valuation loop; pairs that agree to a high power of p come from
-    # y = x + p^j * t, and equal points from j = None
+def test_congruent_mod_agrees_with_chordal_sampled():
+    # congruent_mod(x, y, p^k) says that chordal(x, y, p) is at most p^-k
+    # without the valuation loop; pairs that agree to a high power of p come
+    # from y = x + p^j * t, and equal points from j = None
     rng = random.Random(17)
     seen = set()
     for _ in range(300):
         p = rng.choice((2, 3, 5, 7))
         x = normalize((rng.randrange(-99, 100), rng.randrange(1, 50)))
         j = rng.choice((None, 0, 1, 2, 3, 4))
-        y = x if j is None else normalize(x.as_fraction() + p ** j * rng.randrange(1, 30))
+        y = x if j is None else normalize(Fraction(*x) + p ** j * rng.randrange(1, 30))
+        exponent = chordal(x, y, p).exponent
         for k in range(1, 7):
-            got = chordal(x, y, p).at_most(k)
+            got = exponent is None or exponent >= k
             assert got == congruent_mod(x, y, PrimePowerModulus(p, k)), (x, y, p, k)
             seen.add(got)
     assert seen == {True, False}
@@ -242,14 +239,33 @@ def test_chordal_metric_axioms_sampled():
 def test_prime_power_modulus():
     m = PrimePowerModulus(5, 2)
     assert m.modulus == 25
-    assert m.point_count() == 30
     assert str(m) == "5^2"
     assert str(PrimePowerModulus(7, 1)) == "7"
-    assert PrimePowerModulus(2, 3).point_count() == 12
+    assert PrimePowerModulus(2, 3).modulus == 8
     with pytest.raises(ValueError):
         PrimePowerModulus(4, 1)
     with pytest.raises(ValueError):
         PrimePowerModulus(5, 0)
+
+
+def test_prime_power_modulus_past_the_bit_limit_is_refused_before_it_is_built(time_limit):
+    # p^k counts k times the bits of p, as a power in map text does: 2^k
+    # passes 2^20 bits so counted from k = 2^19 + 1 on, and 4^(10^11) is
+    # refused for its size before its base is found composite
+    assert PrimePowerModulus(2, 2 ** 19).modulus.bit_length() == 2 ** 19 + 1
+    refused = [
+        (2, 2 ** 19 + 1, 2 ** 20 + 2),
+        (2, 10 ** 11, 2 * 10 ** 11),
+        (4, 10 ** 11, 3 * 10 ** 11),
+        (2 ** 127 - 1, 8257, 127 * 8257),
+    ]
+    t0 = time.perf_counter()
+    with time_limit():
+        for p, k, bits in refused:
+            with pytest.raises(ValueError) as info:
+                PrimePowerModulus(p, k)
+            assert str(info.value) == f"modulus {p}^{k} of {bits} bits exceeds the limit 1048576"
+    assert time.perf_counter() - t0 < 1.0
 
 
 def test_parse_modulus():
@@ -266,7 +282,7 @@ def test_parse_modulus():
 
 def test_prime_power_modulus_stores_its_power_outside_eq_hash_order_and_repr():
     m = PrimePowerModulus(5, 2)
-    assert m.modulus == 25 and m.point_count() == 30
+    assert m.modulus == 25
     assert repr(m) == "PrimePowerModulus(p=5, k=2)"
     # modulus is p^k, so equality, hashing and order are those of (p, k)
     other = PrimePowerModulus(5, 2)
@@ -281,16 +297,17 @@ def test_prime_power_modulus_stores_its_power_outside_eq_hash_order_and_repr():
 
 def test_canonical_residue():
     m = PrimePowerModulus(5, 1)
-    assert canonical_residue(6, 2, m) == (3, 1)
-    assert canonical_residue(2, 5, m) == (1, 0)
-    assert canonical_residue(3, 1, m) == (3, 1)
-    assert canonical_residue(-1, 10, m) == (1, 0)
+    assert reduce_mod((6, 2), m) == (3, 1)
+    assert reduce_mod((2, 5), m) == (1, 0)
+    assert reduce_mod((3, 1), m) == (3, 1)
+    assert reduce_mod((-1, 10), m) == (1, 0)
     m25 = PrimePowerModulus(5, 2)
-    assert canonical_residue(3, 10, m25) == (1, 20)  # 10 * 3^-1 = 10 * 17 mod 25
+    assert reduce_mod((3, 10), m25) == (1, 20)  # 10 * 3^-1 = 10 * 17 mod 25
+    # a pair that normalize would first divide by p is no point mod p
     with pytest.raises(ValueError):
-        canonical_residue(5, 10, m)
+        _residue_code(5, 10, 5, 5)
     with pytest.raises(ValueError):
-        canonical_residue(0, 0, m)
+        _residue_code(0, 0, 5, 5)
 
 
 def test_reduce_mod_known_values():
@@ -321,7 +338,7 @@ def test_reduce_mod_is_the_congruence_quotient():
     ):
         reduced = [reduce_mod(pt, m) for pt in points]
         count = len(set(reduced))
-        assert count <= m.point_count()
+        assert count <= m.modulus + m.modulus // m.p
         for i, x in enumerate(points):
             for j in range(i, len(points)):
                 same = reduced[i] == reduced[j]
