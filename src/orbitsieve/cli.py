@@ -44,19 +44,42 @@ from .zsigmondy import primitive_divisors
 _JSON_KW = dict(sort_keys=True, indent=2)
 
 
-def _emit(doc: dict, fmt: str, table_lines: Iterable[str]) -> None:
-    if fmt == "json":
-        print(json.dumps(doc, **_JSON_KW))
-    else:
+def _emit(
+    doc: dict, fmt: str, table_lines: Iterable[str], sequence: Optional[Iterable] = None
+) -> None:
+    """Print doc as JSON, json.dumps(doc, **_JSON_KW), or the table's lines.
+
+    `sequence`, if given, is the document's "sequence": a nonempty iterable
+    of int pairs, each a list of two decimal strings in the JSON. Its rows
+    are written one at a time, in the bytes that json.dumps gives the whole
+    document (a top-level list under indent 2: rows 4 spaces in, their
+    strings 6), so the list is never held whole as objects or as text.
+    """
+    if fmt != "json":
         for line in table_lines:
             print(line)
+    elif sequence is None:
+        print(json.dumps(doc, **_JSON_KW))
+    else:
+        marker = "\0"  # no value of a document holds a NUL character
+        text = json.dumps({**doc, "sequence": marker}, **_JSON_KW)
+        head, tail = text.split(json.dumps(marker))
+        write = sys.stdout.write
+        write(head)
+        sep = "[\n"
+        for a, b in sequence:
+            write(f'{sep}    [\n      "{a}",\n      "{b}"\n    ]')
+            sep = ",\n"
+        write("\n  ]" + tail + "\n")
 
 
-def _report(args, doc: dict, table_lines: Iterable[str]) -> None:
+def _report(
+    args, doc: dict, table_lines: Iterable[str], sequence: Optional[Iterable] = None
+) -> None:
     """_emit a report in the envelope that every command's JSON carries,
     except decide's, whose document is the certificate itself."""
     envelope = {"schema_version": "1", "command": args.command}
-    _emit({**envelope, **doc}, args.format, table_lines)
+    _emit({**envelope, **doc}, args.format, table_lines, sequence)
 
 
 def _parse_int_list(text: Optional[str]) -> list[int]:
@@ -87,21 +110,15 @@ def _cmd_orbit(args) -> int:
         m = parse_modulus(args.mod)
         orb = orbit_mod(phi, start, m)
         pairs = (_residue_pair(c, m.modulus) for c in orb.sequence)
-        # only the format asked for is built, and the table's rows stream
-        doc: dict = {}
-        lines: Iterable[str] = ()
-        if args.format == "json":
-            doc = {
-                "modulus": {"p": str(m.p), "k": str(m.k)},
-                "tail": str(orb.tail),
-                "cycle": str(orb.cycle),
-                "sequence": [[str(a), str(b)] for a, b in pairs],
-            }
-        else:
-            head = f"orbit of {format_point(start)} mod {m}: tail={orb.tail} cycle={orb.cycle}"
-            rows = (f"  n={n}: ({a} : {b})" for n, (a, b) in enumerate(pairs))
-            lines = chain([head], rows)
-        _report(args, doc, lines)
+        # the rows of either format stream, in the one format asked for
+        doc = {
+            "modulus": {"p": str(m.p), "k": str(m.k)},
+            "tail": str(orb.tail),
+            "cycle": str(orb.cycle),
+        }
+        head = f"orbit of {format_point(start)} mod {m}: tail={orb.tail} cycle={orb.cycle}"
+        rows = (f"  n={n}: ({a} : {b})" for n, (a, b) in enumerate(pairs))
+        _report(args, doc, chain([head], rows), pairs)
         return 0
     summary = orbit_rational(phi, start, args.max_steps, args.height_bits)
     doc = {
@@ -321,8 +338,6 @@ def _cmd_newton(args) -> int:
         ],
     }
     lines = [f"newton map: {phi}"]
-    for note in phi.notes:
-        lines.append(f"note: {note}")
     for r in reports:
         if r.place == "real":
             res = r.detail.get("final_residual")

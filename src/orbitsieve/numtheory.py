@@ -325,6 +325,13 @@ def _pollard_brent(n: int, budget: int) -> tuple[Optional[int], int]:
     polynomial constant c walks 1, 2, 3, ... and the starting value is 2.
     factorize passes only odd composites: its trial division removes 2 from
     every cofactor, and the factors it splits off odd numbers are odd.
+
+    A step is y = y * y % n + c: c is added to the reduced square, not to
+    the square twice its size, so y lies in [c, n + c) with the residue of
+    y^2 + c mod n, and every use of y is taken mod n. The product q of the
+    differences x - y is reduced once per four steps, so it is reduced at
+    every gcd; each gcd, factor and step count is that of the walk reduced
+    at every step.
     """
     steps = 0
     m = 128
@@ -333,14 +340,28 @@ def _pollard_brent(n: int, budget: int) -> tuple[Optional[int], int]:
         x = ys = y
         while g == 1:
             x = y
-            for _ in range(r):
-                y = (y * y + c) % n
+            for _ in range(r >> 2):
+                y = y * y % n + c
+                y = y * y % n + c
+                y = y * y % n + c
+                y = y * y % n + c
+            for _ in range(r & 3):
+                y = y * y % n + c
             k = 0
             while k < r and g == 1:
                 ys = y
                 chunk = min(m, r - k)
-                for _ in range(chunk):
-                    y = (y * y + c) % n
+                for _ in range(chunk >> 2):
+                    y = y * y % n + c
+                    q *= x - y
+                    y = y * y % n + c
+                    q *= x - y
+                    y = y * y % n + c
+                    q *= x - y
+                    y = y * y % n + c
+                    q = q * (x - y) % n
+                for _ in range(chunk & 3):
+                    y = y * y % n + c
                     q = q * (x - y) % n
                 k += chunk
                 steps += chunk
@@ -352,9 +373,9 @@ def _pollard_brent(n: int, budget: int) -> tuple[Optional[int], int]:
             # backtrack one step at a time to recover the factor
             g = 1
             while g == 1:
-                ys = (ys * ys + c) % n
+                ys = ys * ys % n + c
                 steps += 1
-                g = math.gcd(abs(x - ys), n)
+                g = math.gcd(x - ys, n)
                 if steps >= budget and g == 1:
                     return None, steps
         if 1 < g < n:

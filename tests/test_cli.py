@@ -1,7 +1,8 @@
 """End to end tests of the command line interface.
 
 Everything goes through main(argv) so the tests cover argument parsing,
-exit codes, and both output formats without spawning subprocesses.
+exit codes, and both output formats without spawning subprocesses; only the
+memory test runs main in a child process, whose peak RSS is its own.
 """
 
 import contextlib
@@ -9,15 +10,21 @@ import hashlib
 import io
 import json
 import math
+import os
 import re
 import shlex
+import subprocess
 import sys
 import time
 from pathlib import Path
 
 import pytest
 
+import orbitsieve
 from orbitsieve.cli import main
+from orbitsieve.orbit import orbit_mod
+from orbitsieve.projective import _residue_pair, parse_modulus, parse_point
+from orbitsieve.ratmap import parse_map
 
 
 def _run(capsys, *argv):
@@ -406,6 +413,68 @@ def test_orbit_mod_output(capsys):
     assert doc["sequence"] == [["3", "1"], ["1", "1"], ["0", "1"], ["6", "1"]]
 
 
+@pytest.mark.parametrize(
+    "map_text, point, mod",
+    [
+        ("z^2-1", "3", "7"),
+        ("z+1", "1", "5^2"),
+        ("(z^2+1)/(2z)", "3", "11"),
+        # 0 -> inf -> 0: a pair (1, 0) among the rows
+        ("1/z", "0", "3"),
+        # a one-point orbit
+        ("z^2", "inf", "2^3"),
+    ],
+)
+def test_orbit_mod_json_is_the_bytes_of_json_dumps(capsys, map_text, point, mod):
+    # the rows of "sequence" are written one at a time, in the text that
+    # json.dumps writes for the whole document
+    argv = ["orbit", "--map", map_text, "--point", point, "--mod", mod, "--format", "json"]
+    code, out, _ = _run(capsys, *argv)
+    m = parse_modulus(mod)
+    orb = orbit_mod(parse_map(map_text), parse_point(point), m)
+    pairs = [_residue_pair(c, m.modulus) for c in orb.sequence]
+    doc = {
+        "schema_version": "1",
+        "command": "orbit",
+        "modulus": {"p": str(m.p), "k": str(m.k)},
+        "tail": str(orb.tail),
+        "cycle": str(orb.cycle),
+        "sequence": [[str(a), str(b)] for a, b in pairs],
+    }
+    assert (code, out) == (0, json.dumps(doc, sort_keys=True, indent=2) + "\n")
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is counted in KiB on Linux")
+def test_orbit_mod_json_holds_neither_the_rows_nor_their_text():
+    # z+1 mod 2^17-1 walks 131,071 points. Building the document whole and
+    # encoding it with the indenting encoder peaked at 83 MiB of child RSS
+    # (Linux, Python 3.11), writing its rows one at a time at 26 MiB. Linux
+    # starts a child's ru_maxrss at the peak of the process that started
+    # it, so a small Python process starts the command and reports the
+    # peak of its one child (RUSAGE_CHILDREN, in KiB on Linux).
+    package_parent = os.path.dirname(orbitsieve.__path__[0])
+    path = os.pathsep.join(filter(None, [package_parent, os.environ.get("PYTHONPATH")]))
+    starter = (
+        "import resource, subprocess, sys\n"
+        "code = subprocess.call([sys.executable, '-m', 'orbitsieve.cli', *sys.argv[1:]])\n"
+        "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss, file=sys.stderr)\n"
+        "sys.exit(code)\n"
+    )
+    argv = ["orbit", "--map", "z+1", "--point", "1", "--mod", "131071", "--format", "json"]
+    proc = subprocess.run(
+        [sys.executable, "-c", starter, *argv],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads(proc.stdout)
+    assert (doc["cycle"], len(doc["sequence"])) == ("131071", 131071)
+    assert doc["sequence"][-1] == ["0", "1"]
+    assert int(proc.stderr) / 1024 < 50
+
+
 def test_a_modulus_past_the_bit_limit_is_refused_before_it_is_built(capsys, time_limit):
     # 2^(10^11) would take 12.5 GB to build while --mod is parsed
     t0 = time.perf_counter()
@@ -549,6 +618,14 @@ def test_newton_start_beyond_double_range_leaves_the_real_place_undecided(capsys
     assert real["verdict"] == "undecided"
     assert real["detail"]["note"] == "start or coefficients beyond double precision"
     assert p5["place"] == "5" and p5["detail"]["valuations"]
+
+
+def test_newton_refuses_a_polynomial_that_is_not_squarefree(capsys):
+    # newton_map would note the repeated factor, but the place report
+    # refuses the polynomial before anything is printed
+    code, out, err = _run(capsys, "newton", "--poly", "(z-1)^2*(z+1)", "--alpha", "3")
+    assert (code, out) == (1, "")
+    assert err == "error: polynomial must be squarefree\n"
 
 
 def test_demo_degree_one_output(capsys):

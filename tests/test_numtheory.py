@@ -1,5 +1,6 @@
 """Tests for the integer arithmetic helpers."""
 
+import hashlib
 import itertools
 import math
 import random
@@ -374,6 +375,111 @@ def test_trial_range_wheel_matches_the_odd_step_sweep():
     # three primes between 10^4 and the trial bound
     p, q, r = 10_007, 104_729, 999_983
     assert factorize(p * q * q * r, rho_steps=8).factors == ((p, 1), (q, 2), (r, 1))
+
+
+def _reference_pollard_brent(n, budget, events):
+    """_pollard_brent as it was with the step (y * y + c) % n and the
+    product reduced at every step; appends "backtrack" to events when the
+    gcd reaches n, and "retry" when backtracking leaves it at n."""
+    steps = 0
+    m = 128
+    for c in range(1, 10_000):
+        y, r, q, g = 2, 1, 1, 1
+        x = ys = y
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                chunk = min(m, r - k)
+                for _ in range(chunk):
+                    y = (y * y + c) % n
+                    q = q * (x - y) % n
+                k += chunk
+                steps += chunk
+                g = math.gcd(q, n)
+                if steps >= budget and g == 1:
+                    return None, steps
+            r <<= 1
+        if g == n:
+            events.append("backtrack")
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                steps += 1
+                g = math.gcd(abs(x - ys), n)
+                if steps >= budget and g == 1:
+                    return None, steps
+        if 1 < g < n:
+            return g, steps
+        if steps >= budget:
+            return None, steps
+        events.append("retry")
+    return None, steps
+
+
+def test_pollard_brent_takes_the_steps_of_the_reference_walk():
+    # the step adds c after the reduction and the product is reduced once
+    # per four steps; every (factor, steps) must be the reference's, at
+    # budgets that end inside the first chunk, at the chunk size m = 128
+    # and one past it, and far into the walk
+    rng = random.Random(35)
+    composites = [25, 49, 9 * 11, 15, 21, 1001, 3 ** 5 * 7]
+    for _ in range(12):
+        # close primes, whose walks mod p and mod q often close together
+        p = next_prime(rng.getrandbits(rng.randint(10, 30)))
+        q = next_prime(p)
+        composites += [p * q, p * p * q, p * q * q]
+    for _ in range(30):
+        composites.append(next_prime(rng.getrandbits(12)) * next_prime(rng.getrandbits(18)))
+    for _ in range(20):
+        n = rng.getrandbits(rng.randint(20, 64)) | 1
+        if not is_prime(n):
+            composites.append(n)
+    # walks that split between 5,000 and 60,000 steps, and past 60,000
+    composites.append(next_prime(1 << 28) * next_prime(3 << 27))
+    composites.append(next_prime(1 << 40) * next_prime(1 << 41))
+    events = []
+    splits = {}
+    for n in composites:
+        for budget in (1, 7, 128, 129, 5_000, 60_000):
+            want = _reference_pollard_brent(n, budget, events)
+            assert numtheory._pollard_brent(n, budget) == want, (n, budget)
+            splits[budget] = splits.get(budget, 0) + (want[0] is not None)
+    # the gcd reaches n 47 times; backtracking then finds a factor, or
+    # leaves the gcd at n and the walk retries with the next constant (5)
+    assert events.count("backtrack") > 40 and events.count("retry") > 0
+    # each budget stops some walks short of a factor: 9 of the 93 split
+    # within 1 step, 91 within 5,000, 92 within 60,000
+    assert splits[1] < splits[128] < splits[5_000] < splits[60_000] < len(composites)
+
+
+def _factorize_outcomes_digest(count, rho_steps):
+    rng = random.Random(35)
+    lines = []
+    for _ in range(count):
+        n = rng.getrandbits(rng.randint(40, 120)) | 1 << 39
+        try:
+            lines.append(f"{n} {factorize(n, 10 ** 4, rho_steps).factors}")
+        except FactorizationBudgetError as exc:
+            lines.append(f"{n} budget {exc.cofactor} {exc.partial}")
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+def test_factorize_outcomes_match_a_pinned_digest():
+    # every factorization, and every budget error with its cofactor and
+    # partial factors, of seeded 40-120-bit values; 500 of the 2,000 runs
+    # at 2,000 steps end in a budget error, and 55 of the 400 at 20,000.
+    # The trial bound 10^4 skips the wheel sweep, which takes longer than
+    # rho here. The digests were taken with rho reducing at every step.
+    assert _factorize_outcomes_digest(2_000, 2_000) == (
+        "4a751d9edba60274aa0ab5dd6b542efe95c1870458c456846064985527e253f4"
+    )
+    assert _factorize_outcomes_digest(400, 20_000) == (
+        "37272c224fe0ce864b900246beb9b4b1a80c53de4986b78b3f16fa17cbbbe878"
+    )
 
 
 def test_factorization_type_validates():
