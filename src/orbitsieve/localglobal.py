@@ -18,7 +18,6 @@ from __future__ import annotations
 import heapq
 import math
 from collections import namedtuple
-from itertools import islice
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .numtheory import good_primes, prime_set
@@ -40,10 +39,8 @@ from .projective import (
 )
 from .ratmap import (
     DEFAULT_HEIGHT_BITS,
-    HeightBudgetError,
     RationalMap,
     iterate_point,  # unused here; bench/tracing.py wraps this binding
-    orbit_points,
 )
 
 __all__ = [
@@ -537,46 +534,45 @@ def _minimize_family(
 def verify_certificate(problem: DecisionProblem, cert: Certificate) -> bool:
     """Re-check a certificate from scratch; True only for a sound one.
 
-    Each claim is accepted in one form only:
+    Each claim is accepted in one form only. The day-side claims are
+    re-walked by decide's own walk, orbit_rational with the targets as its
+    stop set, without decide's escape stop:
     - Witness: the index lies within the problem's day_steps, as every
-      witness that decide writes does, and the exact orbit, walked from the
-      start under the height budget, meets the targets first at that index.
-      An index past day_steps is refused before any walk, and a later
-      meeting once the first is reached. The walk is orbit_points with one
-      set lookup per iterate, not decide's orbit_rational.
-    - Empty with a finite orbit: re-run the orbit, require it to equal the
-      stored closed orbit, and require disjointness from the targets.
+      witness that decide writes does, and the walk of at most that many
+      steps under the height budget stops at a target after exactly that
+      many. An index past day_steps is refused before any walk; a walk that
+      meets a target earlier stops there, and one that closes, or passes
+      the height budget, before the index stops without a target.
+    - Empty with a finite orbit: the walk of at most day_steps steps closes
+      and equals the stored closed orbit. A walk that meets a target stops
+      there, not "closed", so the closed orbit misses the targets.
     - Empty with moduli: each modulus is named once, in any order (documents
       of the former triangle schedule list them in examination order), and
       is an allowed good prime power; its orbit and hit set are recomputed
       and compared with the stored ones, and the hit sets must intersect in
-      the empty set.
+      the empty set. A modulus whose recomputation raises ValueError (a
+      prime of bad reduction, or an orbit past orbit_mod's step limit) is
+      refused; any other exception is a fault and propagates.
     Exhausted certificates assert nothing and never verify.
     """
     phi = problem.phi
     budgets = problem.budgets
+    targets = problem.targets
     if cert.kind == "witness":
         index = cert.witness_index
         if index is None or not 0 <= index <= budgets.day_steps:
             return False
-        targets = frozenset(problem.targets)
-        walk = orbit_points(phi, problem.start, budgets.height_bits)
-        try:
-            for n, pt in enumerate(islice(walk, index + 1)):
-                if pt in targets:
-                    return n == index
-        except HeightBudgetError:
-            pass
-        return False
+        walk = orbit_rational(
+            phi, problem.start, index, budgets.height_bits, stop_at=targets
+        )
+        return walk.stop == "target" and walk.steps_done == index
     if cert.kind != "empty":
         return False
     if cert.finite_orbit is not None:
         redone = orbit_rational(
-            phi, problem.start, budgets.day_steps, budgets.height_bits
+            phi, problem.start, budgets.day_steps, budgets.height_bits, stop_at=targets
         )
-        if redone != cert.finite_orbit:
-            return False
-        return frozenset(problem.targets).isdisjoint(redone.points)
+        return redone.stop == "closed" and redone == cert.finite_orbit
     if not cert.evidence:
         return False
     if len({ev.modulus for ev in cert.evidence}) != len(cert.evidence):
@@ -587,7 +583,7 @@ def verify_certificate(problem: DecisionProblem, cert: Certificate) -> bool:
         try:
             if _evidence(problem, ev.modulus) != ev:
                 return False
-        except Exception:
+        except ValueError:
             return False
     try:
         combined = intersect_hit_sets(

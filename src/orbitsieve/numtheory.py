@@ -32,25 +32,10 @@ __all__ = [
 ]
 
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-# (B, k): B is the least strong pseudoprime to each of the first k primes, so
-# Miller-Rabin with those k witnesses is exact for every n < B. Rows from
-# Jaeschke, Math. Comp. 61 (1993), and Sorenson-Webster, Math. Comp. 86
-# (2017); a k with no row of its own shares the B of the next smaller k
-# (k = 8 that of 7; k = 10 and 11 that of 9).
-_MR_WITNESS_BOUNDS = (
-    (2_047, 1),
-    (1_373_653, 2),
-    (25_326_001, 3),
-    (3_215_031_751, 4),
-    (2_152_302_898_747, 5),
-    (3_474_749_660_383, 6),
-    (341_550_071_728_321, 7),
-    (3_825_123_056_546_413_051, 9),
-    (318_665_857_834_031_151_167_461, 12),
-    (3_317_044_064_679_887_385_961_981, 13),
-)
-# Below this bound is_prime is deterministic; from it on it is probabilistic.
-_MR_DETERMINISTIC_BOUND = _MR_WITNESS_BOUNDS[-1][0]
+# The least strong pseudoprime to all 13 witnesses (Sorenson-Webster, Math.
+# Comp. 86 (2017)): below it Miller-Rabin with them is exact, from it on
+# is_prime is probabilistic.
+_MR_DETERMINISTIC_BOUND = 3_317_044_064_679_887_385_961_981
 _MR_EXTRA_ROUNDS = 40
 
 _SMALL_SIEVE_LIMIT = 10_000
@@ -108,11 +93,10 @@ def is_prime(n: int) -> bool:
     n < 10^4 (negative n included) is looked up in the set of primes below
     10^4 that the module sieves once, the table factorize divides by. Larger
     n are divided by the first 13 primes and then tested by Miller-Rabin
-    with the first k of them as witnesses, k from the first row of
-    _MR_WITNESS_BOUNDS whose bound exceeds n: 2 witnesses below 1,373,653,
-    ..., 13 below ~3.3e24. From ~3.3e24 on all 13 run and the answer is
-    probabilistic (40 extra rounds with bases drawn from a PRNG seeded by n,
-    so repeated calls agree); see primality_confidence().
+    with all 13 of them as witnesses, which is exact below ~3.3e24
+    (_MR_DETERMINISTIC_BOUND). From there on the answer is probabilistic:
+    40 extra rounds follow, with bases drawn from a PRNG seeded by n, so
+    repeated calls agree; see primality_confidence().
     """
     if n < _SMALL_SIEVE_LIMIT:
         return n in _SIEVED_PRIME_SET
@@ -124,11 +108,7 @@ def is_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         s += 1
-    # past the last bound the loop ends on its last row, k = 13
-    for bound, k in _MR_WITNESS_BOUNDS:
-        if n < bound:
-            break
-    for a in _MR_WITNESSES[:k]:
+    for a in _MR_WITNESSES:
         if not _miller_rabin_round(n, a, d, s):
             return False
     if n < _MR_DETERMINISTIC_BOUND:

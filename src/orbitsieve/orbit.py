@@ -82,9 +82,9 @@ def orbit_rational(
     tests in the same order; the first that applies ends the walk, and the
     point is the last one kept:
     - it lies in `stop_at` (normalized points): "target". A start in
-      `stop_at` ends the walk at index 0 with steps_done 0. Only decide
-      passes `stop_at`, with the targets, so that a walk that meets them
-      ends with the witness;
+      `stop_at` ends the walk at index 0 with steps_done 0. decide and
+      verify_certificate pass `stop_at`, with the targets, so that a walk
+      that meets them ends with the witness;
     - it repeats an earlier point: "closed";
     - `escape_from` is set, its index is >= escape_from, phi.proves_escape
       holds for it, and its height is at least that of every point of
@@ -93,19 +93,20 @@ def orbit_rational(
       walk could only have ended at a budget. With an empty `stop_at` the
       height condition always holds. decide passes escape_from=0 with its
       targets; verify_certificate and the CLI `orbit` command do not pass
-      it, because their outputs record the steps walked.
+      it, because they re-walk or print the steps walked.
     Otherwise the walk ends with "budget" after max_steps evaluations, or
     with "height" where the next iterate would pass `height_bits`.
 
     One dict holds the stop points and the points walked, so each point is
     hashed once for both tests. Escape is not tested for a degree-one map,
-    which never proves it.
+    which never proves it, and the height of the highest stop point is
+    computed only where escape is tested.
     """
     points: list[ProjectivePoint] = []
     # -1 for a stop point, else the index of a walked point
     seen = dict.fromkeys(stop_at, -1)
     escape = escape_from is not None and phi.degree >= 2
-    top = max(map(_height, stop_at), default=0)
+    top = max(map(_height, stop_at), default=0) if escape else 0
     stop = "budget"
     try:
         for pt in islice(orbit_points(phi, start, height_bits), max_steps + 1):

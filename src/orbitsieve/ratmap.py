@@ -131,12 +131,6 @@ def _pmul(a: Sequence, b: Sequence) -> list:
     """Full-length product, not trimmed: forms must keep their degree."""
     if not a or not b:
         return []
-    # _ppow starts from [1], and the map parser multiplies by [1] where a
-    # polynomial meets a rational function
-    if b == [1]:
-        return list(a)
-    if a == [1]:
-        return list(b)
     out = [0] * (len(a) + len(b) - 1)
     for i, ca in enumerate(a):
         if ca:
@@ -831,7 +825,8 @@ def _product_bits(u: Sequence[int], v: Sequence[int]) -> int:
     """A bound on the bits of the coefficients that _pmul(u, v) computes:
     each is a sum of at most min(len(u), len(v)) products of one coefficient
     each. 0 when u or v is the unit [1], as a polynomial's denominator is
-    counted, since _pmul then copies the other list and multiplies nothing.
+    counted: the product then equals the other list, which is already
+    within the limits.
     """
     if u == [1] or v == [1]:
         return 0

@@ -39,7 +39,14 @@ from orbitsieve.localglobal import (
     verify_certificate,
 )
 from orbitsieve.numtheory import degree_one_demo, factorial_valuation
-from orbitsieve.orbit import HitSet, ModOrbit, hit_set, orbit_mod, orbit_rational
+from orbitsieve.orbit import (
+    HitSet,
+    ModOrbit,
+    OrbitSummary,
+    hit_set,
+    orbit_mod,
+    orbit_rational,
+)
 from orbitsieve.projective import (
     INFINITY,
     PrimePowerModulus,
@@ -49,6 +56,7 @@ from orbitsieve.projective import (
 )
 from orbitsieve.ratmap import (
     DegenerateMapError,
+    HeightBudgetError,
     RationalMap,
     newton_place_report,
     orbit_points,
@@ -1676,6 +1684,121 @@ def test_verify_rejects_finite_orbit_cert_for_other_targets():
     cert = decide(problem)
     overlapping = _problem("z^2-1", 0, [5, -1])
     assert not verify_certificate(overlapping, cert)
+
+
+def _reference_day_verdict(problem, cert):
+    """verify_certificate's former day-side checks, kept as the reference
+    for its walk: a witness by orbit_points with one set lookup per iterate,
+    a finite orbit by a walk without stop points and a disjointness test."""
+    phi, budgets = problem.phi, problem.budgets
+    targets = frozenset(problem.targets)
+    if cert.kind == "witness":
+        index = cert.witness_index
+        if index is None or not 0 <= index <= budgets.day_steps:
+            return False
+        walk = orbit_points(phi, problem.start, budgets.height_bits)
+        try:
+            for n, pt in enumerate(islice(walk, index + 1)):
+                if pt in targets:
+                    return n == index
+        except HeightBudgetError:
+            pass
+        return False
+    redone = orbit_rational(phi, problem.start, budgets.day_steps, budgets.height_bits)
+    if redone != cert.finite_orbit:
+        return False
+    return targets.isdisjoint(redone.points)
+
+
+def _closed_edits(orb):
+    """A closed orbit and its edits, each built as the decoder builds one:
+    tail or cycle off by one, or one point dropped."""
+    pts, _, tail, cycle, _ = orb
+    yield orb
+    for t, c in ((tail - 1, cycle), (tail + 1, cycle), (tail, cycle - 1), (tail, cycle + 1)):
+        yield OrbitSummary(pts, "closed", t, c, len(pts) - 1)
+    for i in range(len(pts)):
+        dropped = pts[:i] + pts[i + 1:]
+        yield OrbitSummary(dropped, "closed", tail, cycle, len(dropped) - 1)
+
+
+def test_verify_walks_day_claims_as_the_former_checks_did():
+    # On seeded random problems, at the indices around the first meeting
+    # and the ends of the day budget, under the problem's and under tight
+    # height budgets, and on closed orbits, edited or not, with and
+    # without a target on them, verify_certificate gives the reference's
+    # verdict on every claim
+    rng = random.Random(3707)
+    counts = collections.Counter()
+    for _ in range(400):
+        base = _random_problem(rng) if rng.random() < 0.5 else _survey_problem(rng)
+        phi, start, day = base.phi, base.start, base.budgets.day_steps
+        plain = orbit_rational(phi, start, day, base.budgets.height_bits)
+        problems = [base]
+        if plain.stop == "closed":
+            # the same orbit with a target on its cycle, or on its tail
+            for pt in {plain.points[plain.tail], plain.points[0]}:
+                problems.append(base._replace(targets=tuple(sorted({*base.targets, pt}))))
+        for problem in list(problems):
+            for bits in (rng.randint(1, 8), rng.randint(8, 40)):
+                budgets = problem.budgets._replace(height_bits=bits)
+                problems.append(problem._replace(budgets=budgets))
+        for problem in problems:
+            budgets = problem.budgets
+            walk = orbit_rational(
+                phi, start, budgets.day_steps, budgets.height_bits,
+                stop_at=frozenset(problem.targets),
+            )
+            first = walk.steps_done if walk.stop == "target" else rng.randint(0, day)
+            indices = {first - 1, first, first + 1, 0, day, day + 1, -1}
+            claims = [Certificate("witness", witness_index=i) for i in indices]
+            closed = orbit_rational(phi, start, budgets.day_steps, budgets.height_bits)
+            if closed.stop == "closed":
+                claims += [Certificate("empty", finite_orbit=o) for o in _closed_edits(closed)]
+            for cert in claims:
+                verdict = verify_certificate(problem, cert)
+                assert verdict == _reference_day_verdict(problem, cert), (problem, cert)
+                counts[cert.kind, verdict, walk.stop] += 1
+    # every kind of claim and of walk is reached, accepted and refused
+    assert {k for k, n in counts.items() if n >= 10} >= {
+        ("witness", True, "target"), ("witness", False, "target"),
+        ("witness", False, "budget"), ("witness", False, "height"),
+        ("witness", False, "closed"), ("empty", True, "closed"),
+        ("empty", False, "closed"), ("empty", False, "target"),
+    }, counts
+
+
+def test_verify_accepts_a_finite_orbit_only_as_a_closed_walk():
+    # through the Python API no decoder sets the stop to "closed": an
+    # unfinished walk that misses the targets proves nothing, though the
+    # reference check accepts it. A walk must close to prove emptiness.
+    problem = _problem("z+1", 1, [0], day_steps=5)
+    unfinished = orbit_rational(problem.phi, problem.start, 5)
+    assert unfinished.stop == "budget"
+    cert = Certificate("empty", finite_orbit=unfinished)
+    assert _reference_day_verdict(problem, cert)
+    assert not verify_certificate(problem, cert)
+    # nor is decide's walk that stops at a target an empty orbit
+    met = _problem("z^2-1", 0, [-1])
+    walk = orbit_rational(met.phi, met.start, 8, stop_at=frozenset(met.targets))
+    assert walk.stop == "target"
+    assert not verify_certificate(met, Certificate("empty", finite_orbit=walk))
+
+
+def test_verify_propagates_a_fault_of_its_modular_recomputation(monkeypatch):
+    # ValueError, the error of a prime of bad reduction or of an orbit past
+    # the step limit, refuses the certificate (see the bad-reduction and
+    # step-limit tests); any other exception is a fault and is raised
+    problem = _problem("z^2-1", 3, [0])
+    cert = decide(problem)
+    assert cert.evidence and verify_certificate(problem, cert)
+
+    def faulty(problem, m):
+        raise TypeError("a fault in the recomputation")
+
+    monkeypatch.setattr(localglobal, "_evidence", faulty)
+    with pytest.raises(TypeError, match="a fault in the recomputation"):
+        verify_certificate(problem, cert)
 
 
 def test_budgets_validate():

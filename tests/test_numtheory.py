@@ -96,9 +96,28 @@ def _strong_probable_prime(n, a):
     return False
 
 
+# (B, k): B is the least strong pseudoprime to each of the first k primes
+# (Jaeschke, Math. Comp. 61 (1993); Sorenson-Webster, Math. Comp. 86
+# (2017)), so k witnesses would be exact below B. is_prime runs all 13 for
+# every n >= 10^4; the corpus below takes values on both sides of each
+# bound, where a smaller witness set stops being exact.
+_LEAST_STRONG_PSEUDOPRIMES = (
+    (2_047, 1),
+    (1_373_653, 2),
+    (25_326_001, 3),
+    (3_215_031_751, 4),
+    (2_152_302_898_747, 5),
+    (3_474_749_660_383, 6),
+    (341_550_071_728_321, 7),
+    (3_825_123_056_546_413_051, 9),
+    (318_665_857_834_031_151_167_461, 12),
+    (3_317_044_064_679_887_385_961_981, 13),
+)
+
+
 def _thirteen_round_is_prime(n):
-    """The primality test with all 13 witnesses for every n >= 10^4, the
-    reference that the range-sized witness sets must agree with. From
+    """The primality test with all 13 witnesses for every n >= 10^4, written
+    apart from is_prime as its reference. From
     3,317,044,064,679,887,385,961,981 on, 40 rounds with bases drawn from
     a PRNG seeded by n follow, as in is_prime."""
     assert n >= 10 ** 4
@@ -114,22 +133,24 @@ def _thirteen_round_is_prime(n):
 
 def test_witness_bounds_are_the_least_strong_pseudoprimes():
     # each bound B passes the Miller-Rabin rounds of its first k primes
-    # and is composite, so the first k primes cannot serve up to B itself
-    for bound, k in numtheory._MR_WITNESS_BOUNDS:
+    # and is composite, so the first k primes cannot serve up to B itself;
+    # the last is is_prime's deterministic bound
+    assert _LEAST_STRONG_PSEUDOPRIMES[-1] == (numtheory._MR_DETERMINISTIC_BOUND, 13)
+    for bound, k in _LEAST_STRONG_PSEUDOPRIMES:
         witnesses = _FIRST_13_PRIMES[:k]
         assert all(_strong_probable_prime(bound, a) for a in witnesses)
         assert not is_prime(bound), bound
 
 
-def test_range_sized_witness_sets_agree_with_thirteen_rounds():
-    # 82-bit n reach past the last bound, where nothing changed
+def test_is_prime_agrees_with_thirteen_rounds():
+    # 82-bit n reach past the deterministic bound
     rng = random.Random(1901)
     corpus = []
     while len(corpus) < 20000:
         n = rng.getrandbits(rng.randint(14, 82)) | 1
         if n >= 10 ** 4:
             corpus.append(n)
-    for bound, _ in numtheory._MR_WITNESS_BOUNDS:
+    for bound, _ in _LEAST_STRONG_PSEUDOPRIMES:
         corpus += [bound - 2, bound + 2]
         # products of two primes near sqrt(B), on both sides of B
         root = math.isqrt(bound)
