@@ -326,7 +326,7 @@ def _cmd_newton(args) -> int:
             "g": [str(c) for c in phi.G],
             "text": str(phi),
         },
-        "notes": list(phi.notes),
+        "notes": [],
         "alpha": args.alpha,
         "reports": [
             {

@@ -100,9 +100,11 @@ def is_prime(n: int) -> bool:
     """
     if n < _SMALL_SIEVE_LIMIT:
         return n in _SIEVED_PRIME_SET
+    # n >= 10^4 here, past every witness, so a witness that divides n
+    # proves it composite
     for p in _MR_WITNESSES:
         if n % p == 0:
-            return n == p
+            return False
     d = n - 1
     s = 0
     while d % 2 == 0:
@@ -131,8 +133,9 @@ def next_prime(n: int) -> int:
     c = max(n + 1, 2)
     if c > 2 and c % 2 == 0:
         c += 1
+    # c is 2, which is prime, or odd
     while not is_prime(c):
-        c += 1 if c == 2 else 2
+        c += 2
     return c
 
 

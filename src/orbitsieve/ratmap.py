@@ -305,25 +305,25 @@ class BadPrimeReport(namedtuple("BadPrimeReport", "primes cofactor", defaults=(N
         return self.cofactor is None
 
 
-class RationalMap:
+class RationalMap(namedtuple("RationalMap", "F G res pairs charts height_loss_bits")):
     """A self-map of P^1(Q) given by a jointly primitive form pair.
 
-    An immutable slotted object. Equality and hashing read (F, G) alone:
-    res, the resultant, follows from them, and notes are remarks on how the
-    map was built. The constructor also derives, once per map, the Horner
-    inputs of evaluate (_pairs) and of _mod_walk (_charts) and
-    height_loss_bits, which the walks read.
+    A named tuple built from (F, G) and their resultant res: the constructor
+    derives, once per map, the Horner inputs of evaluate (pairs) and of
+    _mod_walk (charts) and height_loss_bits, which the walks read. Every
+    field follows from (F, G), so two maps are equal, and hash alike,
+    exactly when their (F, G) are. make is the checking entry; pickling and
+    copying pass F and G alone to it, so a loaded map is rebuilt through the
+    checks, with its resultant recomputed, not read.
     """
 
-    __slots__ = ("F", "G", "res", "notes", "_pairs", "_charts", "height_loss_bits")
+    __slots__ = ()
 
-    def __init__(
-        self, F: tuple[int, ...], G: tuple[int, ...], res: int, notes: tuple[str, ...] = ()
-    ):
-        # _pairs: (F_d, G_d) and the pairs (F_i, G_i) for i = d-1, ..., 0, so
+    def __new__(cls, F: tuple[int, ...], G: tuple[int, ...], res: int) -> "RationalMap":
+        # pairs: (F_d, G_d) and the pairs (F_i, G_i) for i = d-1, ..., 0, so
         # that one pass of evaluate computes F and G together.
         pairs = F[-1], G[-1], tuple(zip(F[-2::-1], G[-2::-1]))
-        # _charts: for the affine chart (F(x, 1), G(x, 1)) and the chart at
+        # charts: for the affine chart (F(x, 1), G(x, 1)) and the chart at
         # infinity (F(1, y), G(1, y)), each polynomial, highest power first
         # with leading zeros dropped (no form is zero), as its leading
         # coefficient and the rest, so G(x, 1) of a polynomial map is (1, ()).
@@ -354,36 +354,13 @@ class RationalMap:
         d = len(F) - 1
         s = max(sum([c * c for c in F]), sum([c * c for c in G]))
         loss = (2 * d).bit_length() + (s.bit_length() * (2 * d - 1) + 1) // 2
-        values = F, G, res, tuple(notes), pairs, tuple(charts), loss
-        setter = object.__setattr__  # __setattr__ below refuses every write
-        for name, value in zip(self.__slots__, values):
-            setter(self, name, value)
-
-    def __setattr__(self, name: str, value: object):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.F == other.F and self.G == other.G
-
-    def __hash__(self) -> int:
-        return hash((self.F, self.G))
+        return tuple.__new__(cls, (F, G, res, pairs, tuple(charts), loss))
 
     def __reduce__(self) -> tuple:
-        return type(self), (self.F, self.G, self.res, self.notes)
-
-    def __repr__(self) -> str:
-        # F, G and notes are tuples, whose str is their repr
-        return f"RationalMap(F={self.F}, G={self.G}, res={self.res}, notes={self.notes})"
+        return self.make, (self.F, self.G)
 
     @classmethod
-    def make(
-        cls,
-        f_coeffs: Sequence[int],
-        g_coeffs: Sequence[int],
-        notes: Iterable[str] = (),
-    ) -> "RationalMap":
+    def make(cls, f_coeffs: Sequence[int], g_coeffs: Sequence[int]) -> "RationalMap":
         """Build a map from raw coefficient vectors of equal length.
 
         Clears the joint content, fixes the sign so the highest nonzero
@@ -410,7 +387,7 @@ class RationalMap:
                 "resultant is zero: numerator and denominator share a root "
                 "(cancel the common factor and retry)"
             )
-        return cls(F, G, r, tuple(notes))
+        return cls(F, G, r)
 
     @property
     def degree(self) -> int:
@@ -471,13 +448,13 @@ class RationalMap:
         and it is built without ProjectivePoint's checks.
 
         F(x) and G(x) are summed in one Horner pass in x1 over the
-        coefficient pairs of _pairs, sharing one running power of x2.
+        coefficient pairs in self.pairs, sharing one running power of x2.
         """
         pt = x if type(x) is ProjectivePoint else normalize(x)
         x1, x2 = pt
-        a, b, pairs = self._pairs
+        a, b, rest = self.pairs
         x2_pow = 1
-        for cf, cg in pairs:
+        for cf, cg in rest:
             x2_pow *= x2
             a = a * x1 + cf * x2_pow
             b = b * x1 + cg * x2_pow
@@ -521,7 +498,7 @@ class RationalMap:
         started at the leading coefficient, with no running power of the
         other coordinate. projective._residue_code reduces both values mod n
         and takes the one inverse. The Horner coefficients are split once
-        per map (_charts); good reduction is checked, p^k computed and the
+        per map (charts); good reduction is checked, p^k computed and the
         chart chosen once per walk, so that each step pays only for its
         arithmetic and the repeat test. Raises BadPrimeError when p divides
         the resultant; at a good prime the two image coordinates are never
@@ -539,7 +516,7 @@ class RationalMap:
         seen = set(seq)
         add, append = seen.add, seq.append
         x = seq[-1]
-        affine, at_infinity = self._charts
+        affine, at_infinity = self.charts
         f_top, f_rest, g_top, g_rest = affine
         if not g_rest and g_top == 1 and x < n:
             for _ in repeat(None, steps):
@@ -912,19 +889,13 @@ def newton_map(f_text: str) -> RationalMap:
 
     f must be a polynomial of degree >= 2 (rational coefficients fine). For
     squarefree f the result has degree deg f. A repeated factor is cancelled
-    (the reduced rational function is what iteration actually computes) and
-    recorded in the map's notes, since root multiplicities change the local
-    behavior of the iteration.
+    (the reduced rational function is what iteration actually computes),
+    which lowers the degree below deg f.
     """
     f, fp, common = _newton_polynomial(f_text, "Newton maps")
     # z*f' - f has coefficient (i-1)*f_i at z^i
     num = _ptrim([(i - 1) * c for i, c in enumerate(f)])
-    notes: list[str] = []
     if len(common) > 1:
-        notes.append(
-            "input polynomial is not squarefree; the common factor of f and "
-            "f' was cancelled, which changes behavior at repeated roots"
-        )
         num, rn = _poly_divmod(num, common)
         fp, rd = _poly_divmod(fp, common)
         if rn or rd:
@@ -934,7 +905,7 @@ def newton_map(f_text: str) -> RationalMap:
     d = max(len(num), len(fp)) - 1
     f_vec = cleared[: len(num)] + [0] * (d + 1 - len(num))
     g_vec = cleared[len(num):] + [0] * (d + 1 - len(fp))
-    return RationalMap.make(f_vec, g_vec, notes)
+    return RationalMap.make(f_vec, g_vec)
 
 
 class PlaceReport(namedtuple("PlaceReport", "place verdict detail")):

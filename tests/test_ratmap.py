@@ -714,8 +714,7 @@ def test_newton_map_cancels_repeated_roots():
     # z^3 - z^2 = z^2 (z - 1) is not squarefree; the common factor z must
     # cancel, leaving a degree 2 map that still fixes both roots
     phi = newton_map("z^3-z^2")
-    assert phi.degree == 2
-    assert phi.notes
+    assert phi.degree == 2  # below deg f = 3
     assert phi.evaluate(0) == normalize(0)
     assert phi.evaluate(1) == normalize(1)
     assert phi.evaluate(2) == normalize(Fraction(3, 2))
@@ -751,7 +750,8 @@ def test_newton_map_is_z_minus_f_over_f_prime():
         )
         fp = [i * c for i, c in enumerate(f)][1:]
         phi = newton_map(text)
-        assert bool(phi.notes) or not squared, text
+        # cancelling a repeated factor lowers the degree below deg f
+        assert phi.degree < len(f) - 1 or not squared, text
         assert gcd(*phi.F, *phi.G) == 1
         assert next(c for c in reversed(phi.F) if c) > 0
         for x in xs:

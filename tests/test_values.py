@@ -18,6 +18,7 @@ import orbitsieve
 from orbitsieve import (
     Budgets,
     DecisionProblem,
+    DegenerateMapError,
     Factorization,
     PrimePowerModulus,
     RationalMap,
@@ -68,7 +69,7 @@ def _values():
         factorize(360),
         problem,
         decide(problem),
-        RationalMap.make([1, 0, 2], [3, 0, 0], ["a note"]),
+        RationalMap.make([1, 0, 2], [3, 0, 0]),
         phi,
     ]
 
@@ -92,9 +93,9 @@ def test_values_deep_copy_to_an_equal_value_of_the_same_class():
 
 
 def test_a_loaded_map_keeps_its_derived_fields():
-    phi = RationalMap.make([-1, 0, 1], [1, 0, 0], ["a note"])
+    phi = RationalMap.make([-1, 0, 1], [1, 0, 0])
     loaded = pickle.loads(pickle.dumps(phi))
-    for name in RationalMap.__slots__:
+    for name in RationalMap._fields:
         assert getattr(loaded, name) == getattr(phi, name), name
     assert loaded.evaluate(3) == phi.evaluate(3)
 
@@ -113,21 +114,33 @@ def test_loading_goes_through_the_checking_constructor():
     assert data.count(b"K\x0c") == 1
     with pytest.raises(ValueError, match="multiply back"):
         pickle.loads(data.replace(b"K\x0c", b"K\x0d"))
+    # z^2 + 1/3 is (3z^2 + 1)/3, so F = (1, 0, 3) and G = (3, 0, 0), with
+    # resultant 81: the pickle holds F and G alone, and a map loaded from
+    # a forged F is checked again
+    phi = parse_map("z^2+1/3")
+    assert phi.res == 81
+    data = pickle.dumps(phi)
+    assert b"KQ" not in data  # no pickled 81
+    assert pickle.loads(data) == phi
+    forms = b"K\x01K\x00K\x03\x87"
+    assert data.count(forms) == 1
+    with pytest.raises(DegenerateMapError):
+        pickle.loads(data.replace(forms, b"K\x00K\x00K\x00\x87"))
 
 
-def test_a_map_with_notes_equals_and_hashes_like_the_map_without():
-    plain = RationalMap.make([1, 0, 2], [3, 0, 0])
-    noted = RationalMap.make([1, 0, 2], [3, 0, 0], ["cancelled a common factor"])
-    assert noted.notes and not plain.notes
-    assert noted == plain and hash(noted) == hash(plain)
-    assert len({plain, noted}) == 1
-    assert noted != RationalMap.make([1, 0, 3], [3, 0, 0])
-    assert noted != (plain.F, plain.G)
+def test_maps_of_one_normal_form_equal_and_hash_alike():
+    phi = parse_map("z^2+1")
+    same = parse_map("(2z^2+2)/2")
+    assert phi == same and hash(phi) == hash(same)
+    assert len({phi, same}) == 1
+    other = parse_map("z^2+2")
+    assert phi != other and hash(phi) != hash(other)
+    assert phi != (phi.F, phi.G)
 
 
 def test_a_map_is_immutable():
     phi = parse_map("z^2-1")
-    for name in ("F", "res", "notes", "height_loss_bits", "other"):
+    for name in ("F", "res", "pairs", "height_loss_bits", "other"):
         with pytest.raises(AttributeError):
             setattr(phi, name, 0)
     assert phi == parse_map("z^2-1")
